@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from ikdamp.analysis import (
-    MfacController,
+    MfapcController,
     RampReference,
     mfac_pole_matrix,
     simulate_linear_closed_loop,
@@ -43,7 +43,7 @@ def main(argv=None) -> int:
         pole = mfac_pole_matrix(J, lam)
         gain = float(np.max(np.linalg.eigvalsh(static_error_gain(J, lam))))
         errors = simulate_linear_closed_loop(
-            J, MfacController(lam), RampReference(np.ones(J.shape[0])), args.ramp_steps
+            J, MfapcController(1, lam), RampReference(np.ones(J.shape[0])), args.ramp_steps
         )
         e_ss = float(np.linalg.norm(errors[-1]))
         print(f"{lam:>10.4g} {pole.max_modulus:>12.6g} {gain:>12.6g} {e_ss:>12.6g}")

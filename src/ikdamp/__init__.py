@@ -27,19 +27,16 @@ from .damping import (
     cond,
     schedule_from_config,
 )
-from .mfac import SolveReport, SolveStatus, SolverConfig, mfac_step, solve_ik, stacked_solve
+from .mfac import SolveReport, SolveStatus, SolverConfig, mfac_step, solve_ik
 from .mfapc import (
     HorizonMode,
-    StackedSystem,
     TrackReport,
     build_psi,
-    mfapc_step,
     psi_right_inverse,
     receding_horizon_track,
     solve_ik_predictive,
 )
 from .analysis import (
-    MfacController,
     MfapcController,
     ConstantReference,
     RampReference,

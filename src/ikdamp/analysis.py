@@ -9,12 +9,11 @@ claims can be verified numerically instead of symbolically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .mfac import mfac_step
-from .mfapc import HorizonMode, build_psi
+from .mfac import HorizonMode, build_psi, mfac_step
 
 
 @dataclass(frozen=True)
@@ -60,29 +59,24 @@ def mfac_pole_matrix(J, lam: float) -> PoleReport:
     """Closed-loop pole matrix I - J (J^T J + lam I)^{-1} J^T.
 
     Assembled both directly and through the SVD closed form
-    U diag(lam / (lam + sigma_i^2)) U^T; the two agree to 1e-10 and the
-    direct form is returned. Zero singular values at lam = 0 contribute
-    a pole at 1 (the uncontrollable direction of a singular Jacobian).
+    `static_error_gain`; the two agree to 1e-10 and the direct form is
+    returned. Zero singular values at lam = 0 contribute a pole at 1
+    (the uncontrollable direction of a singular Jacobian).
     """
     J = np.asarray(J, dtype=float)
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    closed_form = static_error_gain(J, lam)
     direct = np.eye(J.shape[0]) - _damped_projection(J, lam)
-    dec = svd(J)
-    gains = np.array(
-        [
-            lam / (lam + s**2) if lam + s**2 > 0 else 1.0
-            for s in dec.singular_values
-        ]
-    )
-    closed_form = dec.U @ np.diag(gains) @ dec.U.T
     if np.max(np.abs(direct - closed_form)) > 1e-8:
         raise ArithmeticError("direct and SVD pole matrices disagree")
     return _pole_report(direct)
 
 
 def static_error_gain(J, lam: float) -> np.ndarray:
-    """U diag(lam / (lam + sigma_i^2)) U^T; each gain lies in [0, 1]."""
+    """U diag(lam / (lam + sigma_i^2)) U^T; each gain lies in [0, 1].
+
+    On a frozen Jacobian this is also the one-step closed-loop matrix:
+    e(k+1) = G e(k) for a constant reference.
+    """
     if lam < 0:
         raise ValueError("lam must be non-negative")
     dec = svd(np.asarray(J, dtype=float))
@@ -123,12 +117,9 @@ def mfapc_pole_matrix(
 
 
 @dataclass(frozen=True)
-class MfacController:
-    lam: float
-
-
-@dataclass(frozen=True)
 class MfapcController:
+    """The n-step predictive law; n = 1 is the one-step damped law."""
+
     n: int
     lam: float
 
@@ -151,7 +142,7 @@ class RampReference:
 
 def simulate_linear_closed_loop(
     J,
-    controller: Union[MfacController, MfapcController],
+    controller: MfapcController,
     reference,
     steps: int,
 ) -> np.ndarray:
@@ -166,18 +157,10 @@ def simulate_linear_closed_loop(
     m_y = J.shape[0]
     y = np.zeros(m_y)
     errors = [reference(0) - y]
-    if isinstance(controller, MfapcController):
-        psi = build_psi([J] * controller.n)
-        for k in range(steps):
-            window = np.concatenate(
-                [reference(k + 1 + j) for j in range(controller.n)]
-            )
-            dQ = mfac_step(psi, window - np.tile(y, controller.n), controller.lam)
-            y = y + J @ dQ[: J.shape[1]]
-            errors.append(reference(k + 1) - y)
-    else:
-        for k in range(steps):
-            dq = mfac_step(J, reference(k + 1) - y, controller.lam)
-            y = y + J @ dq
-            errors.append(reference(k + 1) - y)
+    psi = build_psi([J] * controller.n)
+    for k in range(steps):
+        window = np.concatenate([reference(k + 1 + j) for j in range(controller.n)])
+        dQ = mfac_step(psi, window - np.tile(y, controller.n), controller.lam)
+        y = y + J @ dQ[: J.shape[1]]
+        errors.append(reference(k + 1) - y)
     return np.asarray(errors)

@@ -305,10 +305,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (KeyError, ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,16 +1,18 @@
-"""One-step damped control law and the iterative IK solver.
+"""The damped control law and the one IK iteration loop.
 
 The control law solves (J^T J + lam*I) dq = J^T e, i.e. one damped
 least-squares (Levenberg-Marquardt) step on the task-space error.
-`solve_ik` iterates that step with an adaptive damping schedule until
-the error norm drops below a tolerance; `stacked_solve` packs the same
-iteration into one block-triangular coupled solve as a cross-check.
+`solve_ik_predictive` iterates that step on n stacked waypoint errors
+against the block-lower-triangular Jacobian `build_psi`, with an
+adaptive damping schedule, until the error norm drops below a
+tolerance. `solve_ik` is that loop with n = 1, so the one-step solver
+is the predictive one by construction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -68,7 +70,9 @@ def mfac_step(J, e, lam: float) -> np.ndarray:
 
     lam > 0 uses a Cholesky solve on the (positive definite) normal
     equations. lam = 0 falls back to the minimum-norm least-squares
-    solution so singular Jacobians do not crash.
+    solution so singular Jacobians do not crash; so does a lam too small
+    to register against J^T J of a rank-deficient J, whose damped step
+    is that minimum-norm step to rounding.
     """
     J = np.asarray(J, dtype=float)
     e = np.asarray(e, dtype=float).ravel()
@@ -78,7 +82,10 @@ def mfac_step(J, e, lam: float) -> np.ndarray:
         raise ValueError("lam must be non-negative")
     if lam > 0:
         A = J.T @ J + lam * np.eye(J.shape[1])
-        return cho_solve(cho_factor(A, lower=True), J.T @ e)
+        try:
+            return cho_solve(cho_factor(A, lower=True), J.T @ e)
+        except np.linalg.LinAlgError:
+            pass
     return np.linalg.lstsq(J, e, rcond=None)[0]
 
 
@@ -103,19 +110,56 @@ def task_error(model: KinematicModel, target, q) -> np.ndarray:
     return np.asarray(target, dtype=float) - forward(model, q)
 
 
-def solve_ik(model: KinematicModel, target, q0, config: SolverConfig) -> SolveReport:
-    """Iterative damped IK toward a single waypoint.
+class HorizonMode(Enum):
+    # FROZEN replicates the current Jacobian across the horizon;
+    # PROPAGATED evaluates future blocks at provisional future states.
+    FROZEN = "frozen"
+    PROPAGATED = "propagated"
 
-    Per iteration: evaluate forward kinematics and the error, update the
-    damping factor from the schedule, take one damped step. Stops when
-    the error norm is <= config.delta or after config.n_up iterations.
+
+def build_psi(jacobians: Sequence[np.ndarray]) -> np.ndarray:
+    """Block-lower-triangular stack: row r holds blocks J_0 .. J_r."""
+    blocks = [np.asarray(J, dtype=float) for J in jacobians]
+    if not blocks:
+        raise ValueError("need at least one Jacobian block")
+    m_y, m_u = blocks[0].shape
+    if any(b.shape != (m_y, m_u) for b in blocks):
+        raise ValueError("all Jacobian blocks must share one shape")
+    n = len(blocks)
+    psi = np.zeros((n * m_y, n * m_u))
+    for r in range(n):
+        for c in range(r + 1):
+            psi[r * m_y:(r + 1) * m_y, c * m_u:(c + 1) * m_u] = blocks[c]
+    return psi
+
+
+def solve_ik_predictive(
+    model: KinematicModel,
+    targets: Sequence,
+    q0,
+    config: SolverConfig,
+    mode: HorizonMode = HorizonMode.FROZEN,
+) -> SolveReport:
+    """Iterative predictive IK over a fixed window of n targets.
+
+    Per iteration: evaluate the stacked error, stop if its norm is
+    <= config.delta, else update the damping factor from the schedule,
+    solve the coupled damped system against the current (frozen) or
+    provisional future (propagated) Jacobians and commit the first
+    increment; provisional future states advance by the cumulative
+    increment blocks. Stops after config.n_up iterations otherwise.
     """
-    target = _as_target(model, target)
+    targets = [_as_target(model, t) for t in targets]
+    n = len(targets)
+    if n < 1:
+        raise ValueError("need at least one target")
     q = np.asarray(q0, dtype=float).ravel().copy()
     if q.shape[0] != model.m_u:
         raise ValueError(f"q0 length must be {model.m_u}")
     schedule = config.schedule
+    frozen = mode is HorizonMode.FROZEN
 
+    provisional = [q] * n
     error_trace: List[float] = []
     lambda_trace: List[float] = []
     q_trace: List[np.ndarray] = []
@@ -123,25 +167,36 @@ def solve_ik(model: KinematicModel, target, q0, config: SolverConfig) -> SolveRe
     status = SolveStatus.MAX_ITERATIONS
 
     for _ in range(config.n_up):
-        e = task_error(model, target, q)
-        err = float(np.linalg.norm(e))
+        resid = np.concatenate([task_error(model, t, q) for t in targets])
+        stacked_err = resid if frozen else np.concatenate(
+            [task_error(model, t, p) for t, p in zip(targets, provisional)]
+        )
+        err = float(np.linalg.norm(stacked_err))
         error_trace.append(err)
         if err <= config.delta:
             lambda_trace.append(schedule.peek())
             q_trace.append(q.copy())
             status = SolveStatus.CONVERGED
             break
-        J = jacobian(model, q)
+
+        if frozen:
+            J = jacobian(model, q)
+            jac_blocks = [J] * n
+            kappa = cond(J)
+        else:
+            jac_blocks = [jacobian(model, p) for p in provisional]
+            kappa = max(cond(J) for J in jac_blocks)
         lam = schedule.next_lambda(
-            DampingObservation(err, prev_error_norm=prev_norm, cond=cond(J))
+            DampingObservation(err, prev_error_norm=prev_norm, cond=kappa)
         )
         lambda_trace.append(lam)
-        q = q + mfac_step(J, e, lam)
+        dQ = mfac_step(build_psi(jac_blocks), resid, lam)
+        if not frozen:
+            provisional = q + np.cumsum(dQ.reshape(n, model.m_u), axis=0)
+        q = q + dQ[: model.m_u]
         q_trace.append(q.copy())
         prev_norm = err
 
-    if status is not SolveStatus.CONVERGED and error_trace[-1] <= config.delta:
-        status = SolveStatus.CONVERGED
     return SolveReport(
         q_final=q,
         status=status,
@@ -153,81 +208,6 @@ def solve_ik(model: KinematicModel, target, q0, config: SolverConfig) -> SolveRe
     )
 
 
-def _block_lower_triangular(blocks: List[np.ndarray]) -> np.ndarray:
-    """Assemble [[J0], [J0, J1], ...] with zeros above the diagonal."""
-    n = len(blocks)
-    m_y, m_u = blocks[0].shape
-    out = np.zeros((n * m_y, n * m_u))
-    for r in range(n):
-        for c in range(r + 1):
-            out[r * m_y:(r + 1) * m_y, c * m_u:(c + 1) * m_u] = blocks[c]
-    return out
-
-
-def stacked_solve(model: KinematicModel, target, q0, config: SolverConfig):
-    """Single coupled solve over a block of N damped steps.
-
-    A preliminary greedy sweep (N plain damped iterations) supplies the
-    provisional configurations for the stage Jacobians and the damping
-    sequence; the coupled block-triangular system is then solved in one
-    shot and the summed increment applied. Returns (dQ, report). The
-    coupled minimizer is generally NOT equal to the greedy sequential
-    iteration; compare reports to quantify the discrepancy.
-    """
-    target = _as_target(model, target)
-    q0 = np.asarray(q0, dtype=float).ravel()
-    n = config.horizon
-    sweep_schedule = config.schedule.clone()
-
-    q = q0.copy()
-    jacobians: List[np.ndarray] = []
-    lams: List[float] = []
-    prev_norm: Optional[float] = None
-    for _ in range(n):
-        e = task_error(model, target, q)
-        err = float(np.linalg.norm(e))
-        J = jacobian(model, q)
-        lam = sweep_schedule.next_lambda(
-            DampingObservation(err, prev_error_norm=prev_norm, cond=cond(J))
-        )
-        jacobians.append(J)
-        lams.append(lam)
-        q = q + mfac_step(J, e, lam)
-        prev_norm = err
-
-    psi = _block_lower_triangular(jacobians)
-    m_u = model.m_u
-    e0 = task_error(model, target, q0)
-    rhs_resid = np.tile(e0, n)
-    lam_diag = np.repeat(lams, m_u)
-    if np.all(lam_diag > 0):
-        A = psi.T @ psi + np.diag(lam_diag)
-        dQ = cho_solve(cho_factor(A, lower=True), psi.T @ rhs_resid)
-    elif np.any(lam_diag > 0):
-        A = psi.T @ psi + np.diag(lam_diag)
-        dQ = np.linalg.lstsq(A, psi.T @ rhs_resid, rcond=None)[0]
-    else:
-        dQ = np.linalg.lstsq(psi, rhs_resid, rcond=None)[0]
-
-    blocks = dQ.reshape(n, m_u)
-    cumulative = np.cumsum(blocks, axis=0)
-    error_trace = [
-        float(np.linalg.norm(task_error(model, target, q0 + cumulative[i])))
-        for i in range(n)
-    ]
-    q_final = q0 + cumulative[-1]
-    status = (
-        SolveStatus.CONVERGED
-        if error_trace[-1] <= config.delta
-        else SolveStatus.MAX_ITERATIONS
-    )
-    report = SolveReport(
-        q_final=q_final,
-        status=status,
-        iterations=n,
-        error_trace=error_trace,
-        lambda_trace=lams,
-        dq_total=cumulative[-1].copy(),
-        q_trace=[q0 + cumulative[i] for i in range(n)],
-    )
-    return dQ, report
+def solve_ik(model: KinematicModel, target, q0, config: SolverConfig) -> SolveReport:
+    """Iterative damped IK toward a single waypoint: the predictive loop with n = 1."""
+    return solve_ik_predictive(model, [target], q0, config)

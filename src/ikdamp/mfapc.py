@@ -1,37 +1,31 @@
-"""n-step predictive damped control and receding-horizon tracking.
+"""Receding-horizon tracking and the stacked right inverse.
 
 The predictive law stacks n waypoint errors against a block-lower-
 triangular Jacobian and solves one coupled damped system; only the
-first joint increment is committed (receding horizon). With n = 1 it
-degenerates exactly to the one-step law in `mfac`.
+first joint increment is committed (receding horizon). Its iteration
+loop, `solve_ik_predictive`, lives in `mfac` next to the one-step law it
+reduces to at n = 1, and is re-exported here with `build_psi` and
+`HorizonMode`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .damping import DampingObservation, cond
-from .kinematics import DhChain, KinematicModel, Pose, forward, jacobian
+from .kinematics import DhChain, KinematicModel, forward, jacobian
 from .mfac import (
-    SolveReport,
-    SolveStatus,
+    HorizonMode,
     SolverConfig,
     _as_target,
-    _block_lower_triangular,
+    build_psi,
     mfac_step,
+    solve_ik_predictive,
     task_error,
 )
 from .trajectory import Trajectory, horizon_window
-
-
-class HorizonMode(Enum):
-    # FROZEN replicates the current Jacobian across the horizon;
-    # PROPAGATED evaluates future blocks at provisional future states.
-    FROZEN = "frozen"
-    PROPAGATED = "propagated"
 
 
 class SingularBlockError(ValueError):
@@ -40,42 +34,6 @@ class SingularBlockError(ValueError):
     def __init__(self, index: int):
         super().__init__(f"rank-deficient Jacobian block at horizon index {index}")
         self.index = index
-
-
-@dataclass
-class StackedSystem:
-    """Horizon-n stacked linear system.
-
-    psi is the (n*M_y) x (n*M_u) block-lower-triangular Jacobian stack,
-    targets the stacked desired outputs, base the current output y(k).
-    """
-
-    psi: np.ndarray
-    targets: np.ndarray
-    base: np.ndarray
-    n: int
-    m_y: int
-    m_u: int
-
-    def residual(self) -> np.ndarray:
-        return self.targets - np.tile(self.base, self.n)
-
-
-def build_psi(jacobians: Sequence[np.ndarray]) -> np.ndarray:
-    """Block-lower-triangular stack: row r holds blocks J_0 .. J_r."""
-    if len(jacobians) == 0:
-        raise ValueError("need at least one Jacobian block")
-    blocks = [np.asarray(J, dtype=float) for J in jacobians]
-    shape = blocks[0].shape
-    if any(b.shape != shape for b in blocks):
-        raise ValueError("all Jacobian blocks must share one shape")
-    return _block_lower_triangular(blocks)
-
-
-def mfapc_step(sys: StackedSystem, lam: float):
-    """Solve the stacked damped system; returns (dQ, dq_first)."""
-    dQ = mfac_step(sys.psi, sys.residual(), lam)
-    return dQ, dQ[: sys.m_u]
 
 
 def _right_inverse(J: np.ndarray, index: int) -> np.ndarray:
@@ -105,89 +63,6 @@ def psi_right_inverse(jacobians: Sequence[np.ndarray]) -> np.ndarray:
         if i > 0:
             out[i * m_u:(i + 1) * m_u, (i - 1) * m_y:i * m_y] = -invs[i]
     return out
-
-
-def _window_targets(model: KinematicModel, targets) -> list:
-    return [_as_target(model, t) for t in targets]
-
-
-def solve_ik_predictive(
-    model: KinematicModel,
-    targets: Sequence,
-    q0,
-    config: SolverConfig,
-    mode: HorizonMode = HorizonMode.FROZEN,
-) -> SolveReport:
-    """Iterative predictive IK over a fixed window of n targets.
-
-    Each iteration stacks the window errors against the current (frozen)
-    or provisional future (propagated) Jacobians, solves the coupled
-    damped system, and commits the first increment; provisional future
-    states advance by the cumulative increment blocks. Stops when the
-    stacked error norm is <= config.delta or after config.n_up rounds.
-    """
-    targets = _window_targets(model, targets)
-    n = len(targets)
-    if n < 1:
-        raise ValueError("need at least one target")
-    q = np.asarray(q0, dtype=float).ravel().copy()
-    if q.shape[0] != model.m_u:
-        raise ValueError(f"q0 length must be {model.m_u}")
-    schedule = config.schedule
-    m_u = model.m_u
-
-    provisional = [q.copy() for _ in range(n)]
-    error_trace: List[float] = []
-    lambda_trace: List[float] = []
-    q_trace: List[np.ndarray] = []
-    prev_norm: Optional[float] = None
-    status = SolveStatus.MAX_ITERATIONS
-
-    for _ in range(config.n_up):
-        if mode is HorizonMode.FROZEN:
-            resid_blocks = [task_error(model, t, q) for t in targets]
-            stacked_err_blocks = resid_blocks
-            jac_blocks = [jacobian(model, q)] * n
-        else:
-            resid_blocks = [task_error(model, t, q) for t in targets]
-            stacked_err_blocks = [
-                task_error(model, t, provisional[j]) for j, t in enumerate(targets)
-            ]
-            jac_blocks = [jacobian(model, provisional[j]) for j in range(n)]
-
-        err = float(np.linalg.norm(np.concatenate(stacked_err_blocks)))
-        error_trace.append(err)
-        if err <= config.delta:
-            lambda_trace.append(schedule.peek())
-            q_trace.append(q.copy())
-            status = SolveStatus.CONVERGED
-            break
-
-        lam = schedule.next_lambda(
-            DampingObservation(
-                err,
-                prev_error_norm=prev_norm,
-                cond=max(cond(J) for J in jac_blocks),
-            )
-        )
-        lambda_trace.append(lam)
-        psi = build_psi(jac_blocks)
-        dQ = mfac_step(psi, np.concatenate(resid_blocks), lam)
-        cumulative = np.cumsum(dQ.reshape(n, m_u), axis=0)
-        provisional = [q + cumulative[j] for j in range(n)]
-        q = provisional[0].copy()
-        q_trace.append(q.copy())
-        prev_norm = err
-
-    return SolveReport(
-        q_final=q,
-        status=status,
-        iterations=len(error_trace),
-        error_trace=error_trace,
-        lambda_trace=lambda_trace,
-        dq_total=q - np.asarray(q0, dtype=float).ravel(),
-        q_trace=q_trace,
-    )
 
 
 @dataclass
@@ -240,12 +115,16 @@ def receding_horizon_track(
     config.n_up == 1 this is the pure one-increment-per-step controller
     and the damping schedule is fed the frozen-model predicted stacked
     error after each commit; with n_up > 1 a full inner predictive solve
-    runs at every waypoint.
+    runs at every waypoint. The single-step law is frozen only, so
+    PROPAGATED with n_up == 1 is rejected.
 
     y0 overrides the initial plant output (it may be inconsistent with
     q0; the plant re-synchronizes after the first commit).
     """
     n = config.horizon
+    single_step = config.n_up <= 1
+    if single_step and mode is HorizonMode.PROPAGATED:
+        raise ValueError("propagated mode needs n_up > 1; the single-step law is frozen")
     if len(trajectory) < n:
         raise ValueError("trajectory must be at least as long as the horizon")
     q = np.asarray(q0, dtype=float).ravel().copy()
@@ -257,7 +136,6 @@ def receding_horizon_track(
     )
 
     steps: List[TrackStep] = []
-    single_step = config.n_up <= 1
     for t in range(len(trajectory)):
         window = horizon_window(trajectory, t, n)
         if single_step:
@@ -282,8 +160,7 @@ def receding_horizon_track(
             )
             inner = 1
         else:
-            targets = [w for w in window]
-            report = solve_ik_predictive(model, targets, q, config, mode)
+            report = solve_ik_predictive(model, window, q, config, mode)
             q = report.q_final
             y = forward(model, q)
             lam = report.lambda_trace[-1]

@@ -10,7 +10,7 @@ import numpy as np
 
 from ikdamp.analysis import (
     ConstantReference,
-    MfacController,
+    MfapcController,
     RampReference,
     mfac_pole_matrix,
     simulate_linear_closed_loop,
@@ -31,9 +31,7 @@ from ikdamp.kinematics import (
 from ikdamp.damping import cond
 from ikdamp.mfac import SolverConfig, mfac_step, solve_ik
 from ikdamp.mfapc import (
-    StackedSystem,
     build_psi,
-    mfapc_step,
     psi_right_inverse,
     receding_horizon_track,
     solve_ik_predictive,
@@ -137,7 +135,7 @@ def test_criterion_5_zero_lambda_deadbeat():
     rng = np.random.default_rng(ACCEPT_SEED)
     J = rng.standard_normal((3, 3)) + 3 * np.eye(3)
     e = simulate_linear_closed_loop(
-        J, MfacController(0.0), ConstantReference(np.array([1.0, -2.0, 0.5])), 50
+        J, MfapcController(1, 0.0), ConstantReference(np.array([1.0, -2.0, 0.5])), 50
     )
     worst = float(np.max(np.linalg.norm(e[1:], axis=1)))
     report(f"5. zero-damping deadbeat: max ||e(k)|| for k>=1 is {worst:.3e}",
@@ -149,11 +147,11 @@ def test_criterion_6_ramp_steady_state():
     norms = []
     for lam in [0.1, 1.0, 10.0]:
         e = simulate_linear_closed_loop(
-            J, MfacController(lam), RampReference(np.ones(2)), 5000
+            J, MfapcController(1, lam), RampReference(np.ones(2)), 5000
         )
         norms.append(float(np.linalg.norm(e[-1])))
     e0 = simulate_linear_closed_loop(
-        J, MfacController(0.0), RampReference(np.ones(2)), 100
+        J, MfapcController(1, 0.0), RampReference(np.ones(2)), 100
     )
     zero_ss = float(np.linalg.norm(e0[-1]))
     ok = norms[0] < norms[1] < norms[2] and zero_ss <= 1e-10
@@ -172,10 +170,7 @@ def test_criterion_7_degeneration():
         J = rng.standard_normal((3, 3))
         e = rng.standard_normal(3)
         lam = rng.uniform(0.0, 10.0)
-        sys = StackedSystem(
-            psi=build_psi([J]), targets=e, base=np.zeros(3), n=1, m_y=3, m_u=3
-        )
-        _, dq = mfapc_step(sys, lam)
+        dq = mfac_step(build_psi([J]), e, lam)
         worst = max(worst, float(np.max(np.abs(dq - mfac_step(J, e, lam)))))
     report(f"7. horizon-1 degeneration: worst step gap {worst:.3e}", worst <= 1e-12)
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ikdamp.analysis import (
     ConstantReference,
-    MfacController,
     MfapcController,
     RampReference,
     mfac_pole_matrix,
@@ -12,6 +13,7 @@ from ikdamp.analysis import (
     static_error_gain,
     svd,
 )
+from ikdamp.damping import cond
 from ikdamp.mfapc import HorizonMode
 
 
@@ -111,7 +113,7 @@ class TestClosedLoopSimulation:
     def test_deadbeat_constant_reference(self, rng):
         J = full_rank(rng)
         e = simulate_linear_closed_loop(
-            J, MfacController(0.0), ConstantReference(np.array([1.0, -2.0, 0.5])), 20
+            J, MfapcController(1, 0.0), ConstantReference(np.array([1.0, -2.0, 0.5])), 20
         )
         assert np.max(np.abs(e[1:])) <= 1e-12
 
@@ -119,7 +121,7 @@ class TestClosedLoopSimulation:
         J = full_rank(rng)
         lam = 5.0
         e = simulate_linear_closed_loop(
-            J, MfacController(lam), ConstantReference(np.ones(3)), 60
+            J, MfapcController(1, lam), ConstantReference(np.ones(3)), 60
         )
         norms = np.linalg.norm(e, axis=1)
         k = np.arange(10, 51)
@@ -133,7 +135,7 @@ class TestClosedLoopSimulation:
         norms = []
         for lam in [0.1, 1.0, 10.0]:
             e = simulate_linear_closed_loop(
-                J, MfacController(lam), RampReference(np.ones(2)), 2000
+                J, MfapcController(1, lam), RampReference(np.ones(2)), 2000
             )
             norms.append(np.linalg.norm(e[-1]))
         assert norms[0] < norms[1] < norms[2]
@@ -143,7 +145,7 @@ class TestClosedLoopSimulation:
         J = np.diag([1.0, 2.0])
         lam = 1.0
         e = simulate_linear_closed_loop(
-            J, MfacController(lam), RampReference(np.ones(2)), 3000
+            J, MfapcController(1, lam), RampReference(np.ones(2)), 3000
         )
         np.testing.assert_allclose(e[-1], [lam / 1.0, lam / 4.0], atol=1e-6)
 
@@ -154,8 +156,31 @@ class TestClosedLoopSimulation:
         )
         assert np.max(np.abs(e[1:])) <= 1e-10
 
+    @given(
+        shape=st.sampled_from([(2, 2), (3, 3), (2, 3), (3, 6)]),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+        steps=st.integers(1, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_step_loop_is_static_gain_power(self, shape, seed, lam, steps):
+        # independent oracle for n = 1: on a constant reference the error
+        # obeys e(k+1) = G e(k), so e(k) = G^k r
+        rng = np.random.default_rng(seed)
+        J = rng.standard_normal(shape)
+        assume(cond(J) < 1e4)
+        r = rng.standard_normal(shape[0])
+        e = simulate_linear_closed_loop(
+            J, MfapcController(1, lam), ConstantReference(r), steps
+        )
+        G = static_error_gain(J, lam)
+        expected = [r]
+        for _ in range(steps):
+            expected.append(G @ expected[-1])
+        np.testing.assert_allclose(e, expected, rtol=0, atol=1e-9)
+
     def test_steps_validated(self):
         with pytest.raises(ValueError):
             simulate_linear_closed_loop(
-                np.eye(2), MfacController(0.0), ConstantReference(np.ones(2)), 0
+                np.eye(2), MfapcController(1, 0.0), ConstantReference(np.ones(2)), 0
             )

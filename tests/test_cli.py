@@ -128,6 +128,15 @@ class TestTrack:
         errs = [float(r.split(",")[7]) for r in rows]
         assert max(errs) <= 1e-12
 
+    def test_propagated_single_step_is_usage_error(self, tmp_path, capsys):
+        cfg = json.loads((CONFIG_DIR / "example1.json").read_text())
+        cfg["solver"]["mode"] = "propagated"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["track", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+        assert "propagated" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_example2_inner_budget(self, tmp_path):
         out = tmp_path / "track2.csv"
         rc = main(

@@ -16,9 +16,7 @@ from ikdamp.mfac import SolveStatus, SolverConfig, mfac_step, solve_ik
 from ikdamp.mfapc import (
     HorizonMode,
     SingularBlockError,
-    StackedSystem,
     build_psi,
-    mfapc_step,
     psi_right_inverse,
     receding_horizon_track,
     solve_ik_predictive,
@@ -26,13 +24,6 @@ from ikdamp.mfapc import (
 from ikdamp.trajectory import Trajectory, helix
 
 ARM = ThreeLink(5.0, 7.0, 7.0)
-
-
-def stacked(psi, targets, base, n, m_y, m_u):
-    return StackedSystem(
-        psi=psi, targets=np.asarray(targets, float), base=np.asarray(base, float),
-        n=n, m_y=m_y, m_u=m_u,
-    )
 
 
 class TestBuildPsi:
@@ -63,13 +54,14 @@ class TestBuildPsi:
 
 
 class TestMfapcStep:
+    """The predictive step is mfac_step on the stacked system."""
+
     def test_n1_equals_mfac_step(self, rng):
         for _ in range(20):
             J = rng.standard_normal((3, 3))
             e = rng.standard_normal(3)
             lam = rng.uniform(0.0, 10.0)
-            sys = stacked(build_psi([J]), e, np.zeros(3), 1, 3, 3)
-            _, dq = mfapc_step(sys, lam)
+            dq = mfac_step(build_psi([J]), e, lam)
             np.testing.assert_allclose(dq, mfac_step(J, e, lam), atol=1e-12)
 
     def test_replicated_targets_undamped(self, rng):
@@ -79,9 +71,8 @@ class TestMfapcStep:
         y = rng.standard_normal(3)
         ystar = rng.standard_normal(3)
         for n in [2, 3, 5]:
-            sys = stacked(build_psi([J] * n), np.tile(ystar, n), y, n, 3, 3)
-            dQ, dq = mfapc_step(sys, 0.0)
-            np.testing.assert_allclose(dq, np.linalg.solve(J, ystar - y), atol=1e-9)
+            dQ = mfac_step(build_psi([J] * n), np.tile(ystar - y, n), 0.0)
+            np.testing.assert_allclose(dQ[:3], np.linalg.solve(J, ystar - y), atol=1e-9)
             np.testing.assert_allclose(dQ[3:], 0.0, atol=1e-9)
 
     def test_zero_lambda_block_structure(self, rng):
@@ -89,8 +80,7 @@ class TestMfapcStep:
         y = rng.standard_normal(3)
         y1 = rng.standard_normal(3)
         y2 = rng.standard_normal(3)
-        sys = stacked(build_psi([J, J]), np.concatenate([y1, y2]), y, 2, 3, 3)
-        dQ, _ = mfapc_step(sys, 0.0)
+        dQ = mfac_step(build_psi([J, J]), np.concatenate([y1 - y, y2 - y]), 0.0)
         Jinv = np.linalg.inv(J)
         np.testing.assert_allclose(dQ[:3], Jinv @ (y1 - y), atol=1e-9)
         np.testing.assert_allclose(dQ[3:], Jinv @ (y2 - y1), atol=1e-9)
@@ -228,6 +218,15 @@ class TestRecedingHorizonTrack:
         report = receding_horizon_track(chain, traj, q_start, cfg)
         assert all(s.inner_iterations <= 10 for s in report.steps)
         assert report.error_norms[-1] <= 1e-8
+
+    def test_propagated_needs_inner_iterations(self):
+        # the single-step law only has a frozen form; n_up == 1 must not
+        # silently drop the requested mode
+        cfg = SolverConfig(n_up=1, schedule=Constant(0.5), horizon=2)
+        with pytest.raises(ValueError, match="propagated"):
+            receding_horizon_track(
+                ARM, helix(10), np.zeros(3), cfg, HorizonMode.PROPAGATED
+            )
 
     def test_trajectory_shorter_than_horizon_rejected(self):
         traj = Trajectory(np.zeros((2, 3)))

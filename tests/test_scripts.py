@@ -1,0 +1,25 @@
+"""Smoke runs of the standalone scripts, loaded by path with small arguments."""
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_lambda_sweep(capsys):
+    assert load("lambda_sweep").main(["--lambdas", "0,1", "--ramp-steps", "50"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [float(r.split()[0]) for r in rows] == [0.0, 1.0]
+
+
+def test_run_example1(tmp_path, capsys):
+    out = tmp_path / "track.csv"
+    assert load("run_example1").main(["--steps", "40", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 42  # header + 40 rows + summary
+    assert "settling_step=" in capsys.readouterr().out
