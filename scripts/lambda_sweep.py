@@ -17,7 +17,6 @@ from ikdamp.analysis import (
     mfac_pole_matrix,
     simulate_linear_closed_loop,
     static_error_gain,
-    svd,
 )
 from ikdamp.cli import parse_model
 from ikdamp.kinematics import jacobian
@@ -36,7 +35,7 @@ def main(argv=None) -> int:
     model = parse_model(args.model)
     q = np.array([float(v) for v in args.q.split(",")])
     J = jacobian(model, q)
-    sigmas = svd(J).singular_values
+    sigmas = np.linalg.svd(J, compute_uv=False)
     print(f"sigma(J) = {np.array2string(sigmas, precision=4)}")
     print(f"{'lambda':>10} {'max|pole|':>12} {'top gain':>12} {'ramp e_ss':>12}")
     for lam in (float(v) for v in args.lambdas.split(",")):

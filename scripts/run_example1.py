@@ -39,8 +39,12 @@ def main(argv=None) -> int:
     )
     write_track_csv(args.out, report, model)
     print(f"wrote {args.out}")
-    print(f"settling_step={report.settling_step}")
-    print(f"max_post_settling_error={report.max_post_settling_error:.6g}")
+    if report.settling_step is None:
+        print("settling_step=none")
+        print("max_post_settling_error=none")
+    else:
+        print(f"settling_step={report.settling_step}")
+        print(f"max_post_settling_error={report.max_post_settling_error:.6g}")
     return 0
 
 

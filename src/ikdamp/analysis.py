@@ -1,10 +1,11 @@
 """Closed-loop stability and steady-state diagnostics.
 
 The damped one-step law on a locally frozen Jacobian places the
-closed-loop poles at lam / (lam + sigma_i^2); these helpers assemble the
-pole matrix directly and via the SVD closed form, compute the static
-error gain, and simulate the frozen linear closed loop so steady-state
-claims can be verified numerically instead of symbolically.
+closed-loop poles at lam / (lam + sigma_i^2), the SVD filter factors of
+J, and at 1 in directions outside the range of J. `static_error_gain`
+is that closed form; the n-step pole matrix and the frozen linear
+closed-loop simulator use the first-increment gain of `mfac_step`, so
+steady-state claims can be verified numerically instead of symbolically.
 """
 from __future__ import annotations
 
@@ -14,19 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .mfac import HorizonMode, build_psi, mfac_step
-
-
-@dataclass(frozen=True)
-class SvdDecomposition:
-    U: np.ndarray
-    singular_values: np.ndarray
-    V: np.ndarray
-
-
-def svd(J) -> SvdDecomposition:
-    J = np.asarray(J, dtype=float)
-    U, s, Vt = np.linalg.svd(J)
-    return SvdDecomposition(U=U, singular_values=s, V=Vt.T)
 
 
 @dataclass
@@ -48,45 +36,35 @@ def _pole_report(M: np.ndarray) -> PoleReport:
     )
 
 
-def _damped_projection(J: np.ndarray, lam: float) -> np.ndarray:
-    """J (J^T J + lam I)^{-1} J^T, with a pseudoinverse fallback at lam=0."""
-    if lam > 0:
-        return J @ np.linalg.solve(J.T @ J + lam * np.eye(J.shape[1]), J.T)
-    return J @ np.linalg.pinv(J)
-
-
 def mfac_pole_matrix(J, lam: float) -> PoleReport:
-    """Closed-loop pole matrix I - J (J^T J + lam I)^{-1} J^T.
+    """Closed-loop pole matrix I - J (J^T J + lam I)^{-1} J^T, i.e. `static_error_gain`.
 
-    Assembled both directly and through the SVD closed form
-    `static_error_gain`; the two agree to 1e-10 and the direct form is
-    returned. Zero singular values at lam = 0 contribute a pole at 1
-    (the uncontrollable direction of a singular Jacobian).
+    Uncontrollable directions, zero singular values at lam = 0 and the
+    complement of the range of a tall J, contribute a pole at 1.
     """
-    J = np.asarray(J, dtype=float)
-    closed_form = static_error_gain(J, lam)
-    direct = np.eye(J.shape[0]) - _damped_projection(J, lam)
-    if np.max(np.abs(direct - closed_form)) > 1e-8:
-        raise ArithmeticError("direct and SVD pole matrices disagree")
-    return _pole_report(direct)
+    return _pole_report(static_error_gain(J, lam))
 
 
 def static_error_gain(J, lam: float) -> np.ndarray:
     """U diag(lam / (lam + sigma_i^2)) U^T; each gain lies in [0, 1].
 
-    On a frozen Jacobian this is also the one-step closed-loop matrix:
+    Directions outside the range of J keep a gain of 1. On a frozen
+    Jacobian this is also the one-step closed-loop matrix:
     e(k+1) = G e(k) for a constant reference.
     """
     if lam < 0:
         raise ValueError("lam must be non-negative")
-    dec = svd(np.asarray(J, dtype=float))
-    gains = np.array(
-        [
-            lam / (lam + s**2) if lam + s**2 > 0 else 1.0
-            for s in dec.singular_values
-        ]
-    )
-    return dec.U @ np.diag(gains) @ dec.U.T
+    J = np.asarray(J, dtype=float)
+    U, s, _ = np.linalg.svd(J)
+    d = lam + s**2
+    gains = np.ones(J.shape[0])
+    gains[: s.size] = np.divide(lam, d, out=np.ones_like(s), where=d > 0)
+    return U @ np.diag(gains) @ U.T
+
+
+def _first_increment_gain(stack, lam: float, rows: int, m_u: int) -> np.ndarray:
+    """K with mfac_step(stack, e, lam)[:m_u] = K e for every e of length rows."""
+    return np.column_stack([mfac_step(stack, e, lam)[:m_u] for e in np.eye(rows)])
 
 
 def mfapc_pole_matrix(
@@ -102,18 +80,12 @@ def mfapc_pole_matrix(
     if lam < 0:
         raise ValueError("lam must be non-negative")
     blocks = [np.asarray(J, dtype=float) for J in jacobians]
-    if mode is HorizonMode.FROZEN:
-        blocks = [blocks[0]] * len(blocks)
     J0 = blocks[0]
     m_y, m_u = J0.shape
     n = len(blocks)
-    psi = build_psi(blocks)
-    E = np.tile(np.eye(m_y), (n, 1))
-    # columns of the first-increment gain, solved one unit output at a time
-    gain = np.column_stack(
-        [mfac_step(psi, E[:, i], lam)[:m_u] for i in range(m_y)]
-    )
-    return _pole_report(np.eye(m_y) - J0 @ gain)
+    stack = J0 if mode is HorizonMode.FROZEN else build_psi(blocks)
+    K = _first_increment_gain(stack, lam, n * m_y, m_u)
+    return _pole_report(np.eye(m_y) - J0 @ K.reshape(m_u, n, m_y).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -154,13 +126,14 @@ def simulate_linear_closed_loop(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     J = np.asarray(J, dtype=float)
-    m_y = J.shape[0]
+    m_y, m_u = J.shape
+    n = controller.n
+    # the plant and the law are linear and J is constant, so one gain serves every step
+    JK = J @ _first_increment_gain(J, controller.lam, n * m_y, m_u)
     y = np.zeros(m_y)
     errors = [reference(0) - y]
-    psi = build_psi([J] * controller.n)
     for k in range(steps):
-        window = np.concatenate([reference(k + 1 + j) for j in range(controller.n)])
-        dQ = mfac_step(psi, window - np.tile(y, controller.n), controller.lam)
-        y = y + J @ dQ[: J.shape[1]]
+        window = np.concatenate([reference(k + 1 + j) for j in range(n)])
+        y = y + JK @ (window - np.tile(y, n))
         errors.append(reference(k + 1) - y)
     return np.asarray(errors)

@@ -238,22 +238,22 @@ def cmd_analyze(args) -> int:
         raise ConfigError("lambda sweep values must be non-negative")
     J = kinematics.jacobian(model, q)
     m_y = J.shape[0]
+    sigmas = np.linalg.svd(J, compute_uv=False)
     rows = []
     for lam in lams:
-        dec = analysis.svd(J)
         pole = analysis.mfac_pole_matrix(J, lam)
         gain = analysis.static_error_gain(J, lam)
         gains = np.sort(np.linalg.eigvalsh(gain))[::-1]
         poles = np.sort(np.abs(pole.eigenvalues))[::-1]
         rows.append(
             [_fmt(lam)]
-            + [_fmt(s) for s in dec.singular_values]
+            + [_fmt(s) for s in sigmas]
             + [_fmt(p) for p in poles]
             + [_fmt(g) for g in gains]
         )
     header = (
         ["lambda"]
-        + [f"sigma_{i + 1}" for i in range(m_y)]
+        + [f"sigma_{i + 1}" for i in range(sigmas.size)]
         + [f"pole_{i + 1}" for i in range(m_y)]
         + [f"static_gain_{i + 1}" for i in range(m_y)]
     )

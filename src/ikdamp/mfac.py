@@ -1,10 +1,11 @@
 """The damped control law and the one IK iteration loop.
 
-The control law solves (J^T J + lam*I) dq = J^T e, i.e. one damped
-least-squares (Levenberg-Marquardt) step on the task-space error.
-`solve_ik_predictive` iterates that step on n stacked waypoint errors
-against the block-lower-triangular Jacobian `build_psi`, with an
-adaptive damping schedule, until the error norm drops below a
+The control law is one damped least-squares (Levenberg-Marquardt) step,
+computed by filtering singular values: `mfac_step` solves it for n
+stacked waypoint errors against the frozen horizon stack T (x) J from
+one thin SVD of J. `solve_ik_predictive` iterates that step, on the
+frozen stack or on the dense stack `build_psi` of provisional Jacobians,
+with an adaptive damping schedule, until the error norm drops below a
 tolerance. `solve_ik` is that loop with n = 1, so the one-step solver
 is the predictive one by construction.
 """
@@ -12,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .damping import DampingObservation, DampingSchedule, Constant, cond
 from .kinematics import (
@@ -65,28 +66,44 @@ class SolveReport:
         return self.status is SolveStatus.CONVERGED
 
 
-def mfac_step(J, e, lam: float) -> np.ndarray:
-    """Solve (J^T J + lam*I) dq = J^T e.
+@lru_cache(maxsize=64)
+def _horizon_spectrum(n: int):
+    """(mu, W, W^T T^T) for T = tril(ones(n, n)) and T^T T = W diag(mu) W^T."""
+    T = np.tril(np.ones((n, n)))
+    mu, W = np.linalg.eigh(T.T @ T)
+    WtTt = W.T @ T.T
+    for a in (mu, W, WtTt):
+        a.setflags(write=False)
+    return mu, W, WtTt
 
-    lam > 0 uses a Cholesky solve on the (positive definite) normal
-    equations. lam = 0 falls back to the minimum-norm least-squares
-    solution so singular Jacobians do not crash; so does a lam too small
-    to register against J^T J of a rank-deficient J, whose damped step
-    is that minimum-norm step to rounding.
+
+def mfac_step(J, e, lam: float) -> np.ndarray:
+    """The damped step: solve (psi^T psi + lam*I) dQ = psi^T e, psi = T (x) J.
+
+    e stacks n = len(e) / rows(J) waypoint errors and T is the n x n
+    lower-triangular ones matrix, so psi is the frozen horizon stack and
+    dQ stacks its n increments; a dense stack is the n = 1 case. psi has
+    the singular values s = sqrt(mu_i) * sigma_j, for J = U diag(sigma) V^T
+    and T^T T = W diag(mu) W^T. Each gets the filter factor s / (s^2 + lam),
+    and zero at or below the least-squares rank cutoff eps * max(shape) *
+    s_max. lam = 0 is thus the minimum-norm least-squares step, which a lam
+    too small to register also gives, with no null-space motion.
     """
     J = np.asarray(J, dtype=float)
     e = np.asarray(e, dtype=float).ravel()
-    if e.shape[0] != J.shape[0]:
-        raise ValueError("error vector length must match Jacobian rows")
+    m_y, m_u = J.shape
+    n, rest = divmod(e.shape[0], m_y)
+    if n < 1 or rest:
+        raise ValueError("error vector length must be a multiple of the Jacobian rows")
     if lam < 0:
         raise ValueError("lam must be non-negative")
-    if lam > 0:
-        A = J.T @ J + lam * np.eye(J.shape[1])
-        try:
-            return cho_solve(cho_factor(A, lower=True), J.T @ e)
-        except np.linalg.LinAlgError:
-            pass
-    return np.linalg.lstsq(J, e, rcond=None)[0]
+    U, sigma, Vt = np.linalg.svd(J, full_matrices=False)
+    mu, W, WtTt = _horizon_spectrum(n)
+    s2 = mu[:, None] * sigma**2
+    cutoff = np.finfo(float).eps * n * max(m_y, m_u) * np.sqrt(mu[-1]) * sigma[0]
+    # s / (s^2 + lam), divided by the sqrt(mu_i) that T's left singular vectors carry
+    gain = np.divide(sigma, s2 + lam, out=np.zeros_like(s2), where=s2 > cutoff**2)
+    return (W @ (gain * (WtTt @ e.reshape(n, m_y) @ U)) @ Vt).ravel()
 
 
 def _as_target(model: KinematicModel, target) -> Union[np.ndarray, Pose]:
@@ -148,11 +165,12 @@ def solve_ik_predictive(
     provisional future (propagated) Jacobians and commit the first
     increment; provisional future states advance by the cumulative
     increment blocks. Stops after config.n_up iterations otherwise.
+    The window must hold config.horizon targets.
     """
     targets = [_as_target(model, t) for t in targets]
     n = len(targets)
-    if n < 1:
-        raise ValueError("need at least one target")
+    if n != config.horizon:
+        raise ValueError(f"{n} targets given for config.horizon = {config.horizon}")
     q = np.asarray(q0, dtype=float).ravel().copy()
     if q.shape[0] != model.m_u:
         raise ValueError(f"q0 length must be {model.m_u}")
@@ -180,17 +198,17 @@ def solve_ik_predictive(
             break
 
         if frozen:
-            J = jacobian(model, q)
-            jac_blocks = [J] * n
-            kappa = cond(J)
+            stack = jacobian(model, q)
+            kappa = cond(stack)
         else:
             jac_blocks = [jacobian(model, p) for p in provisional]
             kappa = max(cond(J) for J in jac_blocks)
+            stack = build_psi(jac_blocks)
         lam = schedule.next_lambda(
             DampingObservation(err, prev_error_norm=prev_norm, cond=kappa)
         )
         lambda_trace.append(lam)
-        dQ = mfac_step(build_psi(jac_blocks), resid, lam)
+        dQ = mfac_step(stack, resid, lam)
         if not frozen:
             provisional = q + np.cumsum(dQ.reshape(n, model.m_u), axis=0)
         q = q + dQ[: model.m_u]

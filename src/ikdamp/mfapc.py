@@ -37,12 +37,11 @@ class SingularBlockError(ValueError):
 
 
 def _right_inverse(J: np.ndarray, index: int) -> np.ndarray:
-    s = np.linalg.svd(J, compute_uv=False)
-    if s[-1] <= 0 or s[0] / s[-1] >= 1e12:
+    """V diag(1/sigma) U^T, which is J^T (J J^T)^-1 for a J of full row rank."""
+    U, s, Vt = np.linalg.svd(J, full_matrices=False)
+    if s.size < J.shape[0] or s[-1] <= 0 or s[0] / s[-1] >= 1e12:
         raise SingularBlockError(index)
-    if J.shape[0] == J.shape[1]:
-        return np.linalg.inv(J)
-    return J.T @ np.linalg.inv(J @ J.T)
+    return Vt.T @ (U / s).T
 
 
 def psi_right_inverse(jacobians: Sequence[np.ndarray]) -> np.ndarray:
@@ -141,7 +140,6 @@ def receding_horizon_track(
         if single_step:
             lam = schedule.peek()
             J = jacobian(model, q)
-            psi = build_psi([J] * n)
             if isinstance(model, DhChain):
                 resid = np.concatenate(
                     [task_error(model, _as_target(model, w), q) for w in window]
@@ -150,10 +148,11 @@ def receding_horizon_track(
                 # residual against the reported plant output, which may be
                 # initialized inconsistently with q
                 resid = np.concatenate(window) - np.tile(y, n)
-            dQ = mfac_step(psi, resid, lam)
+            dQ = mfac_step(J, resid, lam)
             q = q + dQ[: model.m_u]
-            # frozen-model prediction of the stacked outputs after the move
-            predicted_err = float(np.linalg.norm(resid - psi @ dQ))
+            # frozen-model prediction: block r of (T (x) J) dQ is J (dQ_0 + .. + dQ_r)
+            moved = np.cumsum(dQ.reshape(n, model.m_u), axis=0) @ J.T
+            predicted_err = float(np.linalg.norm(resid - moved.ravel()))
             y = forward(model, q)
             schedule.next_lambda(
                 DampingObservation(predicted_err, cond=cond(J))

@@ -11,7 +11,6 @@ from ikdamp.analysis import (
     mfapc_pole_matrix,
     simulate_linear_closed_loop,
     static_error_gain,
-    svd,
 )
 from ikdamp.damping import cond
 from ikdamp.mfapc import HorizonMode
@@ -19,16 +18,6 @@ from ikdamp.mfapc import HorizonMode
 
 def full_rank(rng, n=3):
     return rng.standard_normal((n, n)) + 3 * np.eye(n)
-
-
-class TestSvd:
-    def test_reconstruction(self, rng):
-        J = rng.standard_normal((3, 4))
-        dec = svd(J)
-        sigma = np.zeros((3, 4))
-        np.fill_diagonal(sigma, dec.singular_values)
-        np.testing.assert_allclose(dec.U @ sigma @ dec.V.T, J, atol=1e-10)
-        assert np.all(np.diff(dec.singular_values) <= 0)
 
 
 class TestMfacPoleMatrix:
@@ -62,6 +51,33 @@ class TestMfacPoleMatrix:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             mfac_pole_matrix(np.eye(2), -1.0)
+
+    def test_matches_direct_form(self, rng):
+        for shape in [(3, 3), (2, 3), (3, 2), (6, 3)]:
+            J = rng.standard_normal(shape)
+            for lam in [0.0, 1e-3, 1.0, 50.0]:
+                inverse = (
+                    np.linalg.solve(J.T @ J + lam * np.eye(shape[1]), J.T)
+                    if lam > 0
+                    else np.linalg.pinv(J)
+                )
+                np.testing.assert_allclose(
+                    mfac_pole_matrix(J, lam).pole_matrix,
+                    np.eye(shape[0]) - J @ inverse,
+                    rtol=0,
+                    atol=1e-8,
+                )
+
+    def test_tall_jacobian_keeps_unit_poles_off_its_range(self, rng):
+        J = rng.standard_normal((3, 2))
+        s = np.linalg.svd(J, compute_uv=False)
+        for lam in [0.0, 0.5, 4.0]:
+            report = mfac_pole_matrix(J, lam)
+            np.testing.assert_allclose(
+                np.sort(report.eigenvalues.real),
+                np.sort(np.append(lam / (lam + s**2), 1.0)),
+                atol=1e-12,
+            )
 
 
 class TestStaticErrorGain:

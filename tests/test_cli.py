@@ -202,6 +202,29 @@ class TestAnalyze:
         sigmas = [float(v) for v in row[1:4]]
         assert min(sigmas) < 1e-12
 
+    def test_three_joint_dh_chain(self, tmp_path, capsys):
+        # a 6 x 3 Jacobian: three directions of the pose error lie outside its range
+        rows = [
+            {"alpha": math.pi / 2, "a": 0.0, "d": 1.0, "theta_offset": 0.0},
+            {"alpha": 0.0, "a": 2.0, "d": 0.0, "theta_offset": 0.0},
+            {"alpha": 0.0, "a": 1.5, "d": 0.0, "theta_offset": 0.0},
+        ]
+        model = tmp_path / "arm3.json"
+        model.write_text(json.dumps({"rows": rows}))
+        rc = main(
+            ["analyze", "--model", str(model), "--q", "0.3,0.7,-0.5",
+             "--lambda-sweep", "0,1"]
+        )
+        assert rc == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        header = header.split(",")
+        assert sum(h.startswith("sigma_") for h in header) == 3
+        for line in lines:
+            row = dict(zip(header, map(float, line.split(","))))
+            assert len(row) == len(header) == len(line.split(","))
+            poles = [row[f"pole_{i}"] for i in range(1, 7)]
+            assert poles[:3] == pytest.approx([1.0, 1.0, 1.0])
+
 
 class TestDeterminism:
     def test_byte_identical_track_output(self, tmp_path):

@@ -1,14 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import ikdamp
 from ikdamp import mfac
 from ikdamp.damping import Constant, RatioRule, cond
 from ikdamp.kinematics import KinematicModel, ThreeLink, forward
 from ikdamp.mfac import (
     SolveStatus,
     SolverConfig,
+    build_psi,
     mfac_step,
     solve_ik,
 )
@@ -58,14 +66,54 @@ class TestMfacStep:
         dq = mfac_step(J, [1.0, 1.0], 0.0)
         np.testing.assert_allclose(dq, [1.0, 0.0], atol=1e-12)
 
+    def test_rounding_level_singular_value_is_cut(self):
+        # a rank-2 product whose third singular value is rounding, not zero
+        gen = np.random.default_rng(0)
+        J = gen.standard_normal((3, 2)) @ gen.standard_normal((2, 3))
+        e = gen.standard_normal(3)
+        expected = np.linalg.lstsq(J, e, rcond=None)[0]
+        for lam in [0.0, 1e-30]:
+            np.testing.assert_allclose(mfac_step(J, e, lam), expected, rtol=0, atol=1e-12)
+
     def test_tiny_lambda_on_redundant_jacobian(self):
-        # J^T J of a wide J is singular; a lam below its rounding must
-        # still give a step that solves J dq = e, not a failed Cholesky
-        gen = np.random.default_rng(1)
+        # J^T J of a wide J is singular; a lam below its rounding, or barely
+        # above it, must give the lam -> 0 limit, the minimum-norm step,
+        # with no null-space motion
+        gen = np.random.default_rng(0)
         J = gen.standard_normal((2, 3))
         e = gen.standard_normal(2)
-        for lam in [1e-300, 1e-30, 1e-17]:
-            np.testing.assert_allclose(J @ mfac_step(J, e, lam), e, atol=1e-12)
+        for lam in [1e-300, 1e-30, 1e-17, 1e-14]:
+            np.testing.assert_allclose(
+                mfac_step(J, e, lam), np.linalg.pinv(J) @ e, rtol=0, atol=1e-9
+            )
+
+    @given(
+        shape=st.sampled_from(
+            [(3, 3, 5), (6, 6, 2), (6, 7, 4), (2, 3, 3), (6, 3, 2)]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_dense_stack_solve(self, shape, seed, lam):
+        # oracle sharing no code with the filter: the normal equations of
+        # the dense frozen stack, or lstsq on it at lam = 0
+        m_y, m_u, n = shape
+        rng = np.random.default_rng(seed)
+        J = rng.standard_normal((m_y, m_u))
+        assume(cond(J) < 1e6)
+        e = rng.standard_normal(n * m_y)
+        psi = build_psi([J] * n)
+        if lam > 0:
+            expected = np.linalg.solve(psi.T @ psi + lam * np.eye(n * m_u), psi.T @ e)
+            tol = 1e-6
+        else:
+            expected = np.linalg.lstsq(psi, e, rcond=None)[0]
+            tol = 1e-8
+        np.testing.assert_allclose(
+            mfac_step(J, e, lam), expected, rtol=0,
+            atol=tol * (1.0 + np.linalg.norm(expected)),
+        )
 
     def test_step_norm_monotone_in_lambda(self, rng):
         J = rng.standard_normal((3, 3))
@@ -76,6 +124,17 @@ class TestMfacStep:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             mfac_step(np.eye(2), [1.0, 0.0, 0.0], 0.0)
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(ikdamp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, ikdamp; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestSolveIk:
@@ -158,10 +217,11 @@ class TestEvaluationCounts:
         monkeypatch.setattr(mfac, "cond", counting_cond)
         return calls
 
-    SOLVERS = {
-        "solve_ik": solve_ik,
-        "frozen_n2": lambda model, t, q0, cfg: solve_ik_predictive(
-            model, [t, t], q0, cfg
+    SOLVERS = {  # name: (solver, horizon)
+        "solve_ik": (solve_ik, 1),
+        "frozen_n2": (
+            lambda model, t, q0, cfg: solve_ik_predictive(model, [t, t], q0, cfg),
+            2,
         ),
     }
 
@@ -176,8 +236,9 @@ class TestEvaluationCounts:
     )
     def test_one_evaluation_per_step(self, cond_calls, solver, target, status):
         model = CountingArm()
-        cfg = SolverConfig(n_up=30, schedule=Constant(0.01))
-        report = self.SOLVERS[solver](model, target, [0.2, 0.6, -0.4], cfg)
+        solve, horizon = self.SOLVERS[solver]
+        cfg = SolverConfig(n_up=30, schedule=Constant(0.01), horizon=horizon)
+        report = solve(model, target, [0.2, 0.6, -0.4], cfg)
         assert report.status is status
         steps = report.iterations - report.converged
         assert steps > 0
@@ -193,3 +254,11 @@ class TestSolverConfig:
             SolverConfig(n_up=0)
         with pytest.raises(ValueError):
             SolverConfig(horizon=0)
+
+    def test_horizon_must_match_the_window(self):
+        target = forward(ARM, [0.3, 0.7, -0.5])
+        q0 = [0.2, 0.6, -0.4]
+        with pytest.raises(ValueError, match="horizon"):
+            solve_ik(ARM, target, q0, SolverConfig(horizon=4))
+        with pytest.raises(ValueError, match="horizon"):
+            solve_ik_predictive(ARM, [target, target], q0, SolverConfig(horizon=3))

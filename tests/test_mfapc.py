@@ -115,6 +115,12 @@ class TestPsiRightInverse:
             psi_right_inverse([good, bad])
         assert err.value.index == 1
 
+    def test_tall_block_has_no_right_inverse(self):
+        tall = np.vstack([np.eye(2), np.ones((1, 2))])
+        with pytest.raises(SingularBlockError) as err:
+            psi_right_inverse([tall])
+        assert err.value.index == 0
+
 
 class TestSolveIkPredictive:
     def test_n1_bitwise_matches_solve_ik(self):
