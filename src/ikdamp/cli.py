@@ -88,6 +88,8 @@ def solver_config_from(cfg: dict) -> mfac.SolverConfig:
     tol = cfg.get("tolerances", {})
     solver = cfg.get("solver", {})
     method = solver.get("method", "mfac")
+    if method not in ("mfac", "mfapc"):
+        raise ConfigError(f"unknown solver method {method!r} (mfac or mfapc)")
     horizon = int(solver.get("horizon", 1))
     if method == "mfac" and horizon != 1:
         raise ConfigError("mfac requires horizon n = 1")
@@ -153,14 +155,10 @@ def cmd_ik(args) -> int:
         if args.q
         else np.asarray(cfg.get("initial_q", np.zeros(model.m_u)), dtype=float)
     )
-    method = cfg.get("solver", {}).get("method", "mfac")
-    if method == "mfapc":
-        targets = [target] * config.horizon
-        report = mfapc.solve_ik_predictive(
-            model, targets, q0, config, horizon_mode_from(cfg)
-        )
-    else:
-        report = mfac.solve_ik(model, target, q0, config)
+    # mfac is the n = 1 case: solve_ik is this call with one target
+    report = mfapc.solve_ik_predictive(
+        model, [target] * config.horizon, q0, config, horizon_mode_from(cfg)
+    )
 
     out = args.out or cfg.get("output")
     if out:

@@ -106,15 +106,13 @@ def axis_angle_to_rotation(axis, angle: float) -> np.ndarray:
     return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
 
 
-def orientation_error(desired, current) -> np.ndarray:
-    """Equivalent angle-axis error vector between two orientations.
+def _angle_axis(D) -> np.ndarray:
+    """Angle-axis vector of the relative rotation D = desired @ current.T.
 
-    Computes the relative rotation D = desired @ current.T, its equivalent
-    angle theta = arccos((trace(D) - 1)/2) and axis, and returns axis*theta.
-    Near theta = 0 the error is taken as zero; near theta = pi the axis is
+    The equivalent angle is theta = arccos((trace(D) - 1)/2). Near
+    theta = 0 the error is taken as zero; near theta = pi the axis is
     recovered from the diagonal of D (the off-diagonal numerator vanishes).
     """
-    D = check_rotation(desired) @ check_rotation(current).T
     cos_theta = np.clip((np.trace(D) - 1.0) / 2.0, -1.0, 1.0)
     theta = math.acos(cos_theta)
     if theta < 1e-9:
@@ -134,11 +132,17 @@ def orientation_error(desired, current) -> np.ndarray:
     return k / (2.0 * math.sin(theta)) * theta
 
 
+def orientation_error(desired, current) -> np.ndarray:
+    """Angle-axis error between two rotation matrices, both validated; see `_angle_axis`."""
+    return _angle_axis(check_rotation(desired) @ check_rotation(current).T)
+
+
 def pose_error(desired: Pose, current: Pose) -> np.ndarray:
     """6-vector task error: position difference, then angle-axis error."""
+    # each Pose validated its rotation when it was built
     return np.concatenate(
         [desired.position - current.position,
-         orientation_error(desired.rotation, current.rotation)]
+         _angle_axis(desired.rotation @ current.rotation.T)]
     )
 
 
@@ -243,11 +247,17 @@ class DhChain(KinematicModel):
     def m_u(self) -> int:
         return len(self.rows)
 
-    def forward_pose(self, q) -> Pose:
+    def _frames(self, q) -> np.ndarray:
+        """The base frame and the frame after each row: (m_u + 1) x 4 x 4."""
         q = _as_vector(q, self.m_u)
-        T = np.eye(4)
-        for row, qi in zip(self.rows, q):
-            T = T @ row.transform(qi)
+        frames = np.empty((self.m_u + 1, 4, 4))
+        frames[0] = np.eye(4)
+        for i, (row, qi) in enumerate(zip(self.rows, q)):
+            frames[i + 1] = frames[i] @ row.transform(qi)
+        return frames
+
+    def forward_pose(self, q) -> Pose:
+        T = self._frames(q)[-1]
         return Pose(T[:3, 3], T[:3, :3])
 
     def forward(self, q) -> np.ndarray:
@@ -258,20 +268,10 @@ class DhChain(KinematicModel):
 
     def jacobian(self, q) -> np.ndarray:
         """Geometric Jacobian: linear rows z_i x (p_e - p_i), angular rows z_i."""
-        q = _as_vector(q, self.m_u)
-        T = np.eye(4)
-        origins = [T[:3, 3].copy()]
-        axes = [T[:3, 2].copy()]
-        for row, qi in zip(self.rows, q):
-            T = T @ row.transform(qi)
-            origins.append(T[:3, 3].copy())
-            axes.append(T[:3, 2].copy())
-        p_e = origins[-1]
-        J = np.zeros((6, self.m_u))
-        for i in range(self.m_u):
-            J[:3, i] = np.cross(axes[i], p_e - origins[i])
-            J[3:, i] = axes[i]
-        return J
+        frames = self._frames(q)  # z_i and p_i from the one walk (Orin & Schrader 1984)
+        z = frames[:-1, :3, 2]
+        p = frames[:, :3, 3]
+        return np.vstack([np.cross(z, p[-1] - p[:-1]).T, z.T])
 
 
 def forward(model: KinematicModel, q) -> np.ndarray:

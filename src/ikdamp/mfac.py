@@ -120,11 +120,12 @@ def _as_target(model: KinematicModel, target) -> Union[np.ndarray, Pose]:
     return target
 
 
-def task_error(model: KinematicModel, target, q) -> np.ndarray:
-    """Task-space error of target relative to the configuration q."""
-    if isinstance(target, Pose):
-        return pose_error(target, model.forward_pose(q))
-    return np.asarray(target, dtype=float) - forward(model, q)
+def task_error(model: KinematicModel, targets: Sequence, q) -> np.ndarray:
+    """Stacked errors of a window of `_as_target`-normalized targets from one FK at q."""
+    if isinstance(model, DhChain):
+        current = model.forward_pose(q)
+        return np.concatenate([pose_error(t, current) for t in targets])
+    return np.subtract(targets, forward(model, q)).ravel()
 
 
 class HorizonMode(Enum):
@@ -185,9 +186,9 @@ def solve_ik_predictive(
     status = SolveStatus.MAX_ITERATIONS
 
     for _ in range(config.n_up):
-        resid = np.concatenate([task_error(model, t, q) for t in targets])
+        resid = task_error(model, targets, q)
         stacked_err = resid if frozen else np.concatenate(
-            [task_error(model, t, p) for t, p in zip(targets, provisional)]
+            [task_error(model, [t], p) for t, p in zip(targets, provisional)]
         )
         err = float(np.linalg.norm(stacked_err))
         error_trace.append(err)

@@ -75,22 +75,22 @@ class TrackStep:
     q: np.ndarray
 
 
+SETTLE_THRESHOLD = 0.1  # the paper's tracking criterion on the error norm
+
+
 @dataclass
 class TrackReport:
     steps: List[TrackStep]
-    settling_step: Optional[int]    # first k after which error stays < threshold
+    settling_step: Optional[int]    # first k after which error stays < SETTLE_THRESHOLD
     max_post_settling_error: Optional[float]
-    settle_threshold: float = 0.1
 
     @property
     def error_norms(self) -> np.ndarray:
         return np.array([s.error_norm for s in self.steps])
 
 
-def _settling(errors: np.ndarray, threshold: float):
-    above = np.nonzero(errors >= threshold)[0]
-    if errors.size == 0:
-        return None, None
+def _settling(errors: np.ndarray):
+    above = np.nonzero(errors >= SETTLE_THRESHOLD)[0]
     first = 0 if above.size == 0 else int(above[-1]) + 1
     if first >= errors.size:
         return None, None
@@ -104,7 +104,6 @@ def receding_horizon_track(
     config: SolverConfig,
     mode: HorizonMode = HorizonMode.FROZEN,
     y0=None,
-    settle_threshold: float = 0.1,
 ) -> TrackReport:
     """Track a desired trajectory with the receding-horizon law.
 
@@ -113,37 +112,37 @@ def receding_horizon_track(
     committed, and the plant advances by true forward kinematics. With
     config.n_up == 1 this is the pure one-increment-per-step controller
     and the damping schedule is fed the frozen-model predicted stacked
-    error after each commit; with n_up > 1 a full inner predictive solve
-    runs at every waypoint. The single-step law is frozen only, so
-    PROPAGATED with n_up == 1 is rejected.
+    error after each commit, with the previous step's as the previous
+    error; with n_up > 1 a full inner predictive solve runs at every
+    waypoint. The single-step law is frozen only, so PROPAGATED with
+    n_up == 1 is rejected.
 
     y0 overrides the initial plant output (it may be inconsistent with
-    q0; the plant re-synchronizes after the first commit).
+    q0; the plant re-synchronizes after the first commit). Only the
+    single-step law on a position-only model reads it, so y0 is rejected
+    for a DhChain or n_up > 1.
     """
     n = config.horizon
     single_step = config.n_up <= 1
     if single_step and mode is HorizonMode.PROPAGATED:
         raise ValueError("propagated mode needs n_up > 1; the single-step law is frozen")
+    if y0 is not None and (not single_step or isinstance(model, DhChain)):
+        raise ValueError("y0 is read only by the single-step law on a position-only model")
     if len(trajectory) < n:
         raise ValueError("trajectory must be at least as long as the horizon")
     q = np.asarray(q0, dtype=float).ravel().copy()
     schedule = config.schedule
-    y = (
-        np.asarray(y0, dtype=float).ravel().copy()
-        if y0 is not None
-        else forward(model, q)
-    )
+    y = forward(model, q) if y0 is None else np.asarray(y0, dtype=float).ravel().copy()
 
     steps: List[TrackStep] = []
+    prev_predicted: Optional[float] = None
     for t in range(len(trajectory)):
         window = horizon_window(trajectory, t, n)
         if single_step:
             lam = schedule.peek()
             J = jacobian(model, q)
             if isinstance(model, DhChain):
-                resid = np.concatenate(
-                    [task_error(model, _as_target(model, w), q) for w in window]
-                )
+                resid = task_error(model, [_as_target(model, w) for w in window], q)
             else:
                 # residual against the reported plant output, which may be
                 # initialized inconsistently with q
@@ -155,8 +154,9 @@ def receding_horizon_track(
             predicted_err = float(np.linalg.norm(resid - moved.ravel()))
             y = forward(model, q)
             schedule.next_lambda(
-                DampingObservation(predicted_err, cond=cond(J))
+                DampingObservation(predicted_err, prev_predicted, cond(J))
             )
+            prev_predicted = predicted_err
             inner = 1
         else:
             report = solve_ik_predictive(model, window, q, config, mode)
@@ -165,7 +165,7 @@ def receding_horizon_track(
             lam = report.lambda_trace[-1]
             inner = report.iterations
         target = trajectory.samples[t]
-        err = float(np.linalg.norm(task_error(model, _as_target(model, target), q)))
+        err = float(np.linalg.norm(task_error(model, [_as_target(model, target)], q)))
         steps.append(
             TrackStep(
                 k=t + 1,
@@ -179,10 +179,5 @@ def receding_horizon_track(
         )
 
     errors = np.array([s.error_norm for s in steps])
-    settle, max_after = _settling(errors, settle_threshold)
-    return TrackReport(
-        steps=steps,
-        settling_step=settle,
-        max_post_settling_error=max_after,
-        settle_threshold=settle_threshold,
-    )
+    settle, max_after = _settling(errors)
+    return TrackReport(steps=steps, settling_step=settle, max_post_settling_error=max_after)

@@ -92,6 +92,12 @@ class TestIk:
         rc = main(["ik", "--config", str(cfg), "--target", "3,1,14", "--q", "0.1,0.5,0.2"])
         assert rc == 0
 
+    def test_unknown_method_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, solver={"method": "mfapcc", "mode": "sideways"})
+        rc = main(["ik", "--config", str(cfg), "--target", "3,1,14", "--q", "0.1,0.5,0.2"])
+        assert rc == 2
+        assert "mfapcc" in capsys.readouterr().err
+
 
 class TestTrack:
     def test_example1_config(self, tmp_path, capsys):
@@ -135,6 +141,22 @@ class TestTrack:
         path.write_text(json.dumps(cfg))
         assert main(["track", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
         assert "propagated" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "example, change",
+        [
+            ("example1", {"solver": {"method": "mfapcc", "horizon": 5}}),
+            ("example2", {"initial_y": [0.5, 0.0, 0.5, 0.0, 0.0, 0.0]}),
+        ],
+        ids=["unknown-method", "inert-initial-y"],
+    )
+    def test_ignored_option_is_usage_error(self, tmp_path, capsys, example, change):
+        cfg = json.loads((CONFIG_DIR / f"{example}.json").read_text())
+        cfg.update(change)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["track", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
         assert not (tmp_path / "t.csv").exists()
 
     def test_example2_inner_budget(self, tmp_path):

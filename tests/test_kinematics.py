@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -27,6 +28,14 @@ from ikdamp.kinematics import (
 ARM = ThreeLink(5.0, 7.0, 7.0)
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
+# unit vectors from a longitude and a height on the sphere
+unit_axes = st.tuples(angles, st.floats(-1.0, 1.0)).map(
+    lambda t: np.array(
+        [math.sqrt(1 - t[1] ** 2) * math.cos(t[0]),
+         math.sqrt(1 - t[1] ** 2) * math.sin(t[0]),
+         t[1]]
+    )
+)
 
 
 class TestForward:
@@ -128,6 +137,28 @@ class TestJacobian:
             Jfd = jacobian_fd(chain, q, 1e-6)
             np.testing.assert_allclose(J, Jfd, rtol=1e-4, atol=1e-6)
 
+    @given(
+        rows=st.lists(
+            st.tuples(angles, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), angles),
+            min_size=1,
+            max_size=7,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_dh_chain(self, rows, data):
+        chain = DhChain(tuple(rows))
+        q = np.array(data.draw(st.lists(angles, min_size=len(rows), max_size=len(rows))))
+        J = jacobian(chain, q)
+        err = np.max(np.abs(J - jacobian_fd(chain, q, 1e-6)))
+        assert err <= 1e-6 * np.max(np.abs(J))
+        T = functools.reduce(
+            np.matmul, [row.transform(qi) for row, qi in zip(chain.rows, q)], np.eye(4)
+        )
+        pose = forward_pose(chain, q)
+        np.testing.assert_array_equal(pose.position, T[:3, 3])
+        np.testing.assert_array_equal(pose.rotation, T[:3, :3])
+
     def test_fd_linear_stub(self):
         from ikdamp.kinematics import KinematicModel
 
@@ -203,6 +234,23 @@ class TestPoseError:
         a = Pose([0, 0, 0], rot_z(0.3))
         b = Pose([0, 0, 0], np.eye(3))
         np.testing.assert_allclose(pose_error(a, b), [0, 0, 0, 0, 0, 0.3], atol=1e-12)
+
+    @given(
+        axes=st.lists(unit_axes, min_size=2, max_size=2),
+        theta=st.one_of(st.floats(0.0, math.pi), st.floats(math.pi - 1e-6, math.pi)),
+        phi=angles,
+        positions=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_position_and_orientation_error(self, axes, theta, phi, positions):
+        current = axis_angle_to_rotation(axes[1], phi)
+        desired = axis_angle_to_rotation(axes[0], theta) @ current
+        a = Pose(positions[:3], desired)
+        b = Pose(positions[3:], current)
+        expected = np.concatenate(
+            [a.position - b.position, orientation_error(desired, current)]
+        )
+        np.testing.assert_array_equal(pose_error(a, b), expected)
 
 
 class TestAxisAngle:

@@ -26,14 +26,16 @@ ARM = ThreeLink(5.0, 7.0, 7.0)
 
 
 class CountingArm(KinematicModel):
-    """The three-link arm, counting its Jacobian evaluations."""
+    """The three-link arm, counting its forward and Jacobian evaluations."""
 
     m_y = m_u = 3
 
     def __init__(self):
+        self.forwards = 0
         self.jacobians = 0
 
     def forward(self, q):
+        self.forwards += 1
         return ARM.forward(q)
 
     def jacobian(self, q):
@@ -204,7 +206,8 @@ class TestSolveIk:
 
 
 class TestEvaluationCounts:
-    """One Jacobian and one condition number per damped step, none after convergence."""
+    """One forward pass per iterate for the whole window; one Jacobian and one
+    condition number per damped step, none after convergence."""
 
     @pytest.fixture
     def cond_calls(self, monkeypatch):
@@ -242,6 +245,7 @@ class TestEvaluationCounts:
         assert report.status is status
         steps = report.iterations - report.converged
         assert steps > 0
+        assert model.forwards == report.iterations
         assert model.jacobians == steps
         assert len(cond_calls) == steps
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ikdamp.damping import CondRule, Constant, ThresholdRule
+from ikdamp.damping import CondRule, Constant, RatioRule, ThresholdRule
 from ikdamp.kinematics import (
     ThreeLink,
     default_dh_chain,
@@ -233,6 +233,29 @@ class TestRecedingHorizonTrack:
             receding_horizon_track(
                 ARM, helix(10), np.zeros(3), cfg, HorizonMode.PROPAGATED
             )
+
+    def test_ratio_rule_raises_lambda_after_a_jump(self):
+        # the single-step law passes the previous predicted error, so the
+        # ratio rule sees the error grow when the target jumps at sample 6
+        samples = np.array([[4.0, 0.0, 10.0]] * 5 + [[-6.0, 5.0, 3.0]] * 5)
+        cfg = SolverConfig(n_up=1, schedule=RatioRule(1.0, 2.0, 1.5), horizon=1)
+        report = receding_horizon_track(ARM, Trajectory(samples), [0.1, 0.5, 0.5], cfg)
+        lams = [s.lam for s in report.steps]
+        assert report.steps[5].error_norm > 9.0
+        assert lams[6] == pytest.approx(2.0 * lams[5])
+
+    @pytest.mark.parametrize(
+        "model, n_up",
+        [(ARM, 2), (default_dh_chain(), 1), (default_dh_chain(), 2)],
+        ids=["three-link-inner", "dh-single", "dh-inner"],
+    )
+    def test_y0_rejected_where_it_is_not_read(self, model, n_up):
+        q0 = np.full(model.m_u, 0.2)
+        y = forward(model, q0)
+        traj = Trajectory(np.tile(y, (4, 1)))
+        cfg = SolverConfig(n_up=n_up, schedule=Constant(0.1), horizon=1)
+        with pytest.raises(ValueError, match="y0"):
+            receding_horizon_track(model, traj, q0, cfg, y0=y)
 
     def test_trajectory_shorter_than_horizon_rejected(self):
         traj = Trajectory(np.zeros((2, 3)))
