@@ -37,9 +37,10 @@ def check_rotation(R, tol: float = ROTATION_TOL) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise KinematicsError(f"rotation must be 3x3, got {R.shape}")
-    if np.max(np.abs(R.T @ R - np.eye(3))) > tol:
+    # fail closed: a NaN comparison is False, so NaN entries fail both tests
+    if not (np.max(np.abs(R.T @ R - np.eye(3))) <= tol):
         raise KinematicsError("rotation matrix is not orthonormal")
-    if abs(np.linalg.det(R) - 1.0) > tol:
+    if not (abs(np.linalg.det(R) - 1.0) <= tol):
         raise KinematicsError("rotation matrix determinant is not +1")
     return R
 
@@ -113,7 +114,8 @@ def _angle_axis(D) -> np.ndarray:
     theta = 0 the error is taken as zero; near theta = pi the axis is
     recovered from the diagonal of D (the off-diagonal numerator vanishes).
     """
-    cos_theta = np.clip((np.trace(D) - 1.0) / 2.0, -1.0, 1.0)
+    # the value goes first in max and min, so a NaN is passed on, not clamped
+    cos_theta = min(max((D[0, 0] + D[1, 1] + D[2, 2] - 1.0) / 2.0, -1.0), 1.0)
     theta = math.acos(cos_theta)
     if theta < 1e-9:
         return np.zeros(3)
@@ -207,6 +209,10 @@ class DhRow:
     d: float      # link offset, meters
     theta_offset: float = 0.0
 
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.alpha, self.a, self.d, self.theta_offset)):
+            raise KinematicsError(f"DH parameters must be finite, got {self}")
+
     def transform(self, q: float) -> np.ndarray:
         """Classic DH transform Rz(theta) Tz(d) Tx(a) Rx(alpha)."""
         th = q + self.theta_offset
@@ -242,23 +248,37 @@ class DhChain(KinematicModel):
         if not rows:
             raise KinematicsError("DH chain needs at least one row")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_last_walk", (None, None))
 
     @property
     def m_u(self) -> int:
         return len(self.rows)
 
     def _frames(self, q) -> np.ndarray:
-        """The base frame and the frame after each row: (m_u + 1) x 4 x 4."""
+        """The base frame and the frame after each row: (m_u + 1) x 4 x 4, read-only.
+
+        The last walk is kept, keyed by the bytes of q, so a Jacobian taken
+        at the q of the pose just computed (and the reverse) walks the rows
+        once. The (key, frames) tuple is replaced whole, so concurrent
+        callers on one chain can miss but never read a key with another
+        walk's frames. Callers copy what they hand out.
+        """
         q = _as_vector(q, self.m_u)
+        key = q.tobytes()
+        last_key, last = self._last_walk
+        if key == last_key:
+            return last
         frames = np.empty((self.m_u + 1, 4, 4))
         frames[0] = np.eye(4)
         for i, (row, qi) in enumerate(zip(self.rows, q)):
             frames[i + 1] = frames[i] @ row.transform(qi)
+        frames.setflags(write=False)
+        object.__setattr__(self, "_last_walk", (key, frames))
         return frames
 
     def forward_pose(self, q) -> Pose:
         T = self._frames(q)[-1]
-        return Pose(T[:3, 3], T[:3, :3])
+        return Pose(T[:3, 3].copy(), T[:3, :3].copy())
 
     def forward(self, q) -> np.ndarray:
         pose = self.forward_pose(q)
@@ -270,8 +290,14 @@ class DhChain(KinematicModel):
         """Geometric Jacobian: linear rows z_i x (p_e - p_i), angular rows z_i."""
         frames = self._frames(q)  # z_i and p_i from the one walk (Orin & Schrader 1984)
         z = frames[:-1, :3, 2]
-        p = frames[:, :3, 3]
-        return np.vstack([np.cross(z, p[-1] - p[:-1]).T, z.T])
+        d = frames[-1, :3, 3] - frames[:-1, :3, 3]  # p_e - p_i
+        J = np.empty((6, self.m_u))
+        # the component products np.cross forms, without its dispatch cost
+        J[0] = z[:, 1] * d[:, 2] - z[:, 2] * d[:, 1]
+        J[1] = z[:, 2] * d[:, 0] - z[:, 0] * d[:, 2]
+        J[2] = z[:, 0] * d[:, 1] - z[:, 1] * d[:, 0]
+        J[3:] = z.T
+        return J
 
 
 def forward(model: KinematicModel, q) -> np.ndarray:

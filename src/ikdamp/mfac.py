@@ -187,8 +187,10 @@ def solve_ik_predictive(
 
     for _ in range(config.n_up):
         resid = task_error(model, targets, q)
+        # provisional[0] is q, whose error is the first block of resid
         stacked_err = resid if frozen else np.concatenate(
-            [task_error(model, [t], p) for t, p in zip(targets, provisional)]
+            [resid[: model.m_y]]
+            + [task_error(model, [t], p) for t, p in zip(targets[1:], provisional[1:])]
         )
         err = float(np.linalg.norm(stacked_err))
         error_trace.append(err)

@@ -38,6 +38,18 @@ class TestFk:
             main(["fk", "--model", "three-link"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["fk", "ik"])
+    def test_non_finite_dh_row_exits_2(self, tmp_path, capsys, command):
+        doc = json.loads((CONFIG_DIR / "default_dh.json").read_text())
+        doc["rows"][-1]["alpha"] = math.nan
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))  # written as the JSON literal NaN
+        args = [command, "--model", str(path), "--q", "0.1,0.2,0.3,0.4,0.5,0.6"]
+        if command == "ik":
+            args += ["--target", "0.5,0.1,0.4,0,0,0"]
+        assert main(args) == 2
+        assert "DH parameters must be finite" in capsys.readouterr().err
+
 
 class TestIk:
     def test_reachable_target_converges(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
-import functools
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from ikdamp.kinematics import (
     KinematicsError,
     Pose,
     ThreeLink,
+    _angle_axis,
     axis_angle_to_rotation,
+    check_rotation,
     default_dh_chain,
     forward,
     forward_pose,
@@ -152,12 +156,15 @@ class TestJacobian:
         J = jacobian(chain, q)
         err = np.max(np.abs(J - jacobian_fd(chain, q, 1e-6)))
         assert err <= 1e-6 * np.max(np.abs(J))
-        T = functools.reduce(
-            np.matmul, [row.transform(qi) for row, qi in zip(chain.rows, q)], np.eye(4)
-        )
+        frames = list(itertools.accumulate(
+            [row.transform(qi) for row, qi in zip(chain.rows, q)], np.matmul, initial=np.eye(4)
+        ))
+        z = np.array([T[:3, 2] for T in frames[:-1]])
+        p = np.array([T[:3, 3] for T in frames])
+        np.testing.assert_array_equal(J, np.vstack([np.cross(z, p[-1] - p[:-1]).T, z.T]))
         pose = forward_pose(chain, q)
-        np.testing.assert_array_equal(pose.position, T[:3, 3])
-        np.testing.assert_array_equal(pose.rotation, T[:3, :3])
+        np.testing.assert_array_equal(pose.position, frames[-1][:3, 3])
+        np.testing.assert_array_equal(pose.rotation, frames[-1][:3, :3])
 
     def test_fd_linear_stub(self):
         from ikdamp.kinematics import KinematicModel
@@ -183,6 +190,90 @@ class TestJacobian:
     def test_fd_rejects_nonpositive_step(self):
         with pytest.raises(KinematicsError):
             jacobian_fd(ARM, [0, 0, 0], 0.0)
+
+
+class TestLastWalk:
+    """DhChain keeps its last walk; every result must equal a fresh chain's."""
+
+    QA = np.array([0.3, -0.4, 0.5, 0.2, -0.6, 0.1])
+    QB = np.array([-1.2, 0.7, 0.1, -0.9, 1.4, 2.0])
+
+    @staticmethod
+    def fresh(method, q):
+        return getattr(default_dh_chain(), method)(q)
+
+    @staticmethod
+    def assert_same(result, expected):
+        if isinstance(expected, Pose):
+            np.testing.assert_array_equal(result.position, expected.position)
+            np.testing.assert_array_equal(result.rotation, expected.rotation)
+        else:
+            np.testing.assert_array_equal(result, expected)
+
+    def test_alternating_configurations(self):
+        chain = default_dh_chain()
+        calls = itertools.chain(
+            itertools.product([self.QA, self.QB, self.QA], ["forward_pose", "jacobian", "forward"]),
+            [(self.QB, "jacobian"), (self.QA, "jacobian")],
+        )
+        for q, method in calls:
+            self.assert_same(getattr(chain, method)(q), self.fresh(method, q))
+
+    def test_results_do_not_alias_the_walk(self):
+        chain = default_dh_chain()
+        pose = chain.forward_pose(self.QA)
+        J = chain.jacobian(self.QA)
+        for a in (pose.position, pose.rotation, J):
+            assert a.flags.writeable
+            a[...] = 0.0
+        self.assert_same(chain.forward_pose(self.QA), self.fresh("forward_pose", self.QA))
+        self.assert_same(chain.jacobian(self.QA), self.fresh("jacobian", self.QA))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_q_raises_after_a_cached_call(self, bad):
+        chain = default_dh_chain()
+        chain.forward_pose(self.QA)
+        q = self.QA.copy()
+        q[2] = bad
+        for method in ("forward_pose", "jacobian"):
+            with pytest.raises(KinematicsError, match="non-finite"):
+                getattr(chain, method)(q)
+        with pytest.raises(KinematicsError, match="length"):
+            chain.jacobian(self.QA[:5])
+
+    def test_list_and_array_agree(self):
+        chain = default_dh_chain()
+        strided = np.repeat(self.QB, 2)[::2]  # a non-contiguous view of the same values
+        for q in (list(self.QB), self.QB, strided, tuple(self.QB)):
+            self.assert_same(chain.forward_pose(q), self.fresh("forward_pose", self.QB))
+            self.assert_same(chain.jacobian(q), self.fresh("jacobian", self.QB))
+
+    def test_threads_sharing_a_chain(self):
+        chain = default_dh_chain()
+        qs = np.random.default_rng(7).uniform(-math.pi, math.pi, (8, chain.m_u))
+        expected = [(self.fresh("forward_pose", q), self.fresh("jacobian", q)) for q in qs]
+        mismatches = []
+
+        def work(i):
+            for _ in range(1500):
+                pose, J = chain.forward_pose(qs[i]), chain.jacobian(qs[i])
+                if not (np.array_equal(pose.position, expected[i][0].position)
+                        and np.array_equal(pose.rotation, expected[i][0].rotation)
+                        and np.array_equal(J, expected[i][1])):
+                    mismatches.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(qs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
 
 
 class TestOrientationError:
@@ -218,6 +309,19 @@ class TestOrientationError:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(KinematicsError):
             orientation_error(np.eye(3) * 1.1, np.eye(3))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_rotation(self, bad):
+        with pytest.raises(KinematicsError):
+            check_rotation(np.full((3, 3), bad))
+        R = np.eye(3)
+        R[2, 2] = bad
+        with pytest.raises(KinematicsError):
+            Pose([0.0, 0.0, 0.0], R)
+
+    def test_nan_passes_through_the_angle(self):
+        assert np.all(np.isnan(_angle_axis(np.full((3, 3), math.nan))))
 
 
 class TestPoseError:
@@ -289,6 +393,15 @@ class TestDhLoading:
     def test_malformed_document(self):
         with pytest.raises(KinematicsError):
             load_dh_chain({"rows": [{"alpha": 0.0}]})
+
+    @pytest.mark.parametrize("field", ["alpha", "a", "d", "theta_offset"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter(self, field, bad):
+        row = {"alpha": 0.0, "a": 1.0, "d": 0.0, "theta_offset": 0.0, field: bad}
+        with pytest.raises(KinematicsError, match="finite"):
+            DhRow(**row)
+        with pytest.raises(KinematicsError, match="finite"):
+            load_dh_chain({"rows": [{"alpha": 0.0, "a": 1.0, "d": 0.0}, row]})
 
     def test_link_lengths_must_be_positive(self):
         with pytest.raises(KinematicsError):

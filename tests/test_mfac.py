@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import ikdamp
 from ikdamp import mfac
 from ikdamp.damping import Constant, RatioRule, cond
-from ikdamp.kinematics import KinematicModel, ThreeLink, forward
+from ikdamp.kinematics import DhRow, KinematicModel, ThreeLink, default_dh_chain, forward
 from ikdamp.mfac import (
+    HorizonMode,
     SolveStatus,
     SolverConfig,
     build_psi,
@@ -207,7 +208,8 @@ class TestSolveIk:
 
 class TestEvaluationCounts:
     """One forward pass per iterate for the whole window; one Jacobian and one
-    condition number per damped step, none after convergence."""
+    condition number per damped step, none after convergence. Propagated mode
+    makes each of these once per provisional state."""
 
     @pytest.fixture
     def cond_calls(self, monkeypatch):
@@ -220,10 +222,19 @@ class TestEvaluationCounts:
         monkeypatch.setattr(mfac, "cond", counting_cond)
         return calls
 
-    SOLVERS = {  # name: (solver, horizon)
-        "solve_ik": (solve_ik, 1),
+    SOLVERS = {  # name: (solver, horizon, evaluations per iterate)
+        "solve_ik": (solve_ik, 1, 1),
         "frozen_n2": (
             lambda model, t, q0, cfg: solve_ik_predictive(model, [t, t], q0, cfg),
+            2,
+            1,
+        ),
+        # one FK and one Jacobian per provisional state; the first state is q
+        "propagated_n2": (
+            lambda model, t, q0, cfg: solve_ik_predictive(
+                model, [t, t], q0, cfg, HorizonMode.PROPAGATED
+            ),
+            2,
             2,
         ),
     }
@@ -239,15 +250,33 @@ class TestEvaluationCounts:
     )
     def test_one_evaluation_per_step(self, cond_calls, solver, target, status):
         model = CountingArm()
-        solve, horizon = self.SOLVERS[solver]
+        solve, horizon, per_iterate = self.SOLVERS[solver]
         cfg = SolverConfig(n_up=30, schedule=Constant(0.01), horizon=horizon)
         report = solve(model, target, [0.2, 0.6, -0.4], cfg)
         assert report.status is status
         steps = report.iterations - report.converged
         assert steps > 0
-        assert model.forwards == report.iterations
-        assert model.jacobians == steps
-        assert len(cond_calls) == steps
+        assert model.forwards == per_iterate * report.iterations
+        assert model.jacobians == per_iterate * steps
+        assert len(cond_calls) == per_iterate * steps
+
+    @pytest.mark.parametrize("n_up", [200, 5], ids=["converges", "capped"])
+    def test_one_dh_walk_per_iterate(self, monkeypatch, n_up):
+        chain = default_dh_chain()
+        goal = chain.forward_pose([0.3, -0.4, 0.5, 0.2, -0.6, 0.1])
+        walks = []
+        transform = DhRow.transform
+
+        def counting_transform(row, q):
+            walks.append(1)
+            return transform(row, q)
+
+        monkeypatch.setattr(DhRow, "transform", counting_transform)
+        cfg = SolverConfig(delta=1e-9, n_up=n_up, schedule=Constant(0.01))
+        report = solve_ik(chain, goal, np.full(chain.m_u, 0.1), cfg)
+        assert report.converged == (n_up == 200)
+        # the Jacobian of each damped step reuses the walk of that iterate's error
+        assert len(walks) == chain.m_u * report.iterations
 
 
 class TestSolverConfig:

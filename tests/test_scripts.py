@@ -1,6 +1,10 @@
 """Smoke runs of the standalone scripts, loaded by path with small arguments."""
+import dataclasses
 import importlib.util
+import re
 from pathlib import Path
+
+from ikdamp.mfac import SolveReport
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -32,3 +36,21 @@ def test_run_example1_never_settles(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "settling_step=none" in printed
     assert "max_post_settling_error=none" in printed
+
+
+def test_output_digest(capsys):
+    digest = load("output_digest")
+    runs = []
+    for _ in range(2):
+        assert digest.main(["--goals", "2"]) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    labels = [line.split()[0] for line in runs[0]]
+    fields = [f.name for f in dataclasses.fields(SolveReport)]
+    assert labels == (
+        ["track/example1.csv", "track/example2.csv"]
+        + [f"solve_ik/{schedule}/seed{seed}/{name}"
+           for schedule in ("constant", "ratio") for seed in (501, 502) for name in fields]
+        + ["dh/forward_pose", "dh/jacobian"]
+    )
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in runs[0])
