@@ -2,10 +2,15 @@
 """Print one labelled SHA-256 per ikdamp output, to compare two checkouts bit for bit.
 
 The outputs are the `ikdamp track` CSVs of configs/example1.json and
-configs/example2.json; every SolveReport field of `solve_ik` on seeds
-501-502 x --goals random 6-DOF goals x two damping schedules; and
-`DhChain.forward_pose` and `jacobian` on 500 seeded configurations of
-the default chain. Run it against each checkout's sources and diff:
+configs/example2.json, and of example2 in propagated mode; every
+SolveReport field of `solve_ik` on seeds 501-502 x --goals random 6-DOF
+goals x two damping schedules; `ikdamp ik` in propagated mode with n = 2
+on --goals seeded 6-DOF goals; `DhChain.forward_pose` and `jacobian` on
+500 seeded configurations of the default chain; `mfapc_pole_matrix` of
+the frozen n = 5 horizon on seeded three-link Jacobians; and the
+`ikdamp analyze` CSVs of both builtin models. Every line runs through
+the CLI or an API that older checkouts share, so the script runs
+unchanged on both. Run it against each checkout's sources and diff:
 
     PYTHONPATH=old/src python3 scripts/output_digest.py > old.txt
     PYTHONPATH=new/src python3 scripts/output_digest.py > new.txt
@@ -17,6 +22,7 @@ import dataclasses
 import enum
 import hashlib
 import io
+import json
 import math
 import sys
 import tempfile
@@ -24,9 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ikdamp.analysis import mfapc_pole_matrix
 from ikdamp.cli import main as ikdamp_main
 from ikdamp.damping import Constant, RatioRule
-from ikdamp.kinematics import default_dh_chain
+from ikdamp.kinematics import ThreeLink, default_dh_chain, forward
 from ikdamp.mfac import SolverConfig, solve_ik
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -37,6 +44,11 @@ SCHEDULES = {
 }
 FK_CONFIGS = 500
 FK_SEED = 503
+PROPAGATED_SEED = 504
+POLE_CONFIGS = 50
+POLE_SEED = 505
+LAMBDAS = (0.0, 0.01, 0.1, 1.0, 10.0)
+ANALYZE_Q = {"three-link": "0.3,0.7,-0.5", "default-dh": "0.3,-0.4,0.5,0.2,-0.6,0.1"}
 
 
 def _bytes(value) -> bytes:
@@ -56,14 +68,24 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _run(argv, out_path=None) -> bytes:
+    """Exit code, printed lines and, if it wrote one, the output file of an ikdamp command."""
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        rc = ikdamp_main(argv)
+    data = f"rc={rc}\n{printed.getvalue()}".encode()
+    return data + out_path.read_bytes() if out_path is not None else data
+
+
 def track_digests(out_dir: Path):
-    for name in ("example1", "example2"):
-        csv_path = out_dir / f"{name}.csv"
-        with contextlib.redirect_stdout(io.StringIO()) as printed:
-            rc = ikdamp_main(["track", "--config", str(CONFIGS / f"{name}.json"),
-                              "--out", str(csv_path)])
-        data = f"rc={rc}\n{printed.getvalue()}".encode() + csv_path.read_bytes()
-        yield f"track/{name}.csv", _digest(data)
+    runs = [("example1", "example1", {}), ("example2", "example2", {}),
+            ("example2-propagated", "example2", {"mode": "propagated"})]
+    for label, name, solver in runs:
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+        cfg["solver"].update(solver)
+        cfg_path, csv_path = out_dir / f"{label}.json", out_dir / f"{label}.csv"
+        cfg_path.write_text(json.dumps(cfg))
+        data = _run(["track", "--config", str(cfg_path), "--out", str(csv_path)], csv_path)
+        yield f"track/{label}.csv", _digest(data)
 
 
 def solve_digests(goals: int):
@@ -86,6 +108,44 @@ def solve_digests(goals: int):
                 yield f"solve_ik/{schedule}/seed{seed}/{name}", h.hexdigest()
 
 
+def propagated_ik_digests(out_dir: Path, goals: int):
+    """`ikdamp ik` with propagated n = 2 at lambda = 0 on the task vectors of random joint vectors."""
+    chain = default_dh_chain()
+    cfg = {
+        "model": "default-dh",
+        "solver": {"method": "mfapc", "horizon": 2, "mode": "propagated"},
+        "schedule": {"type": "constant", "lambda0": 0.0},
+        "tolerances": {"delta": 1e-9, "n_up": 200},
+        "initial_q": [0.1] * chain.m_u,
+    }
+    cfg_path, csv_path = out_dir / "ik.json", out_dir / "ik.csv"
+    rng = np.random.default_rng(PROPAGATED_SEED)
+    h = hashlib.sha256()
+    for _ in range(goals):
+        cfg["target"] = forward(chain, rng.uniform(-math.pi, math.pi, chain.m_u)).tolist()
+        cfg_path.write_text(json.dumps(cfg))  # floats are written with repr, exactly
+        h.update(_run(["ik", "--config", str(cfg_path), "--out", str(csv_path)], csv_path))
+    yield "ik/propagated_n2", h.hexdigest()
+
+
+def analysis_digests():
+    """Frozen n = 5 pole matrices of three-link Jacobians, then `ikdamp analyze` CSVs."""
+    arm = ThreeLink()
+    rng = np.random.default_rng(POLE_SEED)
+    h = hashlib.sha256()
+    for q in rng.uniform(-math.pi, math.pi, (POLE_CONFIGS, arm.m_u)):
+        J = arm.jacobian(q)
+        for lam in LAMBDAS:
+            report = mfapc_pole_matrix([J] * 5, lam)
+            h.update(b"".join(_bytes(getattr(report, f.name))
+                              for f in dataclasses.fields(report)))
+    yield "analysis/mfapc_pole_matrix", h.hexdigest()
+    sweep = ",".join(repr(lam) for lam in LAMBDAS)
+    for model, q in ANALYZE_Q.items():
+        data = _run(["analyze", "--model", model, "--q", q, "--lambda-sweep", sweep])
+        yield f"analyze/{model}.csv", _digest(data)
+
+
 def kinematics_digests():
     """Pose then Jacobian at each configuration, as the solver loop calls them."""
     chain = default_dh_chain()
@@ -102,10 +162,14 @@ def kinematics_digests():
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--goals", type=int, default=100, help="solve_ik goals per seed")
+    parser.add_argument("--goals", type=int, default=100,
+                        help="solve_ik goals per seed, and propagated ik goals")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        lines = [*track_digests(Path(tmp)), *solve_digests(args.goals), *kinematics_digests()]
+        tmp = Path(tmp)
+        lines = [*track_digests(tmp), *solve_digests(args.goals),
+                 *propagated_ik_digests(tmp, args.goals), *kinematics_digests(),
+                 *analysis_digests()]
     for label, digest in lines:
         print(f"{label} {digest}")
     return 0

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mfac import HorizonMode, build_psi, mfac_step
+from .mfac import build_psi, mfac_step
 
 
 @dataclass
@@ -67,15 +67,13 @@ def _first_increment_gain(stack, lam: float, rows: int, m_u: int) -> np.ndarray:
     return np.column_stack([mfac_step(stack, e, lam)[:m_u] for e in np.eye(rows)])
 
 
-def mfapc_pole_matrix(
-    jacobians: Sequence[np.ndarray],
-    lam: float,
-    mode: HorizonMode = HorizonMode.FROZEN,
-) -> PoleReport:
+def mfapc_pole_matrix(jacobians: Sequence[np.ndarray], lam: float) -> PoleReport:
     """Frozen-coefficient pole matrix of the n-step predictive loop.
 
-    I - J g^T (Psi^T Psi + lam I)^{-1} Psi^T E, where g^T selects the
-    first increment block and E replicates the current output.
+    I - J_0 g^T (Psi^T Psi + lam I)^{-1} Psi^T E, where g^T selects the
+    first increment block and E replicates the current output. Psi is
+    the frozen stack T (x) J_0 when every block equals J_0, as in frozen
+    mode, else the dense stack `build_psi` of the blocks.
     """
     if lam < 0:
         raise ValueError("lam must be non-negative")
@@ -83,7 +81,8 @@ def mfapc_pole_matrix(
     J0 = blocks[0]
     m_y, m_u = J0.shape
     n = len(blocks)
-    stack = J0 if mode is HorizonMode.FROZEN else build_psi(blocks)
+    frozen = all(np.array_equal(b, J0) for b in blocks[1:])
+    stack = J0 if frozen else build_psi(blocks)
     K = _first_increment_gain(stack, lam, n * m_y, m_u)
     return _pole_report(np.eye(m_y) - J0 @ K.reshape(m_u, n, m_y).sum(axis=1))
 

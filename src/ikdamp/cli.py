@@ -101,6 +101,7 @@ def solver_config_from(cfg: dict) -> mfac.SolverConfig:
                 cfg.get("schedule", {"type": "constant", "lambda0": 0.0})
             ),
             horizon=horizon,
+            mode=horizon_mode_from(cfg),
         )
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -156,9 +157,7 @@ def cmd_ik(args) -> int:
         else np.asarray(cfg.get("initial_q", np.zeros(model.m_u)), dtype=float)
     )
     # mfac is the n = 1 case: solve_ik is this call with one target
-    report = mfapc.solve_ik_predictive(
-        model, [target] * config.horizon, q0, config, horizon_mode_from(cfg)
-    )
+    report = mfapc.solve_ik_predictive(model, [target] * config.horizon, q0, config)
 
     out = args.out or cfg.get("output")
     if out:
@@ -183,7 +182,6 @@ def cmd_track(args) -> int:
         traj,
         q0,
         config,
-        mode=horizon_mode_from(cfg),
         y0=None if y0 is None else np.asarray(y0, dtype=float),
     )
     out = args.out or cfg.get("output")
@@ -239,9 +237,8 @@ def cmd_analyze(args) -> int:
     sigmas = np.linalg.svd(J, compute_uv=False)
     rows = []
     for lam in lams:
-        pole = analysis.mfac_pole_matrix(J, lam)
-        gain = analysis.static_error_gain(J, lam)
-        gains = np.sort(np.linalg.eigvalsh(gain))[::-1]
+        pole = analysis.mfac_pole_matrix(J, lam)  # its pole matrix is the static gain
+        gains = np.sort(np.linalg.eigvalsh(pole.pole_matrix))[::-1]
         poles = np.sort(np.abs(pole.eigenvalues))[::-1]
         rows.append(
             [_fmt(lam)]

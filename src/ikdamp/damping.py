@@ -23,8 +23,8 @@ class DampingObservation:
     """Per-iteration inputs to a schedule.
 
     error_norm / prev_error_norm are ||y* - y||_2 at the current and
-    previous iterate; cond is the Jacobian condition number (max over
-    the horizon blocks for predictive solves).
+    previous iterate; cond is the Jacobian condition number (in
+    propagated mode, the max over the horizon blocks).
     """
 
     error_norm: float

@@ -3,11 +3,12 @@
 The control law is one damped least-squares (Levenberg-Marquardt) step,
 computed by filtering singular values: `mfac_step` solves it for n
 stacked waypoint errors against the frozen horizon stack T (x) J from
-one thin SVD of J. `solve_ik_predictive` iterates that step, on the
-frozen stack or on the dense stack `build_psi` of provisional Jacobians,
-with an adaptive damping schedule, until the error norm drops below a
-tolerance. `solve_ik` is that loop with n = 1, so the one-step solver
-is the predictive one by construction.
+one thin SVD of J. `solve_ik_predictive` iterates that step with an
+adaptive damping schedule until the error norm drops below a tolerance,
+on the frozen stack or, in `SolverConfig.mode` PROPAGATED, on the dense
+stack `build_psi` of Jacobians at provisional states. `solve_ik` is that
+loop with n = 1, so the one-step solver is the predictive one by
+construction.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .kinematics import (
     DhChain,
     KinematicModel,
     Pose,
+    _as_vector,
     forward,
     jacobian,
     pose_error,
@@ -35,12 +37,20 @@ class SolveStatus(Enum):
     MAX_ITERATIONS = "max_iterations"
 
 
-@dataclass
+class HorizonMode(Enum):
+    # FROZEN replicates the current Jacobian across the horizon;
+    # PROPAGATED evaluates future blocks at provisional future states.
+    FROZEN = "frozen"
+    PROPAGATED = "propagated"
+
+
+@dataclass(frozen=True)  # so the checks below hold for its lifetime
 class SolverConfig:
     delta: float = 1e-10        # final error tolerance
     n_up: int = 500             # iteration cap
     schedule: DampingSchedule = field(default_factory=Constant)
     horizon: int = 1
+    mode: HorizonMode = HorizonMode.FROZEN  # a HorizonMode or its value
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -49,6 +59,10 @@ class SolverConfig:
             raise ValueError("n_up must be >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        object.__setattr__(self, "mode", HorizonMode(self.mode))
+        # one provisional state is q itself, and the single-step tracker law is frozen
+        if self.mode is HorizonMode.PROPAGATED and min(self.horizon, self.n_up) < 2:
+            raise ValueError("propagated mode needs horizon >= 2 and n_up >= 2")
 
 
 @dataclass
@@ -112,9 +126,7 @@ def _as_target(model: KinematicModel, target) -> Union[np.ndarray, Pose]:
         if not isinstance(model, DhChain):
             raise ValueError("Pose targets need a DhChain model")
         return target
-    target = np.asarray(target, dtype=float).ravel()
-    if target.shape[0] != model.m_y:
-        raise ValueError(f"target length must be {model.m_y}")
+    target = _as_vector(target, model.m_y, "target")
     if isinstance(model, DhChain):
         return pose_from_task(target)
     return target
@@ -126,13 +138,6 @@ def task_error(model: KinematicModel, targets: Sequence, q) -> np.ndarray:
         current = model.forward_pose(q)
         return np.concatenate([pose_error(t, current) for t in targets])
     return np.subtract(targets, forward(model, q)).ravel()
-
-
-class HorizonMode(Enum):
-    # FROZEN replicates the current Jacobian across the horizon;
-    # PROPAGATED evaluates future blocks at provisional future states.
-    FROZEN = "frozen"
-    PROPAGATED = "propagated"
 
 
 def build_psi(jacobians: Sequence[np.ndarray]) -> np.ndarray:
@@ -152,21 +157,17 @@ def build_psi(jacobians: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def solve_ik_predictive(
-    model: KinematicModel,
-    targets: Sequence,
-    q0,
-    config: SolverConfig,
-    mode: HorizonMode = HorizonMode.FROZEN,
+    model: KinematicModel, targets: Sequence, q0, config: SolverConfig
 ) -> SolveReport:
     """Iterative predictive IK over a fixed window of n targets.
 
     Per iteration: evaluate the stacked error, stop if its norm is
     <= config.delta, else update the damping factor from the schedule,
-    solve the coupled damped system against the current (frozen) or
-    provisional future (propagated) Jacobians and commit the first
-    increment; provisional future states advance by the cumulative
-    increment blocks. Stops after config.n_up iterations otherwise.
-    The window must hold config.horizon targets.
+    solve the coupled damped system against the current Jacobian
+    (config.mode FROZEN) or the Jacobians at provisional future states
+    (PROPAGATED) and commit the first increment; provisional states
+    advance by the cumulative increment blocks. Stops after config.n_up
+    iterations otherwise. The window must hold config.horizon targets.
     """
     targets = [_as_target(model, t) for t in targets]
     n = len(targets)
@@ -176,7 +177,7 @@ def solve_ik_predictive(
     if q.shape[0] != model.m_u:
         raise ValueError(f"q0 length must be {model.m_u}")
     schedule = config.schedule
-    frozen = mode is HorizonMode.FROZEN
+    frozen = config.mode is HorizonMode.FROZEN
 
     provisional = [q] * n
     error_trace: List[float] = []

@@ -5,7 +5,7 @@ triangular Jacobian and solves one coupled damped system; only the
 first joint increment is committed (receding horizon). Its iteration
 loop, `solve_ik_predictive`, lives in `mfac` next to the one-step law it
 reduces to at n = 1, and is re-exported here with `build_psi` and
-`HorizonMode`.
+`HorizonMode`; the horizon mode is `SolverConfig.mode`.
 """
 from __future__ import annotations
 
@@ -102,7 +102,6 @@ def receding_horizon_track(
     trajectory: Trajectory,
     q0,
     config: SolverConfig,
-    mode: HorizonMode = HorizonMode.FROZEN,
     y0=None,
 ) -> TrackReport:
     """Track a desired trajectory with the receding-horizon law.
@@ -114,8 +113,8 @@ def receding_horizon_track(
     and the damping schedule is fed the frozen-model predicted stacked
     error after each commit, with the previous step's as the previous
     error; with n_up > 1 a full inner predictive solve runs at every
-    waypoint. The single-step law is frozen only, so PROPAGATED with
-    n_up == 1 is rejected.
+    waypoint, in config.mode. The single-step law is frozen only, which
+    is why `SolverConfig` rejects PROPAGATED with n_up == 1.
 
     y0 overrides the initial plant output (it may be inconsistent with
     q0; the plant re-synchronizes after the first commit). Only the
@@ -124,8 +123,6 @@ def receding_horizon_track(
     """
     n = config.horizon
     single_step = config.n_up <= 1
-    if single_step and mode is HorizonMode.PROPAGATED:
-        raise ValueError("propagated mode needs n_up > 1; the single-step law is frozen")
     if y0 is not None and (not single_step or isinstance(model, DhChain)):
         raise ValueError("y0 is read only by the single-step law on a position-only model")
     if len(trajectory) < n:
@@ -159,7 +156,7 @@ def receding_horizon_track(
             prev_predicted = predicted_err
             inner = 1
         else:
-            report = solve_ik_predictive(model, window, q, config, mode)
+            report = solve_ik_predictive(model, window, q, config)
             q = report.q_final
             y = forward(model, q)
             lam = report.lambda_trace[-1]

@@ -18,6 +18,8 @@ class Trajectory:
         samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
         if samples.size == 0:
             raise ValueError("trajectory must be non-empty")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("trajectory contains non-finite samples")
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:

@@ -13,7 +13,7 @@ from ikdamp.analysis import (
     static_error_gain,
 )
 from ikdamp.damping import cond
-from ikdamp.mfapc import HorizonMode
+from ikdamp.mfac import build_psi
 
 
 def full_rank(rng, n=3):
@@ -111,11 +111,43 @@ class TestMfapcPoleMatrix:
         b = mfapc_pole_matrix([J], 2.0)
         np.testing.assert_allclose(a.pole_matrix, b.pole_matrix, atol=1e-10)
 
+    @staticmethod
+    def dense_oracle(blocks, lam):
+        """I - J_0 g^T (Psi^T Psi + lam I)^{-1} Psi^T E with Psi = build_psi(blocks)."""
+        psi = build_psi(blocks)
+        m_y, m_u = blocks[0].shape
+        E = np.tile(np.eye(m_y), (len(blocks), 1))
+        gain = np.linalg.solve(psi.T @ psi + lam * np.eye(psi.shape[1]), psi.T @ E)
+        return np.eye(m_y) - blocks[0] @ gain[:m_u]
+
     def test_zero_lambda_deadbeat(self, rng):
+        # distinct blocks take the dense stack with no mode argument
         for n in [2, 3]:
             blocks = [full_rank(rng) for _ in range(n)]
-            report = mfapc_pole_matrix(blocks, 0.0, HorizonMode.PROPAGATED)
+            report = mfapc_pole_matrix(blocks, 0.0)
             assert report.max_modulus < 1e-9
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+    def test_distinct_blocks_match_dense_oracle(self, rng, lam):
+        blocks = [full_rank(rng) for _ in range(3)]
+        report = mfapc_pole_matrix(blocks, lam)
+        np.testing.assert_allclose(
+            report.pole_matrix, self.dense_oracle(blocks, lam), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0, 10.0])
+    def test_equal_blocks_match_dense_stack(self, rng, lam):
+        J = full_rank(rng)
+        report = mfapc_pole_matrix([J.copy() for _ in range(4)], lam)
+        np.testing.assert_allclose(
+            report.pole_matrix, self.dense_oracle([J] * 4, lam), rtol=0, atol=1e-12
+        )
+
+    def test_second_block_is_read(self, rng):
+        J0, J1 = full_rank(rng), full_rank(rng)
+        a = mfapc_pole_matrix([J0, J1], 1.0).pole_matrix
+        b = mfapc_pole_matrix([J0, J0], 1.0).pole_matrix
+        assert np.max(np.abs(a - b)) > 1e-6
 
     def test_moduli_shrink_with_lambda(self, rng):
         blocks = [full_rank(rng)] * 3

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,26 @@ class TestIk:
         rc = main(["ik", "--config", str(cfg), "--target", "3,1,14", "--q", "0.1,0.5,0.2"])
         assert rc == 0
 
+    @pytest.mark.parametrize(
+        "horizon, n_up", [(1, 500), (2, 1)], ids=["horizon1", "n_up1"]
+    )
+    def test_propagated_without_effect_exits_2(self, tmp_path, capsys, horizon, n_up):
+        cfg = write_config(
+            tmp_path,
+            solver={"method": "mfapc", "horizon": horizon, "mode": "propagated"},
+            tolerances={"delta": 1e-10, "n_up": n_up},
+        )
+        rc = main(["ik", "--config", str(cfg), "--target", "3,1,14", "--q", "0.1,0.5,0.2"])
+        assert rc == 2
+        assert "propagated" in capsys.readouterr().err
+
+    def test_non_finite_target_exits_2(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["ik", "--model", "three-link", "--target", "nan,1,14"])
+        assert rc == 2
+        assert "target contains non-finite entries" in capsys.readouterr().err
+
     def test_unknown_method_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, solver={"method": "mfapcc", "mode": "sideways"})
         rc = main(["ik", "--config", str(cfg), "--target", "3,1,14", "--q", "0.1,0.5,0.2"])
@@ -154,6 +175,28 @@ class TestTrack:
         assert main(["track", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
         assert "propagated" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
+
+    def test_propagated_at_horizon_1_is_usage_error(self, tmp_path, capsys):
+        cfg = json.loads((CONFIG_DIR / "example2.json").read_text())
+        cfg["solver"] = {"method": "mfapc", "horizon": 1, "mode": "propagated"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["track", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+        assert "propagated" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_non_finite_trajectory_exits_2(self, tmp_path, capsys):
+        traj_path = tmp_path / "traj.csv"
+        traj_path.write_text("k,y1,y2,y3\n1,3,1,14\n2,nan,1,14\n3,3,1,14\n")
+        cfg = write_config(
+            tmp_path,
+            tolerances={"delta": 1e-10, "n_up": 1},
+            trajectory={"type": "csv", "path": str(traj_path)},
+            output=str(tmp_path / "out.csv"),
+        )
+        assert main(["track", "--config", str(cfg)]) == 2
+        assert "trajectory contains non-finite samples" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize(
         "example, change",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -206,6 +207,10 @@ class TestSolveIk:
             assert all(a > b for a, b in zip(trace, trace[1:]))
 
 
+def solve_n2(model, target, q0, cfg):
+    return solve_ik_predictive(model, [target, target], q0, cfg)
+
+
 class TestEvaluationCounts:
     """One forward pass per iterate for the whole window; one Jacobian and one
     condition number per damped step, none after convergence. Propagated mode
@@ -222,21 +227,11 @@ class TestEvaluationCounts:
         monkeypatch.setattr(mfac, "cond", counting_cond)
         return calls
 
-    SOLVERS = {  # name: (solver, horizon, evaluations per iterate)
-        "solve_ik": (solve_ik, 1, 1),
-        "frozen_n2": (
-            lambda model, t, q0, cfg: solve_ik_predictive(model, [t, t], q0, cfg),
-            2,
-            1,
-        ),
+    SOLVERS = {  # name: (solver, horizon, mode, evaluations per iterate)
+        "solve_ik": (solve_ik, 1, "frozen", 1),
+        "frozen_n2": (solve_n2, 2, "frozen", 1),
         # one FK and one Jacobian per provisional state; the first state is q
-        "propagated_n2": (
-            lambda model, t, q0, cfg: solve_ik_predictive(
-                model, [t, t], q0, cfg, HorizonMode.PROPAGATED
-            ),
-            2,
-            2,
-        ),
+        "propagated_n2": (solve_n2, 2, "propagated", 2),
     }
 
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
@@ -250,8 +245,8 @@ class TestEvaluationCounts:
     )
     def test_one_evaluation_per_step(self, cond_calls, solver, target, status):
         model = CountingArm()
-        solve, horizon, per_iterate = self.SOLVERS[solver]
-        cfg = SolverConfig(n_up=30, schedule=Constant(0.01), horizon=horizon)
+        solve, horizon, mode, per_iterate = self.SOLVERS[solver]
+        cfg = SolverConfig(n_up=30, schedule=Constant(0.01), horizon=horizon, mode=mode)
         report = solve(model, target, [0.2, 0.6, -0.4], cfg)
         assert report.status is status
         steps = report.iterations - report.converged
@@ -287,6 +282,20 @@ class TestSolverConfig:
             SolverConfig(n_up=0)
         with pytest.raises(ValueError):
             SolverConfig(horizon=0)
+
+    def test_mode_from_string(self):
+        cfg = SolverConfig(horizon=2, n_up=2, mode="propagated")
+        assert cfg.mode is HorizonMode.PROPAGATED
+        assert SolverConfig().mode is HorizonMode.FROZEN
+        with pytest.raises(ValueError, match="sideways"):
+            SolverConfig(mode="sideways")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.mode = "frozen"  # a string the loop would not read as FROZEN
+
+    def test_propagated_needs_a_horizon(self):
+        # at horizon 1 the one provisional state is q: it would be frozen mode
+        with pytest.raises(ValueError, match="propagated"):
+            SolverConfig(horizon=1, mode=HorizonMode.PROPAGATED)
 
     def test_horizon_must_match_the_window(self):
         target = forward(ARM, [0.3, 0.7, -0.5])

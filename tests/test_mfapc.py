@@ -14,14 +14,13 @@ from ikdamp.kinematics import (
 )
 from ikdamp.mfac import SolveStatus, SolverConfig, mfac_step, solve_ik
 from ikdamp.mfapc import (
-    HorizonMode,
     SingularBlockError,
     build_psi,
     psi_right_inverse,
     receding_horizon_track,
     solve_ik_predictive,
 )
-from ikdamp.trajectory import Trajectory, helix
+from ikdamp.trajectory import Trajectory, helix, lspb
 
 ARM = ThreeLink(5.0, 7.0, 7.0)
 
@@ -157,10 +156,10 @@ class TestSolveIkPredictive:
         chain = default_dh_chain()
         q_goal = rng.uniform(-1.0, 1.0, 6)
         goal = forward_pose(chain, q_goal)
-        cfg = SolverConfig(delta=1e-10, n_up=20, schedule=Constant(0.0), horizon=2)
-        report = solve_ik_predictive(
-            chain, [goal, goal], q_goal + 0.05, cfg, HorizonMode.PROPAGATED
+        cfg = SolverConfig(
+            delta=1e-10, n_up=20, schedule=Constant(0.0), horizon=2, mode="propagated"
         )
+        report = solve_ik_predictive(chain, [goal, goal], q_goal + 0.05, cfg)
         assert report.status is SolveStatus.CONVERGED
 
 
@@ -217,8 +216,6 @@ class TestRecedingHorizonTrack:
         chain = default_dh_chain()
         q_start = np.array([-math.pi / 4, 0, 0, 0, -math.pi / 2, 0])
         q_goal = np.array([math.pi / 4, 0, 0, 0, -math.pi / 2, 0])
-        from ikdamp.trajectory import lspb
-
         traj = lspb(forward(chain, q_start), forward(chain, q_goal), 50, 0.2)
         cfg = SolverConfig(delta=1e-9, n_up=10, schedule=Constant(0.0), horizon=2)
         report = receding_horizon_track(chain, traj, q_start, cfg)
@@ -227,12 +224,27 @@ class TestRecedingHorizonTrack:
 
     def test_propagated_needs_inner_iterations(self):
         # the single-step law only has a frozen form; n_up == 1 must not
-        # silently drop the requested mode
-        cfg = SolverConfig(n_up=1, schedule=Constant(0.5), horizon=2)
+        # silently drop the requested mode, so the config is refused
         with pytest.raises(ValueError, match="propagated"):
-            receding_horizon_track(
-                ARM, helix(10), np.zeros(3), cfg, HorizonMode.PROPAGATED
+            SolverConfig(n_up=1, schedule=Constant(0.5), horizon=2, mode="propagated")
+
+    def test_propagated_track_reads_its_mode(self):
+        chain = default_dh_chain()
+        q_start = np.array([-math.pi / 4, 0, 0, 0, -math.pi / 2, 0])
+        q_goal = np.array([math.pi / 4, 0, 0, 0, -math.pi / 2, 0])
+        traj = lspb(forward(chain, q_start), forward(chain, q_goal), 12, 0.25)
+        reports = {
+            mode: receding_horizon_track(
+                chain,
+                traj,
+                q_start,
+                SolverConfig(n_up=3, schedule=Constant(0.1), horizon=2, mode=mode),
             )
+            for mode in ("frozen", "propagated")
+        }
+        q = {mode: np.array([s.q for s in r.steps]) for mode, r in reports.items()}
+        assert not np.array_equal(q["frozen"], q["propagated"])
+        assert reports["propagated"].error_norms[-1] < 1e-2
 
     def test_ratio_rule_raises_lambda_after_a_jump(self):
         # the single-step law passes the previous predicted error, so the

@@ -48,9 +48,10 @@ def test_output_digest(capsys):
     labels = [line.split()[0] for line in runs[0]]
     fields = [f.name for f in dataclasses.fields(SolveReport)]
     assert labels == (
-        ["track/example1.csv", "track/example2.csv"]
+        ["track/example1.csv", "track/example2.csv", "track/example2-propagated.csv"]
         + [f"solve_ik/{schedule}/seed{seed}/{name}"
            for schedule in ("constant", "ratio") for seed in (501, 502) for name in fields]
-        + ["dh/forward_pose", "dh/jacobian"]
+        + ["ik/propagated_n2", "dh/forward_pose", "dh/jacobian"]
+        + ["analysis/mfapc_pole_matrix", "analyze/three-link.csv", "analyze/default-dh.csv"]
     )
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in runs[0])
