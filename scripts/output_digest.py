@@ -2,13 +2,17 @@
 """Print one labelled SHA-256 per ikdamp output, to compare two checkouts bit for bit.
 
 The outputs are the `ikdamp track` CSVs of configs/example1.json and
-configs/example2.json, and of example2 in propagated mode; every
-SolveReport field of `solve_ik` on seeds 501-502 x --goals random 6-DOF
-goals x two damping schedules; `ikdamp ik` in propagated mode with n = 2
-on --goals seeded 6-DOF goals; `DhChain.forward_pose` and `jacobian` on
-500 seeded configurations of the default chain; `mfapc_pole_matrix` of
-the frozen n = 5 horizon on seeded three-link Jacobians; and the
-`ikdamp analyze` CSVs of both builtin models. Every line runs through
+configs/example2.json, of example2 in propagated mode and with the
+single-step law (n_up = 1), and of example1 with the inner loop
+(n_up = 10) and no initial_y; every SolveReport field of `solve_ik` on
+seeds 501-502 x --goals random 6-DOF goals x two damping schedules;
+`ikdamp ik` in propagated mode with n = 2 on --goals seeded 6-DOF goals;
+`DhChain.forward_pose` and `jacobian` on 500 seeded configurations of
+the default chain; `mfapc_pole_matrix` of the frozen n = 5 horizon on
+seeded three-link Jacobians and of n = 5 distinct seeded blocks;
+`simulate_linear_closed_loop` on seeded three-link and default-chain
+Jacobians for n = 1 and 5; and the `ikdamp analyze` CSVs of both
+builtin models. Every line runs through
 the CLI or an API that older checkouts share, so the script runs
 unchanged on both. Run it against each checkout's sources and diff:
 
@@ -30,7 +34,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ikdamp.analysis import mfapc_pole_matrix
+from ikdamp.analysis import (
+    MfapcController,
+    RampReference,
+    mfapc_pole_matrix,
+    simulate_linear_closed_loop,
+)
 from ikdamp.cli import main as ikdamp_main
 from ikdamp.damping import Constant, RatioRule
 from ikdamp.kinematics import ThreeLink, default_dh_chain, forward
@@ -47,6 +56,17 @@ FK_SEED = 503
 PROPAGATED_SEED = 504
 POLE_CONFIGS = 50
 POLE_SEED = 505
+SIM_CONFIGS = 10
+SIM_SEED = 506
+SIM_STEPS = 50
+# (label, config, edits): a dict merges into that config section, None deletes the key
+TRACK_RUNS = (
+    ("example1", "example1", {}),
+    ("example2", "example2", {}),
+    ("example2-propagated", "example2", {"solver": {"mode": "propagated"}}),
+    ("example2-single-step", "example2", {"tolerances": {"n_up": 1}}),
+    ("example1-inner-loop", "example1", {"tolerances": {"n_up": 10}, "initial_y": None}),
+)
 LAMBDAS = (0.0, 0.01, 0.1, 1.0, 10.0)
 ANALYZE_Q = {"three-link": "0.3,0.7,-0.5", "default-dh": "0.3,-0.4,0.5,0.2,-0.6,0.1"}
 
@@ -77,11 +97,13 @@ def _run(argv, out_path=None) -> bytes:
 
 
 def track_digests(out_dir: Path):
-    runs = [("example1", "example1", {}), ("example2", "example2", {}),
-            ("example2-propagated", "example2", {"mode": "propagated"})]
-    for label, name, solver in runs:
+    for label, name, edits in TRACK_RUNS:
         cfg = json.loads((CONFIGS / f"{name}.json").read_text())
-        cfg["solver"].update(solver)
+        for key, value in edits.items():
+            if value is None:
+                del cfg[key]
+            else:
+                cfg[key].update(value)
         cfg_path, csv_path = out_dir / f"{label}.json", out_dir / f"{label}.csv"
         cfg_path.write_text(json.dumps(cfg))
         data = _run(["track", "--config", str(cfg_path), "--out", str(csv_path)], csv_path)
@@ -128,18 +150,34 @@ def propagated_ik_digests(out_dir: Path, goals: int):
     yield "ik/propagated_n2", h.hexdigest()
 
 
+def _pole_bytes(report) -> bytes:
+    return b"".join(_bytes(getattr(report, f.name)) for f in dataclasses.fields(report))
+
+
 def analysis_digests():
-    """Frozen n = 5 pole matrices of three-link Jacobians, then `ikdamp analyze` CSVs."""
+    """n = 5 pole matrices (frozen, distinct blocks), ramp simulations, `ikdamp analyze` CSVs."""
     arm = ThreeLink()
     rng = np.random.default_rng(POLE_SEED)
-    h = hashlib.sha256()
+    frozen, distinct = hashlib.sha256(), hashlib.sha256()
     for q in rng.uniform(-math.pi, math.pi, (POLE_CONFIGS, arm.m_u)):
         J = arm.jacobian(q)
+        blocks = [arm.jacobian(q + 0.1 * r) for r in range(5)]
         for lam in LAMBDAS:
-            report = mfapc_pole_matrix([J] * 5, lam)
-            h.update(b"".join(_bytes(getattr(report, f.name))
-                              for f in dataclasses.fields(report)))
-    yield "analysis/mfapc_pole_matrix", h.hexdigest()
+            frozen.update(_pole_bytes(mfapc_pole_matrix([J] * 5, lam)))
+            distinct.update(_pole_bytes(mfapc_pole_matrix(blocks, lam)))
+    yield "analysis/mfapc_pole_matrix", frozen.hexdigest()
+    yield "analysis/mfapc_pole_matrix_distinct", distinct.hexdigest()
+    rng = np.random.default_rng(SIM_SEED)
+    h = hashlib.sha256()
+    for model in (arm, default_dh_chain()):
+        for q in rng.uniform(-math.pi, math.pi, (SIM_CONFIGS, model.m_u)):
+            J = model.jacobian(q)
+            ramp = RampReference(rng.uniform(-1.0, 1.0, model.m_y))
+            for n in (1, 5):
+                for lam in LAMBDAS:
+                    controller = MfapcController(n, lam)
+                    h.update(_bytes(simulate_linear_closed_loop(J, controller, ramp, SIM_STEPS)))
+    yield "analysis/simulate_linear_closed_loop", h.hexdigest()
     sweep = ",".join(repr(lam) for lam in LAMBDAS)
     for model, q in ANALYZE_Q.items():
         data = _run(["analyze", "--model", model, "--q", q, "--lambda-sweep", sweep])

@@ -4,8 +4,9 @@ The damped one-step law on a locally frozen Jacobian places the
 closed-loop poles at lam / (lam + sigma_i^2), the SVD filter factors of
 J, and at 1 in directions outside the range of J. `static_error_gain`
 is that closed form; the n-step pole matrix and the frozen linear
-closed-loop simulator use the first-increment gain of `mfac_step`, so
-steady-state claims can be verified numerically instead of symbolically.
+closed-loop simulator each take the first-increment gain from one
+`mfac_step` call on an identity error block (one SVD), so steady-state
+claims can be verified numerically instead of symbolically.
 """
 from __future__ import annotations
 
@@ -62,11 +63,6 @@ def static_error_gain(J, lam: float) -> np.ndarray:
     return U @ np.diag(gains) @ U.T
 
 
-def _first_increment_gain(stack, lam: float, rows: int, m_u: int) -> np.ndarray:
-    """K with mfac_step(stack, e, lam)[:m_u] = K e for every e of length rows."""
-    return np.column_stack([mfac_step(stack, e, lam)[:m_u] for e in np.eye(rows)])
-
-
 def mfapc_pole_matrix(jacobians: Sequence[np.ndarray], lam: float) -> PoleReport:
     """Frozen-coefficient pole matrix of the n-step predictive loop.
 
@@ -83,7 +79,7 @@ def mfapc_pole_matrix(jacobians: Sequence[np.ndarray], lam: float) -> PoleReport
     n = len(blocks)
     frozen = all(np.array_equal(b, J0) for b in blocks[1:])
     stack = J0 if frozen else build_psi(blocks)
-    K = _first_increment_gain(stack, lam, n * m_y, m_u)
+    K = mfac_step(stack, np.eye(n * m_y), lam)[:m_u]  # the first-increment gain
     return _pole_report(np.eye(m_y) - J0 @ K.reshape(m_u, n, m_y).sum(axis=1))
 
 
@@ -128,7 +124,7 @@ def simulate_linear_closed_loop(
     m_y, m_u = J.shape
     n = controller.n
     # the plant and the law are linear and J is constant, so one gain serves every step
-    JK = J @ _first_increment_gain(J, controller.lam, n * m_y, m_u)
+    JK = J @ mfac_step(J, np.eye(n * m_y), controller.lam)[:m_u]
     y = np.zeros(m_y)
     errors = [reference(0) - y]
     for k in range(steps):

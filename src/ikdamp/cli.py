@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -17,6 +16,10 @@ from typing import List, Optional
 import numpy as np
 
 from . import analysis, damping, kinematics, mfac, mfapc, trajectory
+from .damping import _check_keys
+
+# the top-level keys each command reads; a config object with a key its reader skips exits 2
+_SOLVE_KEYS = ("model", "solver", "schedule", "tolerances", "initial_q", "output")
 
 
 class ConfigError(ValueError):
@@ -27,24 +30,15 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def default_rng() -> np.random.Generator:
-    """RNG seeded from IKD_SEED (default 0) for randomized target generation."""
-    return np.random.default_rng(int(os.environ.get("IKD_SEED", "0")))
-
-
 def parse_model(spec) -> kinematics.KinematicModel:
     """Builtin name ('three-link', 'default-dh'), DH JSON path, or dict."""
-    if isinstance(spec, kinematics.KinematicModel):
-        return spec
     if isinstance(spec, dict):
         if "rows" in spec:
+            _check_keys(spec, ("rows",), "model")
             return kinematics.load_dh_chain(spec)
         if spec.get("type") == "three-link":
-            return kinematics.ThreeLink(
-                float(spec.get("l1", 5.0)),
-                float(spec.get("l2", 7.0)),
-                float(spec.get("l3", 7.0)),
-            )
+            _check_keys(spec, ("type", "l1", "l2", "l3"), "model")
+            return kinematics.ThreeLink(**{k: float(v) for k, v in spec.items() if k != "type"})
         raise ConfigError(f"unrecognized model spec: {spec!r}")
     name = str(spec)
     if name == "three-link":
@@ -59,19 +53,20 @@ def parse_model(spec) -> kinematics.KinematicModel:
 def parse_trajectory(spec, model) -> trajectory.Trajectory:
     kind = spec.get("type")
     if kind == "helix":
+        _check_keys(spec, ("type", "k_max"), "helix trajectory")
         return trajectory.helix(int(spec.get("k_max", 800)))
     if kind == "lspb":
-        steps = int(spec["steps"])
+        joint = "start_q" in spec  # joint-space endpoints are converted to task space first
+        ends = ("start_q", "goal_q") if joint else ("start", "goal")
+        _check_keys(spec, ("type", "steps", "blend_fraction") + ends, "lspb trajectory")
+        start, goal = (
+            kinematics.forward(model, spec[k]) if joint else np.asarray(spec[k], dtype=float)
+            for k in ends
+        )
         blend = float(spec.get("blend_fraction", 0.2))
-        if "start_q" in spec:
-            # joint-space endpoints are converted to task space first
-            start = kinematics.forward(model, spec["start_q"])
-            goal = kinematics.forward(model, spec["goal_q"])
-        else:
-            start = np.asarray(spec["start"], dtype=float)
-            goal = np.asarray(spec["goal"], dtype=float)
-        return trajectory.lspb(start, goal, steps, blend)
+        return trajectory.lspb(start, goal, int(spec["steps"]), blend)
     if kind == "csv":
+        _check_keys(spec, ("type", "path"), "csv trajectory")
         return trajectory.load_csv(spec["path"])
     raise ConfigError(f"unknown trajectory type {kind!r}")
 
@@ -87,6 +82,8 @@ def load_config(path) -> dict:
 def solver_config_from(cfg: dict) -> mfac.SolverConfig:
     tol = cfg.get("tolerances", {})
     solver = cfg.get("solver", {})
+    _check_keys(tol, ("delta", "n_up"), "tolerances")
+    _check_keys(solver, ("method", "horizon", "mode"), "solver")
     method = solver.get("method", "mfac")
     if method not in ("mfac", "mfapc"):
         raise ConfigError(f"unknown solver method {method!r} (mfac or mfapc)")
@@ -144,18 +141,12 @@ def _write_ik_csv(path, report, m_u: int) -> None:
 
 def cmd_ik(args) -> int:
     cfg = load_config(args.config) if args.config else {}
+    _check_keys(cfg, _SOLVE_KEYS + ("target",), "ik config")
     model = parse_model(args.model or cfg.get("model", "three-link"))
     config = solver_config_from(cfg)
-    target = (
-        _parse_floats(args.target)
-        if args.target
-        else np.asarray(cfg["target"], dtype=float)
-    )
-    q0 = (
-        _parse_floats(args.q)
-        if args.q
-        else np.asarray(cfg.get("initial_q", np.zeros(model.m_u)), dtype=float)
-    )
+    # the loop converts and checks the target and q0 itself
+    target = _parse_floats(args.target) if args.target else cfg["target"]
+    q0 = _parse_floats(args.q) if args.q else cfg.get("initial_q", np.zeros(model.m_u))
     # mfac is the n = 1 case: solve_ik is this call with one target
     report = mfapc.solve_ik_predictive(model, [target] * config.horizon, q0, config)
 
@@ -172,18 +163,12 @@ def cmd_ik(args) -> int:
 
 def cmd_track(args) -> int:
     cfg = load_config(args.config)
+    _check_keys(cfg, _SOLVE_KEYS + ("trajectory", "initial_y"), "track config")
     model = parse_model(cfg.get("model", "three-link"))
     config = solver_config_from(cfg)
     traj = parse_trajectory(cfg["trajectory"], model)
-    q0 = np.asarray(cfg.get("initial_q", np.zeros(model.m_u)), dtype=float)
-    y0 = cfg.get("initial_y")
-    report = mfapc.receding_horizon_track(
-        model,
-        traj,
-        q0,
-        config,
-        y0=None if y0 is None else np.asarray(y0, dtype=float),
-    )
+    q0 = cfg.get("initial_q", np.zeros(model.m_u))
+    report = mfapc.receding_horizon_track(model, traj, q0, config, y0=cfg.get("initial_y"))
     out = args.out or cfg.get("output")
     if out:
         write_track_csv(out, report, model)
@@ -197,8 +182,7 @@ def cmd_track(args) -> int:
 
 
 def write_track_csv(path, report: mfapc.TrackReport, model) -> None:
-    m_y = model.m_y
-    m_u = model.m_u
+    m_y, m_u = model.m_y, model.m_u
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(

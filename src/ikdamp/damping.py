@@ -3,11 +3,10 @@
 Each schedule is a small state machine producing the scalar damping
 factor (applied as lam * I) for the next damped solve, driven by the
 current tracking-error norm and/or the Jacobian condition number.
-Schedules are owned by a single solve; clone them for parallel runs.
+Schedules are owned by a single solve.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -56,9 +55,6 @@ class DampingSchedule:
 
     def peek(self) -> float:
         raise NotImplementedError
-
-    def clone(self) -> "DampingSchedule":
-        return copy.deepcopy(self)
 
 
 @dataclass
@@ -212,22 +208,28 @@ class CondRule(DampingSchedule):
         return self._last
 
 
-def schedule_from_config(spec: dict) -> DampingSchedule:
-    """Build a schedule from a JSON config fragment.
+def _check_keys(spec: dict, keys: tuple, what: str) -> None:
+    """Reject a config object holding a key its reader does not read, by name."""
+    unknown = [k for k in spec if k not in keys]
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {unknown}; known: {', '.join(keys)}")
 
-    Shapes: {"type": "constant", "lambda0": ...},
-    {"type": "ratio", "lambda0": ..., "a1": ..., "a2": ...},
-    {"type": "threshold", "lambda0": ..., "a1": ..., "a2": ..., "t1": ...,
-     "reset_on_cross": false},
-    {"type": "lookup", "error_bins": [...], "cond_bins": [...], "table": [[...]]},
-    {"type": "cond", "cond_bins": [...], "lambdas": [...]}.
+
+def schedule_from_config(spec: dict) -> DampingSchedule:
+    """Build a schedule from a JSON config fragment: its "type" and the keys that type reads.
+
+    Each type's keys are the tuple checked in its branch; any other key raises a ValueError.
     """
     kind = spec.get("type")
     if kind == "constant":
+        _check_keys(spec, ("type", "lambda0"), "constant schedule")
         return Constant(float(spec["lambda0"]))
     if kind == "ratio":
+        _check_keys(spec, ("type", "lambda0", "a1", "a2"), "ratio schedule")
         return RatioRule(float(spec["lambda0"]), float(spec["a1"]), float(spec["a2"]))
     if kind == "threshold":
+        keys = ("type", "lambda0", "a1", "a2", "t1", "reset_on_cross")
+        _check_keys(spec, keys, "threshold schedule")
         return ThresholdRule(
             float(spec["lambda0"]),
             float(spec["a1"]),
@@ -236,7 +238,9 @@ def schedule_from_config(spec: dict) -> DampingSchedule:
             bool(spec.get("reset_on_cross", False)),
         )
     if kind == "lookup":
+        _check_keys(spec, ("type", "error_bins", "cond_bins", "table"), "lookup schedule")
         return LookupTable(spec["error_bins"], spec["cond_bins"], spec["table"])
     if kind == "cond":
+        _check_keys(spec, ("type", "cond_bins", "lambdas"), "cond schedule")
         return CondRule(spec["cond_bins"], spec["lambdas"])
     raise DampingError(f"unknown schedule type: {kind!r}")

@@ -27,7 +27,8 @@ def _as_vector(q, length: int, name: str = "q") -> np.ndarray:
     q = np.asarray(q, dtype=float).ravel()
     if q.shape != (length,):
         raise KinematicsError(f"{name} must have length {length}, got {q.shape}")
-    if not np.all(np.isfinite(q)):
+    # a Python loop over a few floats costs less than numpy's reduction setup
+    if not all(map(math.isfinite, q.tolist())):
         raise KinematicsError(f"{name} contains non-finite entries")
     return q
 

@@ -102,13 +102,15 @@ def mfac_step(J, e, lam: float) -> np.ndarray:
     and zero at or below the least-squares rank cutoff eps * max(shape) *
     s_max. lam = 0 is thus the minimum-norm least-squares step, which a lam
     too small to register also gives, with no null-space motion.
+    The step is linear in e, so e may also be an (n * rows(J)) x k block of
+    error columns: column c of the result is, bit for bit, the step for column c.
     """
     J = np.asarray(J, dtype=float)
-    e = np.asarray(e, dtype=float).ravel()
+    e = np.asarray(e, dtype=float)
     m_y, m_u = J.shape
-    n, rest = divmod(e.shape[0], m_y)
+    n, rest = divmod(e.shape[0] if e.ndim in (1, 2) else 0, m_y)
     if n < 1 or rest:
-        raise ValueError("error vector length must be a multiple of the Jacobian rows")
+        raise ValueError("e must be a vector or column block with a multiple of rows(J) rows")
     if lam < 0:
         raise ValueError("lam must be non-negative")
     U, sigma, Vt = np.linalg.svd(J, full_matrices=False)
@@ -117,7 +119,9 @@ def mfac_step(J, e, lam: float) -> np.ndarray:
     cutoff = np.finfo(float).eps * n * max(m_y, m_u) * np.sqrt(mu[-1]) * sigma[0]
     # s / (s^2 + lam), divided by the sqrt(mu_i) that T's left singular vectors carry
     gain = np.divide(sigma, s2 + lam, out=np.zeros_like(s2), where=s2 > cutoff**2)
-    return (W @ (gain * (WtTt @ e.reshape(n, m_y) @ U)) @ Vt).ravel()
+    # one n x m_y error matrix per column: a stack of them runs the same matmuls per column
+    dQ = W @ (gain * (WtTt @ e.T.reshape(e.shape[1:] + (n, m_y)) @ U)) @ Vt
+    return dQ.reshape(e.shape[1:] + (n * m_u,)).T
 
 
 def _as_target(model: KinematicModel, target) -> Union[np.ndarray, Pose]:

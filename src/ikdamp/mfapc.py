@@ -97,6 +97,13 @@ def _settling(errors: np.ndarray):
     return first + 1, float(np.max(errors[first:]))
 
 
+def _plant_error(model: KinematicModel, window: Sequence, q, y) -> np.ndarray:
+    """Window errors: a DhChain's by FK at q, a position plant's from its output y (see y0)."""
+    if isinstance(model, DhChain):
+        return task_error(model, window, q)
+    return np.concatenate(window) - np.tile(y, len(window))
+
+
 def receding_horizon_track(
     model: KinematicModel,
     trajectory: Trajectory,
@@ -106,9 +113,10 @@ def receding_horizon_track(
 ) -> TrackReport:
     """Track a desired trajectory with the receding-horizon law.
 
-    At each step the horizon window (padded at the trajectory tail by
-    repeating the last waypoint) is stacked, one predictive increment is
-    committed, and the plant advances by true forward kinematics. With
+    The samples become targets once per run. At each step the horizon
+    window (padded at the trajectory tail by repeating the last waypoint)
+    is stacked, one predictive increment is committed, and the plant
+    advances by one true FK, against which the first target is scored. With
     config.n_up == 1 this is the pure one-increment-per-step controller
     and the damping schedule is fed the frozen-model predicted stacked
     error after each commit, with the previous step's as the previous
@@ -127,29 +135,24 @@ def receding_horizon_track(
         raise ValueError("y0 is read only by the single-step law on a position-only model")
     if len(trajectory) < n:
         raise ValueError("trajectory must be at least as long as the horizon")
+    targets = [_as_target(model, sample) for sample in trajectory.samples]
     q = np.asarray(q0, dtype=float).ravel().copy()
     schedule = config.schedule
     y = forward(model, q) if y0 is None else np.asarray(y0, dtype=float).ravel().copy()
 
     steps: List[TrackStep] = []
     prev_predicted: Optional[float] = None
-    for t in range(len(trajectory)):
-        window = horizon_window(trajectory, t, n)
+    for t in range(len(targets)):
+        window = horizon_window(targets, t, n)
         if single_step:
             lam = schedule.peek()
             J = jacobian(model, q)
-            if isinstance(model, DhChain):
-                resid = task_error(model, [_as_target(model, w) for w in window], q)
-            else:
-                # residual against the reported plant output, which may be
-                # initialized inconsistently with q
-                resid = np.concatenate(window) - np.tile(y, n)
+            resid = _plant_error(model, window, q, y)
             dQ = mfac_step(J, resid, lam)
             q = q + dQ[: model.m_u]
             # frozen-model prediction: block r of (T (x) J) dQ is J (dQ_0 + .. + dQ_r)
             moved = np.cumsum(dQ.reshape(n, model.m_u), axis=0) @ J.T
             predicted_err = float(np.linalg.norm(resid - moved.ravel()))
-            y = forward(model, q)
             schedule.next_lambda(
                 DampingObservation(predicted_err, prev_predicted, cond(J))
             )
@@ -158,23 +161,20 @@ def receding_horizon_track(
         else:
             report = solve_ik_predictive(model, window, q, config)
             q = report.q_final
-            y = forward(model, q)
             lam = report.lambda_trace[-1]
             inner = report.iterations
-        target = trajectory.samples[t]
-        err = float(np.linalg.norm(task_error(model, [_as_target(model, target)], q)))
+        y = forward(model, q)
         steps.append(
             TrackStep(
                 k=t + 1,
-                target=np.asarray(target, dtype=float),
-                output=y.copy(),
-                error_norm=err,
+                target=trajectory[t],
+                output=y,
+                error_norm=float(np.linalg.norm(_plant_error(model, window[:1], q, y))),
                 lam=lam,
                 inner_iterations=inner,
                 q=q.copy(),
             )
         )
 
-    errors = np.array([s.error_norm for s in steps])
-    settle, max_after = _settling(errors)
+    settle, max_after = _settling(np.array([s.error_norm for s in steps]))
     return TrackReport(steps=steps, settling_step=settle, max_post_settling_error=max_after)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import List
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +24,10 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.samples.shape[0]
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        """A copy of sample k (0-based), so no caller writes into the trajectory."""
+        return self.samples[k].copy()
 
     @property
     def dim(self) -> int:
@@ -77,17 +81,13 @@ def lspb(start, goal, total_steps: int, blend_fraction: float = 0.2) -> Trajecto
     return Trajectory(start[None, :] + s[:, None] * (goal - start)[None, :])
 
 
-def horizon_window(traj: Trajectory, k: int, n: int) -> List[np.ndarray]:
-    """Samples k+1 .. k+n (1-based), repeating the last one past the end."""
-    if not 0 <= k < len(traj):
+def horizon_window(samples: Sequence, k: int, n: int) -> list:
+    """Items k+1 .. k+n (1-based) of a sequence, repeating the last one past the end."""
+    if not 0 <= k < len(samples):
         raise ValueError("k out of range")
     if n < 1:
         raise ValueError("horizon must be >= 1")
-    out = []
-    last = len(traj) - 1
-    for j in range(n):
-        out.append(traj.samples[min(k + j, last)].copy())
-    return out
+    return [samples[min(k + j, len(samples) - 1)] for j in range(n)]
 
 
 def save_csv(traj: Trajectory, path) -> None:

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from ikdamp.kinematics import axis_angle_to_rotation
+from ikdamp.kinematics import KinematicModel, ThreeLink, axis_angle_to_rotation
 
 
 def seed() -> int:
@@ -13,6 +13,25 @@ def seed() -> int:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(seed())
+
+
+class CountingArm(KinematicModel):
+    """The three-link arm, counting its forward and Jacobian evaluations."""
+
+    m_y = m_u = 3
+    arm = ThreeLink(5.0, 7.0, 7.0)
+
+    def __init__(self):
+        self.forwards = 0
+        self.jacobians = 0
+
+    def forward(self, q):
+        self.forwards += 1
+        return self.arm.forward(q)
+
+    def jacobian(self, q):
+        self.jacobians += 1
+        return self.arm.jacobian(q)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

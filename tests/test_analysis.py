@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ikdamp import analysis
 from ikdamp.analysis import (
     ConstantReference,
     MfapcController,
@@ -13,7 +14,7 @@ from ikdamp.analysis import (
     static_error_gain,
 )
 from ikdamp.damping import cond
-from ikdamp.mfac import build_psi
+from ikdamp.mfac import build_psi, mfac_step
 
 
 def full_rank(rng, n=3):
@@ -226,6 +227,20 @@ class TestClosedLoopSimulation:
         for _ in range(steps):
             expected.append(G @ expected[-1])
         np.testing.assert_allclose(e, expected, rtol=0, atol=1e-9)
+
+    def test_one_damped_solve_per_gain(self, rng, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return mfac_step(*args)
+
+        monkeypatch.setattr(analysis, "mfac_step", counted)
+        J = full_rank(rng)
+        mfapc_pole_matrix([J] * 5, 0.1)
+        assert len(calls) == 1
+        simulate_linear_closed_loop(J, MfapcController(5, 0.1), RampReference(np.ones(3)), 20)
+        assert len(calls) == 2
 
     def test_steps_validated(self):
         with pytest.raises(ValueError):

@@ -125,6 +125,12 @@ class TestIk:
         assert rc == 2
         assert "target contains non-finite entries" in capsys.readouterr().err
 
+    def test_unknown_key_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, trajectory={"type": "helix"})
+        rc = main(["ik", "--config", str(cfg), "--target", "3,1,14", "--q", "0.1,0.5,0.2"])
+        assert rc == 2
+        assert "'trajectory'" in capsys.readouterr().err
+
     def test_unknown_method_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, solver={"method": "mfapcc", "mode": "sideways"})
         rc = main(["ik", "--config", str(cfg), "--target", "3,1,14", "--q", "0.1,0.5,0.2"])
@@ -212,6 +218,32 @@ class TestTrack:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         assert main(["track", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "example, path",
+        [
+            ("example1", "tolerance"),
+            ("example1", "outptu"),
+            ("example1", "trajectory.kmax"),
+            ("example1", "model.l4"),
+            ("example1", "solver.horizn"),
+            ("example1", "tolerances.nup"),
+            ("example2", "schedule.a1"),
+            ("example2", "trajectory.start"),
+        ],
+    )
+    def test_unknown_key_exits_2(self, tmp_path, capsys, example, path):
+        cfg = json.loads((CONFIG_DIR / f"{example}.json").read_text())
+        *sections, key = path.split(".")
+        spec = cfg
+        for section in sections:
+            spec = spec[section]
+        spec[key] = 1
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        assert main(["track", "--config", str(config), "--out", str(tmp_path / "t.csv")]) == 2
+        assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
     def test_example2_inner_budget(self, tmp_path):

@@ -194,6 +194,10 @@ class TestConfigFactory:
             CondRule,
         )
 
+    def test_unknown_key_named(self):
+        with pytest.raises(ValueError, match="'a1'"):
+            schedule_from_config({"type": "constant", "lambda0": 0, "a1": 2})
+
     def test_unknown_type(self):
         with pytest.raises(DampingError):
             schedule_from_config({"type": "nope"})

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import CountingArm
 import ikdamp
 from ikdamp import mfac
 from ikdamp.damping import Constant, RatioRule, cond
-from ikdamp.kinematics import DhRow, KinematicModel, ThreeLink, default_dh_chain, forward
+from ikdamp.kinematics import DhRow, ThreeLink, default_dh_chain, forward
 from ikdamp.mfac import (
     HorizonMode,
     SolveStatus,
@@ -25,24 +26,6 @@ from ikdamp.mfac import (
 from ikdamp.mfapc import solve_ik_predictive
 
 ARM = ThreeLink(5.0, 7.0, 7.0)
-
-
-class CountingArm(KinematicModel):
-    """The three-link arm, counting its forward and Jacobian evaluations."""
-
-    m_y = m_u = 3
-
-    def __init__(self):
-        self.forwards = 0
-        self.jacobians = 0
-
-    def forward(self, q):
-        self.forwards += 1
-        return ARM.forward(q)
-
-    def jacobian(self, q):
-        self.jacobians += 1
-        return ARM.jacobian(q)
 
 
 class TestMfacStep:
@@ -128,6 +111,23 @@ class TestMfacStep:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             mfac_step(np.eye(2), [1.0, 0.0, 0.0], 0.0)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 6), (6, 3)], ids=["square", "wide", "tall"])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("lam", [0.0, 0.01, 1.0])
+    def test_error_block_is_its_columns(self, rng, shape, n, lam):
+        J = rng.standard_normal(shape)
+        E = rng.standard_normal((n * shape[0], 4))
+        columns = np.column_stack([mfac_step(J, e, lam) for e in E.T])
+        assert np.array_equal(mfac_step(J, E, lam), columns)
+
+    def test_error_vector_stays_a_vector(self, rng):
+        J = rng.standard_normal((3, 3))
+        assert mfac_step(J, rng.standard_normal(6), 0.1).shape == (6,)
+
+    def test_three_axis_error_rejected(self):
+        with pytest.raises(ValueError):
+            mfac_step(np.eye(2), np.zeros((2, 1, 1)), 0.1)
 
 
 def test_import_loads_no_scipy():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import CountingArm
+from ikdamp import mfac
 from ikdamp.damping import CondRule, Constant, RatioRule, ThresholdRule
 from ikdamp.kinematics import (
     ThreeLink,
@@ -11,6 +13,7 @@ from ikdamp.kinematics import (
     forward_pose,
     jacobian,
     pose_error,
+    pose_from_task,
 )
 from ikdamp.mfac import SolveStatus, SolverConfig, mfac_step, solve_ik
 from ikdamp.mfapc import (
@@ -268,6 +271,39 @@ class TestRecedingHorizonTrack:
         cfg = SolverConfig(n_up=n_up, schedule=Constant(0.1), horizon=1)
         with pytest.raises(ValueError, match="y0"):
             receding_horizon_track(model, traj, q0, cfg, y0=y)
+
+    def test_one_fk_and_jacobian_per_single_step(self):
+        model = CountingArm()
+        report = receding_horizon_track(
+            model, helix(30), np.zeros(3), self.make_config(), y0=np.zeros(3)
+        )
+        assert len(report.steps) == 30
+        assert (model.forwards, model.jacobians) == (30, 30)
+
+    def test_one_pose_per_sample(self, monkeypatch):
+        built = []
+
+        def counted(task):
+            built.append(task)
+            return pose_from_task(task)
+
+        monkeypatch.setattr(mfac, "pose_from_task", counted)
+        chain = default_dh_chain()
+        q_start = np.array([-math.pi / 4, 0, 0, 0, -math.pi / 2, 0])
+        q_goal = np.array([math.pi / 4, 0, 0, 0, -math.pi / 2, 0])
+        traj = lspb(forward(chain, q_start), forward(chain, q_goal), 12, 0.25)
+        for n_up in (1, 3):
+            built.clear()
+            cfg = SolverConfig(n_up=n_up, schedule=Constant(0.1), horizon=2)
+            receding_horizon_track(chain, traj, q_start, cfg)
+            assert len(built) == len(traj)
+
+    def test_step_target_is_a_copy(self):
+        traj = helix(10)
+        cfg = SolverConfig(n_up=1, schedule=Constant(0.2), horizon=2)
+        report = receding_horizon_track(ARM, traj, np.zeros(3), cfg)
+        report.steps[0].target[:] = 0.0
+        np.testing.assert_array_equal(traj.samples[0], helix(10).samples[0])
 
     def test_trajectory_shorter_than_horizon_rejected(self):
         traj = Trajectory(np.zeros((2, 3)))

@@ -48,10 +48,13 @@ def test_output_digest(capsys):
     labels = [line.split()[0] for line in runs[0]]
     fields = [f.name for f in dataclasses.fields(SolveReport)]
     assert labels == (
-        ["track/example1.csv", "track/example2.csv", "track/example2-propagated.csv"]
+        [f"track/{label}.csv" for label in ("example1", "example2", "example2-propagated",
+                                             "example2-single-step", "example1-inner-loop")]
         + [f"solve_ik/{schedule}/seed{seed}/{name}"
            for schedule in ("constant", "ratio") for seed in (501, 502) for name in fields]
         + ["ik/propagated_n2", "dh/forward_pose", "dh/jacobian"]
-        + ["analysis/mfapc_pole_matrix", "analyze/three-link.csv", "analyze/default-dh.csv"]
+        + ["analysis/mfapc_pole_matrix", "analysis/mfapc_pole_matrix_distinct",
+           "analysis/simulate_linear_closed_loop"]
+        + ["analyze/three-link.csv", "analyze/default-dh.csv"]
     )
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in runs[0])

@@ -96,6 +96,21 @@ class TestHorizonWindow:
             for n in range(1, 8):
                 assert len(horizon_window(traj, k, n)) == n
 
+    def test_plain_list_windows_like_its_trajectory(self):
+        traj = helix(5)
+        rows = list(traj.samples)
+        for k in range(5):
+            for n in range(1, 8):
+                window = horizon_window(rows, k, n)
+                assert len(window) == n
+                for w, expected in zip(window, horizon_window(traj, k, n)):
+                    np.testing.assert_array_equal(w, expected)
+
+    def test_trajectory_window_is_a_copy(self):
+        traj = helix(10)
+        horizon_window(traj, 3, 2)[0][:] = 0.0
+        np.testing.assert_array_equal(traj.samples[3], helix(10).samples[3])
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
