@@ -7,13 +7,22 @@ is that closed form; the n-step pole matrix and the frozen linear
 closed-loop simulator each take the first-increment gain from one
 `mfac_step` call on an identity error block (one SVD), so steady-state
 claims can be verified numerically instead of symbolically.
+
+The simulator is a linear recurrence y(k+1) = A y(k) + b(k) with a
+constant symmetric A = I - sum_j J K_j (J K_j = U diag(sigma c_j) U^T).
+It evaluates the reference once per sample, forms every step's window
+term b(k) from one matmul, and runs the recurrence as m_y scalar ones in
+the eigenbasis of A. Its sums run in another order than a step-by-step
+loop, so it agrees with one to rounding, not bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .mfac import build_psi, mfac_step
 
@@ -95,16 +104,22 @@ class MfapcController:
 class ConstantReference:
     value: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "value", np.array(self.value, dtype=float))
+
     def __call__(self, k: int) -> np.ndarray:
-        return np.asarray(self.value, dtype=float)
+        return self.value.copy()  # a copy, so a caller writing into it changes no later call
 
 
 @dataclass(frozen=True)
 class RampReference:
     slope: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "slope", np.array(self.slope, dtype=float))
+
     def __call__(self, k: int) -> np.ndarray:
-        return k * np.asarray(self.slope, dtype=float)
+        return k * self.slope
 
 
 def simulate_linear_closed_loop(
@@ -121,14 +136,14 @@ def simulate_linear_closed_loop(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     J = np.asarray(J, dtype=float)
-    m_y, m_u = J.shape
-    n = controller.n
+    (m_y, m_u), n = J.shape, controller.n
     # the plant and the law are linear and J is constant, so one gain serves every step
     JK = J @ mfac_step(J, np.eye(n * m_y), controller.lam)[:m_u]
-    y = np.zeros(m_y)
-    errors = [reference(0) - y]
-    for k in range(steps):
-        window = np.concatenate([reference(k + 1 + j) for j in range(n)])
-        y = y + JK @ (window - np.tile(y, n))
-        errors.append(reference(k + 1) - y)
-    return np.asarray(errors)
+    R = np.array([reference(k) for k in range(steps + n)], dtype=float)  # row k is r(k)
+    # y(k+1) = A y(k) + b(k), b(k) = sum_j JK_j r(k+1+j); A = I - sum_j JK_j is symmetric
+    b = sliding_window_view(R[1:], (n, m_y)).reshape(steps, n * m_y) @ JK.T
+    mu, Q = np.linalg.eigh(np.eye(m_y) - JK.reshape(m_y, n, m_y).sum(axis=1))
+    # with y = Q z, m_y scalar recurrences z_i(k+1) = mu_i z_i(k) + (Q^T b(k))_i on Python floats
+    z = [list(accumulate(c, lambda zk, ck, m=m: m * zk + ck, initial=0.0))
+         for m, c in zip(mu.tolist(), (b @ Q).T.tolist())]
+    return R[: steps + 1] - np.array(z).T @ Q.T

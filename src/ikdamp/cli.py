@@ -34,7 +34,6 @@ def parse_model(spec) -> kinematics.KinematicModel:
     """Builtin name ('three-link', 'default-dh'), DH JSON path, or dict."""
     if isinstance(spec, dict):
         if "rows" in spec:
-            _check_keys(spec, ("rows",), "model")
             return kinematics.load_dh_chain(spec)
         if spec.get("type") == "three-link":
             _check_keys(spec, ("type", "l1", "l2", "l3"), "model")

@@ -208,11 +208,11 @@ class CondRule(DampingSchedule):
         return self._last
 
 
-def _check_keys(spec: dict, keys: tuple, what: str) -> None:
+def _check_keys(spec: dict, keys: tuple, what: str, error: type = ValueError) -> None:
     """Reject a config object holding a key its reader does not read, by name."""
     unknown = [k for k in spec if k not in keys]
     if unknown:
-        raise ValueError(f"unknown {what} key(s) {unknown}; known: {', '.join(keys)}")
+        raise error(f"unknown {what} key(s) {unknown}; known: {', '.join(keys)}")
 
 
 def schedule_from_config(spec: dict) -> DampingSchedule:

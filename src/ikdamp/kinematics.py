@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .damping import _check_keys
+
 
 class KinematicsError(ValueError):
     """Contract violation in a kinematics operation."""
@@ -56,6 +58,14 @@ class Pose:
     def __post_init__(self):
         object.__setattr__(self, "position", _as_vector(self.position, 3, "position"))
         object.__setattr__(self, "rotation", check_rotation(self.rotation))
+
+    @classmethod
+    def _trusted(cls, position: np.ndarray, rotation: np.ndarray) -> "Pose":
+        """A Pose from a finite 3-vector and a rotation by construction, unchecked (FK only)."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "position", position)
+        object.__setattr__(pose, "rotation", rotation)
+        return pose
 
 
 def rot_z(a: float) -> np.ndarray:
@@ -279,7 +289,8 @@ class DhChain(KinematicModel):
 
     def forward_pose(self, q) -> Pose:
         T = self._frames(q)[-1]
-        return Pose(T[:3, 3].copy(), T[:3, :3].copy())
+        # a product of DH transforms of finite q and finite rows: its rotation block is one
+        return Pose._trusted(T[:3, 3].copy(), T[:3, :3].copy())
 
     def forward(self, q) -> np.ndarray:
         pose = self.forward_pose(q)
@@ -350,7 +361,8 @@ def load_dh_chain(source) -> DhChain:
     """Build a DhChain from a JSON document, path, or parsed dict.
 
     Schema: {"rows": [{"alpha": ..., "a": ..., "d": ..., "theta_offset": ...}, ...]}
-    Angles in radians, lengths in meters; theta_offset defaults to 0.
+    Angles in radians, lengths in meters; theta_offset defaults to 0. Any
+    other key, in the document or in a row, raises a KinematicsError.
     """
     if isinstance(source, (str, Path)):
         with open(source) as fh:
@@ -358,6 +370,9 @@ def load_dh_chain(source) -> DhChain:
     else:
         doc = source
     try:
+        _check_keys(doc, ("rows",), "DH document", KinematicsError)
+        for r in doc["rows"]:
+            _check_keys(r, ("alpha", "a", "d", "theta_offset"), "DH row", KinematicsError)
         rows = [
             DhRow(
                 alpha=float(r["alpha"]),

@@ -228,6 +228,53 @@ class TestClosedLoopSimulation:
             expected.append(G @ expected[-1])
         np.testing.assert_allclose(e, expected, rtol=0, atol=1e-9)
 
+    @staticmethod
+    def stepwise_oracle(J, controller, reference, steps):
+        """The per-step loop: one window, one matvec and n + 1 reference calls per step."""
+        m_y, m_u = J.shape
+        n = controller.n
+        JK = J @ mfac_step(J, np.eye(n * m_y), controller.lam)[:m_u]
+        y = np.zeros(m_y)
+        errors = [reference(0) - y]
+        for k in range(steps):
+            window = np.concatenate([reference(k + 1 + j) for j in range(n)])
+            y = y + JK @ (window - np.tile(y, n))
+            errors.append(reference(k + 1) - y)
+        return np.asarray(errors)
+
+    @given(
+        shape=st.sampled_from([(2, 2), (3, 3), (2, 3), (3, 6), (6, 6), (3, 2)]),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        lam=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+        ramp=st.booleans(),
+        steps=st.integers(1, 200),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_stepwise_loop(self, shape, seed, n, lam, ramp, steps):
+        rng = np.random.default_rng(seed)
+        J = rng.standard_normal(shape)
+        r = rng.standard_normal(shape[0])
+        reference = RampReference(r) if ramp else ConstantReference(r)
+        controller = MfapcController(n, lam)
+        e = simulate_linear_closed_loop(J, controller, reference, steps)
+        expected = self.stepwise_oracle(J, controller, reference, steps)
+        assert e.shape == (steps + 1, shape[0])
+        np.testing.assert_allclose(
+            e, expected, rtol=0, atol=1e-9 * max(1.0, np.max(np.abs(expected)))
+        )
+
+    @pytest.mark.parametrize("n, steps", [(1, 1), (1, 30), (5, 1), (5, 30)])
+    def test_reference_sampled_once_per_k(self, n, steps):
+        calls = []
+
+        def reference(k):
+            calls.append(k)
+            return k * np.ones(3)
+
+        simulate_linear_closed_loop(np.eye(3), MfapcController(n, 0.1), reference, steps)
+        assert calls == list(range(steps + n))
+
     def test_one_damped_solve_per_gain(self, rng, monkeypatch):
         calls = []
 
@@ -241,6 +288,23 @@ class TestClosedLoopSimulation:
         assert len(calls) == 1
         simulate_linear_closed_loop(J, MfapcController(5, 0.1), RampReference(np.ones(3)), 20)
         assert len(calls) == 2
+
+    def test_references_are_their_formula(self):
+        slope = np.array([0.3, -0.7, 1e-300])
+        ramp, const = RampReference(slope), ConstantReference([1, -2, 0.5])
+        for k in (0, 1, 7, 10**6):
+            np.testing.assert_array_equal(ramp(k), k * np.asarray(slope, dtype=float))
+            assert ramp(k).dtype == const(k).dtype == np.float64
+            np.testing.assert_array_equal(const(k), [1.0, -2.0, 0.5])
+
+    def test_written_reference_values_do_not_leak(self):
+        slope, value = np.ones(2), np.ones(2)
+        ramp, const = RampReference(slope), ConstantReference(value)
+        ramp(1)[:] = 5.0
+        const(1)[:] = 5.0
+        slope[:] = value[:] = 9.0  # the caller's arrays were copied, not kept
+        np.testing.assert_array_equal(ramp(1), [1.0, 1.0])
+        np.testing.assert_array_equal(const(2), [1.0, 1.0])
 
     def test_steps_validated(self):
         with pytest.raises(ValueError):

@@ -51,6 +51,21 @@ class TestFk:
         assert main(args) == 2
         assert "DH parameters must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fk", "ik"])
+    @pytest.mark.parametrize("where, key", [("row", "theta_ofset"), ("document", "name")])
+    def test_unknown_dh_key_exits_2(self, tmp_path, capsys, command, where, key):
+        doc = json.loads((CONFIG_DIR / "default_dh.json").read_text())
+        (doc["rows"][-1] if where == "row" else doc)[key] = 1.0
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        args = [command, "--model", str(path), "--q", "0.1,0.2,0.3,0.4,0.5,0.6"]
+        if command == "ik":
+            args += ["--target", "0.5,0.1,0.4,0,0,0"]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unknown DH {where} key(s) [{key!r}]" in err
+
 
 class TestIk:
     def test_reachable_target_converges(self, tmp_path, capsys):
@@ -244,6 +259,16 @@ class TestTrack:
         config.write_text(json.dumps(cfg))
         assert main(["track", "--config", str(config), "--out", str(tmp_path / "t.csv")]) == 2
         assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_unknown_key_in_model_rows_exits_2(self, tmp_path, capsys):
+        cfg = json.loads((CONFIG_DIR / "example2.json").read_text())
+        cfg["model"] = json.loads((CONFIG_DIR / "default_dh.json").read_text())
+        cfg["model"]["rows"][0]["theta_ofset"] = 1.0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        assert main(["track", "--config", str(config), "--out", str(tmp_path / "t.csv")]) == 2
+        assert "'theta_ofset'" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
     def test_example2_inner_budget(self, tmp_path):

@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rotation
+from ikdamp import kinematics
 from ikdamp.kinematics import (
     DhChain,
     DhRow,
@@ -30,6 +33,7 @@ from ikdamp.kinematics import (
 )
 
 ARM = ThreeLink(5.0, 7.0, 7.0)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
 # unit vectors from a longitude and a height on the sphere
@@ -39,6 +43,12 @@ unit_axes = st.tuples(angles, st.floats(-1.0, 1.0)).map(
          math.sqrt(1 - t[1] ** 2) * math.sin(t[0]),
          t[1]]
     )
+)
+# (alpha, a, d, theta_offset) rows of a random chain of 1 to 7 joints
+dh_rows = st.lists(
+    st.tuples(angles, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), angles),
+    min_size=1,
+    max_size=7,
 )
 
 
@@ -106,6 +116,40 @@ class TestForwardPose:
         with pytest.raises(KinematicsError):
             forward_pose(ARM, [0, 0, 0])
 
+    @given(
+        rows=dh_rows,
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fk_pose_is_unchecked_and_would_pass_the_checks(self, rows, data):
+        chain = DhChain(tuple(rows))
+        q = np.array(data.draw(st.lists(angles, min_size=len(rows), max_size=len(rows))))
+        checks = []
+        real_check = kinematics.check_rotation
+
+        def counted(R, *args):
+            checks.append(R)
+            return real_check(R, *args)
+
+        kinematics.check_rotation = counted
+        try:
+            pose = forward_pose(chain, q)
+        finally:
+            kinematics.check_rotation = real_check
+        assert checks == []
+        checked = Pose(pose.position, pose.rotation)  # the user-facing constructor accepts it
+        assert checked.position.dtype == checked.rotation.dtype == np.float64
+        np.testing.assert_array_equal(checked.position, pose.position)
+        np.testing.assert_array_equal(checked.rotation, pose.rotation)
+
+    def test_user_pose_is_still_checked(self):
+        with pytest.raises(KinematicsError, match="orthonormal"):
+            Pose([0.0, 0.0, 0.0], np.eye(3) * 1.1)
+        with pytest.raises(KinematicsError, match="non-finite"):
+            Pose([0.0, math.nan, 0.0], np.eye(3))
+        with pytest.raises(KinematicsError, match="length 3"):
+            Pose([0.0, 0.0], np.eye(3))
+
     def test_forward_euler_round_trip(self, rng):
         chain = default_dh_chain()
         q = rng.uniform(-1.5, 1.5, 6)
@@ -142,11 +186,7 @@ class TestJacobian:
             np.testing.assert_allclose(J, Jfd, rtol=1e-4, atol=1e-6)
 
     @given(
-        rows=st.lists(
-            st.tuples(angles, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), angles),
-            min_size=1,
-            max_size=7,
-        ),
+        rows=dh_rows,
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
@@ -393,6 +433,20 @@ class TestDhLoading:
     def test_malformed_document(self):
         with pytest.raises(KinematicsError):
             load_dh_chain({"rows": [{"alpha": 0.0}]})
+
+    def test_default_document_is_valid(self):
+        chain = load_dh_chain(CONFIG_DIR / "default_dh.json")
+        assert chain.rows == default_dh_chain().rows
+
+    @pytest.mark.parametrize(
+        "where, key",
+        [("row", "theta_ofset"), ("row", "alpha0"), ("document", "name"), ("document", "row")],
+    )
+    def test_unknown_key_named(self, where, key):
+        doc = json.loads((CONFIG_DIR / "default_dh.json").read_text())
+        (doc["rows"][2] if where == "row" else doc)[key] = 1.0
+        with pytest.raises(KinematicsError, match=f"unknown DH {where} key.*'{key}'"):
+            load_dh_chain(doc)
 
     @pytest.mark.parametrize("field", ["alpha", "a", "d", "theta_offset"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
