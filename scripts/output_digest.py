@@ -4,7 +4,8 @@
 The outputs are the `ikdamp track` CSVs of configs/example1.json and
 configs/example2.json, of example2 in propagated mode and with the
 single-step law (n_up = 1), and of example1 with the inner loop
-(n_up = 10) and no initial_y; every SolveReport field of `solve_ik` on
+(n_up = 10) and no initial_y, and of example1 from another q0 with an
+initial_y away from its output; every SolveReport field of `solve_ik` on
 seeds 501-502 x --goals random 6-DOF goals x two damping schedules;
 `ikdamp ik` in propagated mode with n = 2 on --goals seeded 6-DOF goals;
 `DhChain.forward_pose` and `jacobian` on 500 seeded configurations of
@@ -59,13 +60,17 @@ POLE_SEED = 505
 SIM_CONFIGS = 10
 SIM_SEED = 506
 SIM_STEPS = 50
-# (label, config, edits): a dict merges into that config section, None deletes the key
+# (label, config, edits): a dict merges into that config section, None deletes the key,
+# any other value replaces it
 TRACK_RUNS = (
     ("example1", "example1", {}),
     ("example2", "example2", {}),
     ("example2-propagated", "example2", {"solver": {"mode": "propagated"}}),
     ("example2-single-step", "example2", {"tolerances": {"n_up": 1}}),
     ("example1-inner-loop", "example1", {"tolerances": {"n_up": 10}, "initial_y": None}),
+    # y0 apart from forward(q0) along directions the first Jacobian sees
+    ("example1-initial-y", "example1", {"initial_q": [0.3, 0.8, -0.5],
+                                        "initial_y": [4.0, 1.0, 12.0]}),
 )
 LAMBDAS = (0.0, 0.01, 0.1, 1.0, 10.0)
 ANALYZE_Q = {"three-link": "0.3,0.7,-0.5", "default-dh": "0.3,-0.4,0.5,0.2,-0.6,0.1"}
@@ -102,8 +107,10 @@ def track_digests(out_dir: Path):
         for key, value in edits.items():
             if value is None:
                 del cfg[key]
-            else:
+            elif isinstance(value, dict):
                 cfg[key].update(value)
+            else:
+                cfg[key] = value
         cfg_path, csv_path = out_dir / f"{label}.json", out_dir / f"{label}.csv"
         cfg_path.write_text(json.dumps(cfg))
         data = _run(["track", "--config", str(cfg_path), "--out", str(csv_path)], csv_path)

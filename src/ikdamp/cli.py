@@ -213,7 +213,7 @@ def cmd_analyze(args) -> int:
     model = parse_model(args.model)
     q = _parse_floats(args.q)
     lams = [float(v) for v in args.lambda_sweep.split(",")]
-    if any(v < 0 for v in lams):
+    if not all(v >= 0 for v in lams):
         raise ConfigError("lambda sweep values must be non-negative")
     J = kinematics.jacobian(model, q)
     m_y = J.shape[0]

@@ -2,8 +2,11 @@
 
 Each schedule is a small state machine producing the scalar damping
 factor (applied as lam * I) for the next damped solve, driven by the
-current tracking-error norm and/or the Jacobian condition number.
-Schedules are owned by a single solve.
+current tracking-error norm and/or the Jacobian condition number. It
+holds its current factor in `lam`, which `peek` reads. That state lasts
+as long as the object: every solve given one `SolverConfig` shares its
+schedule, so a second solve starts from the factor the first left (the
+tracker's inner loop relies on this from one waypoint to the next).
 """
 from __future__ import annotations
 
@@ -48,28 +51,45 @@ def cond(J) -> float:
 
 
 class DampingSchedule:
-    """Base class: next_lambda advances the state, peek does not."""
+    """Base class: next_lambda advances the state and stores its result in lam; peek reads lam."""
+
+    lam: float
 
     def next_lambda(self, obs: DampingObservation) -> float:
         raise NotImplementedError
 
     def peek(self) -> float:
-        raise NotImplementedError
+        return self.lam
+
+
+def _check_rates(lambda0: float, a1: float, a2: float) -> None:
+    # each check is written so that a NaN, which compares False, fails it
+    if not lambda0 >= 0:
+        raise DampingError("lambda0 must be non-negative")
+    if not (a1 >= 1 and a2 >= 1):
+        raise DampingError("a1 and a2 must be >= 1")
+
+
+def _ascending(bins: Sequence[float], name: str) -> list:
+    """The thresholds as floats, checked strictly ascending and free of NaN."""
+    bins = [float(b) for b in bins]
+    if np.isnan(bins).any() or not np.all(np.diff(bins) > 0):
+        raise DampingError(f"{name} must be strictly ascending numbers, got {bins}")
+    return bins
 
 
 @dataclass
 class Constant(DampingSchedule):
     lambda0: float = 0.0
+    lam: float = field(init=False)
 
     def __post_init__(self):
-        if self.lambda0 < 0:
+        if not self.lambda0 >= 0:
             raise DampingError("lambda0 must be non-negative")
+        self.lam = self.lambda0
 
     def next_lambda(self, obs: DampingObservation) -> float:
-        return self.lambda0
-
-    def peek(self) -> float:
-        return self.lambda0
+        return self.lam
 
 
 @dataclass
@@ -82,10 +102,7 @@ class RatioRule(DampingSchedule):
     lam: float = field(init=False)
 
     def __post_init__(self):
-        if self.lambda0 < 0:
-            raise DampingError("lambda0 must be non-negative")
-        if self.a1 < 1 or self.a2 < 1:
-            raise DampingError("a1 and a2 must be >= 1")
+        _check_rates(self.lambda0, self.a1, self.a2)
         self.lam = self.lambda0
 
     def next_lambda(self, obs: DampingObservation) -> float:
@@ -95,9 +112,6 @@ class RatioRule(DampingSchedule):
             self.lam *= self.a1
         else:
             self.lam /= self.a2
-        return self.lam
-
-    def peek(self) -> float:
         return self.lam
 
 
@@ -118,10 +132,9 @@ class ThresholdRule(DampingSchedule):
     _prev_above: Optional[bool] = field(init=False, default=None)
 
     def __post_init__(self):
-        if self.lambda0 < 0:
-            raise DampingError("lambda0 must be non-negative")
-        if self.a1 < 1 or self.a2 < 1:
-            raise DampingError("a1 and a2 must be >= 1")
+        _check_rates(self.lambda0, self.a1, self.a2)
+        if not self.t1 >= 0:
+            raise DampingError("t1 must be non-negative")
         self.lam = self.lambda0
 
     def next_lambda(self, obs: DampingObservation) -> float:
@@ -133,9 +146,6 @@ class ThresholdRule(DampingSchedule):
         else:
             self.lam /= self.a2
         self._prev_above = above
-        return self.lam
-
-    def peek(self) -> float:
         return self.lam
 
 
@@ -152,30 +162,25 @@ class LookupTable(DampingSchedule):
     error_bins: Sequence[float]
     cond_bins: Sequence[float]
     table: Sequence[Sequence[float]]
-    _last: float = field(init=False, default=0.0)
+    lam: float = field(init=False)
 
     def __post_init__(self):
-        self.error_bins = [float(e) for e in self.error_bins]
-        self.cond_bins = [float(c) for c in self.cond_bins]
+        self.error_bins = _ascending(self.error_bins, "error_bins")
+        self.cond_bins = _ascending(self.cond_bins, "cond_bins")
         self.table = np.asarray(self.table, dtype=float)
-        if np.any(np.diff(self.error_bins) <= 0) or np.any(np.diff(self.cond_bins) <= 0):
-            raise DampingError("bin thresholds must be strictly ascending")
         if self.table.shape != (len(self.error_bins), len(self.cond_bins)):
             raise DampingError("table shape must be (error bins) x (cond bins)")
-        if np.any(self.table < 0):
+        if not np.all(self.table >= 0):
             raise DampingError("table entries must be non-negative")
-        self._last = float(self.table[0, 0])
+        self.lam = float(self.table[0, 0])
 
     def next_lambda(self, obs: DampingObservation) -> float:
         if obs.cond is None:
             raise DampingError("LookupTable needs the condition number")
         row = _bin_index(self.error_bins, obs.error_norm)
         col = _bin_index(self.cond_bins, obs.cond)
-        self._last = float(self.table[row, col])
-        return self._last
-
-    def peek(self) -> float:
-        return self._last
+        self.lam = float(self.table[row, col])
+        return self.lam
 
 
 @dataclass
@@ -184,28 +189,23 @@ class CondRule(DampingSchedule):
 
     cond_bins: Sequence[float]
     lambdas: Sequence[float]
-    _last: float = field(init=False, default=0.0)
+    lam: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        self.cond_bins = [float(c) for c in self.cond_bins]
+        self.cond_bins = _ascending(self.cond_bins, "cond_bins")
         self.lambdas = [float(v) for v in self.lambdas]
-        if np.any(np.diff(self.cond_bins) <= 0):
-            raise DampingError("bin thresholds must be strictly ascending")
         if len(self.lambdas) != len(self.cond_bins):
             raise DampingError("need one lambda per condition threshold")
-        if any(v < 0 for v in self.lambdas):
-            raise DampingError("lambda values must be non-negative")
+        if not all(v >= 0 for v in self.lambdas):
+            raise DampingError("lambdas must be non-negative")
 
     def next_lambda(self, obs: DampingObservation) -> float:
         if obs.cond is None:
             raise DampingError("CondRule needs the condition number")
         # number of thresholds <= cond; 0 means below the first bin
         idx = int(np.searchsorted(self.cond_bins, obs.cond, side="right"))
-        self._last = 0.0 if idx == 0 else self.lambdas[min(idx, len(self.lambdas)) - 1]
-        return self._last
-
-    def peek(self) -> float:
-        return self._last
+        self.lam = 0.0 if idx == 0 else self.lambdas[min(idx, len(self.lambdas)) - 1]
+        return self.lam
 
 
 def _check_keys(spec: dict, keys: tuple, what: str, error: type = ValueError) -> None:

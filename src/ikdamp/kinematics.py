@@ -171,6 +171,16 @@ class KinematicModel:
     def jacobian(self, q: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _target(self, sample) -> np.ndarray:
+        """A sample as this model's target: a finite m_y-vector (a DhChain's is a Pose)."""
+        if isinstance(sample, Pose):
+            raise KinematicsError("Pose targets need a DhChain model")
+        return _as_vector(sample, self.m_y, "target")
+
+    def _errors(self, targets, q, y=None) -> np.ndarray:
+        """Stacked errors of `_target`s from the output y, by default forward(q)."""
+        return np.subtract(targets, self.forward(q) if y is None else y).ravel()
+
 
 @dataclass(frozen=True)
 class ThreeLink(KinematicModel):
@@ -188,7 +198,7 @@ class ThreeLink(KinematicModel):
     m_y = 3
 
     def __post_init__(self):
-        if min(self.l1, self.l2, self.l3) <= 0:
+        if not all(v > 0 for v in (self.l1, self.l2, self.l3)):
             raise KinematicsError("link lengths must be strictly positive")
 
     def forward(self, q) -> np.ndarray:
@@ -286,6 +296,16 @@ class DhChain(KinematicModel):
         frames.setflags(write=False)
         object.__setattr__(self, "_last_walk", (key, frames))
         return frames
+
+    def _target(self, sample) -> Pose:
+        if isinstance(sample, Pose):
+            return sample
+        return pose_from_task(_as_vector(sample, self.m_y, "target"))
+
+    def _errors(self, targets, q, y=None) -> np.ndarray:
+        # y is not read: the pose at q comes from the walk already kept
+        current = self.forward_pose(q)
+        return np.concatenate([pose_error(t, current) for t in targets])
 
     def forward_pose(self, q) -> Pose:
         T = self._frames(q)[-1]

@@ -8,28 +8,21 @@ adaptive damping schedule until the error norm drops below a tolerance,
 on the frozen stack or, in `SolverConfig.mode` PROPAGATED, on the dense
 stack `build_psi` of Jacobians at provisional states. `solve_ik` is that
 loop with n = 1, so the one-step solver is the predictive one by
-construction.
+construction. The loop never asks which kind of model it drives: the
+model turns each sample into its target and measures the stacked error
+(`task_error`), as the law needs only that error and the Jacobian.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .damping import DampingObservation, DampingSchedule, Constant, cond
-from .kinematics import (
-    DhChain,
-    KinematicModel,
-    Pose,
-    _as_vector,
-    forward,
-    jacobian,
-    pose_error,
-    pose_from_task,
-)
+from .kinematics import KinematicModel, jacobian
 
 
 class SolveStatus(Enum):
@@ -48,16 +41,18 @@ class HorizonMode(Enum):
 class SolverConfig:
     delta: float = 1e-10        # final error tolerance
     n_up: int = 500             # iteration cap
+    # one object, its damping state included, shared by every solve given this config
     schedule: DampingSchedule = field(default_factory=Constant)
     horizon: int = 1
     mode: HorizonMode = HorizonMode.FROZEN  # a HorizonMode or its value
 
     def __post_init__(self):
-        if self.delta <= 0:
+        # written so that a NaN, which compares False, fails each check
+        if not self.delta > 0:
             raise ValueError("delta must be positive")
-        if self.n_up < 1:
+        if not self.n_up >= 1:
             raise ValueError("n_up must be >= 1")
-        if self.horizon < 1:
+        if not self.horizon >= 1:
             raise ValueError("horizon must be >= 1")
         object.__setattr__(self, "mode", HorizonMode(self.mode))
         # one provisional state is q itself, and the single-step tracker law is frozen
@@ -111,7 +106,7 @@ def mfac_step(J, e, lam: float) -> np.ndarray:
     n, rest = divmod(e.shape[0] if e.ndim in (1, 2) else 0, m_y)
     if n < 1 or rest:
         raise ValueError("e must be a vector or column block with a multiple of rows(J) rows")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be non-negative")
     U, sigma, Vt = np.linalg.svd(J, full_matrices=False)
     mu, W, WtTt = _horizon_spectrum(n)
@@ -124,24 +119,9 @@ def mfac_step(J, e, lam: float) -> np.ndarray:
     return dQ.reshape(e.shape[1:] + (n * m_u,)).T
 
 
-def _as_target(model: KinematicModel, target) -> Union[np.ndarray, Pose]:
-    """Normalize a target: 6-vector targets on a DhChain become a Pose."""
-    if isinstance(target, Pose):
-        if not isinstance(model, DhChain):
-            raise ValueError("Pose targets need a DhChain model")
-        return target
-    target = _as_vector(target, model.m_y, "target")
-    if isinstance(model, DhChain):
-        return pose_from_task(target)
-    return target
-
-
-def task_error(model: KinematicModel, targets: Sequence, q) -> np.ndarray:
-    """Stacked errors of a window of `_as_target`-normalized targets from one FK at q."""
-    if isinstance(model, DhChain):
-        current = model.forward_pose(q)
-        return np.concatenate([pose_error(t, current) for t in targets])
-    return np.subtract(targets, forward(model, q)).ravel()
+def task_error(model: KinematicModel, targets: Sequence, q, y=None) -> np.ndarray:
+    """Stacked errors of a window of the model's targets at q (or at its measured output y)."""
+    return model._errors(targets, q, y)
 
 
 def build_psi(jacobians: Sequence[np.ndarray]) -> np.ndarray:
@@ -173,7 +153,7 @@ def solve_ik_predictive(
     advance by the cumulative increment blocks. Stops after config.n_up
     iterations otherwise. The window must hold config.horizon targets.
     """
-    targets = [_as_target(model, t) for t in targets]
+    targets = [model._target(t) for t in targets]
     n = len(targets)
     if n != config.horizon:
         raise ValueError(f"{n} targets given for config.horizon = {config.horizon}")

@@ -15,11 +15,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .damping import DampingObservation, cond
-from .kinematics import DhChain, KinematicModel, forward, jacobian
+from .kinematics import DhChain, KinematicModel, _as_vector, forward, jacobian
 from .mfac import (
     HorizonMode,
     SolverConfig,
-    _as_target,
     build_psi,
     mfac_step,
     solve_ik_predictive,
@@ -97,13 +96,6 @@ def _settling(errors: np.ndarray):
     return first + 1, float(np.max(errors[first:]))
 
 
-def _plant_error(model: KinematicModel, window: Sequence, q, y) -> np.ndarray:
-    """Window errors: a DhChain's by FK at q, a position plant's from its output y (see y0)."""
-    if isinstance(model, DhChain):
-        return task_error(model, window, q)
-    return np.concatenate(window) - np.tile(y, len(window))
-
-
 def receding_horizon_track(
     model: KinematicModel,
     trajectory: Trajectory,
@@ -125,9 +117,10 @@ def receding_horizon_track(
     is why `SolverConfig` rejects PROPAGATED with n_up == 1.
 
     y0 overrides the initial plant output (it may be inconsistent with
-    q0; the plant re-synchronizes after the first commit). Only the
-    single-step law on a position-only model reads it, so y0 is rejected
-    for a DhChain or n_up > 1.
+    q0; the plant re-synchronizes after the first commit) and is checked
+    like q0. Only the single-step law on a position-only model reads it:
+    a DhChain measures its error at q. So y0 is rejected for a DhChain or
+    n_up > 1.
     """
     n = config.horizon
     single_step = config.n_up <= 1
@@ -135,10 +128,10 @@ def receding_horizon_track(
         raise ValueError("y0 is read only by the single-step law on a position-only model")
     if len(trajectory) < n:
         raise ValueError("trajectory must be at least as long as the horizon")
-    targets = [_as_target(model, sample) for sample in trajectory.samples]
+    targets = [model._target(sample) for sample in trajectory.samples]
     q = np.asarray(q0, dtype=float).ravel().copy()
     schedule = config.schedule
-    y = forward(model, q) if y0 is None else np.asarray(y0, dtype=float).ravel().copy()
+    y = forward(model, q) if y0 is None else _as_vector(y0, model.m_y, "y0")
 
     steps: List[TrackStep] = []
     prev_predicted: Optional[float] = None
@@ -147,7 +140,7 @@ def receding_horizon_track(
         if single_step:
             lam = schedule.peek()
             J = jacobian(model, q)
-            resid = _plant_error(model, window, q, y)
+            resid = task_error(model, window, q, y)
             dQ = mfac_step(J, resid, lam)
             q = q + dQ[: model.m_u]
             # frozen-model prediction: block r of (T (x) J) dQ is J (dQ_0 + .. + dQ_r)
@@ -169,7 +162,7 @@ def receding_horizon_track(
                 k=t + 1,
                 target=trajectory[t],
                 output=y,
-                error_norm=float(np.linalg.norm(_plant_error(model, window[:1], q, y))),
+                error_norm=float(np.linalg.norm(task_error(model, window[:1], q, y))),
                 lam=lam,
                 inner_iterations=inner,
                 q=q.copy(),

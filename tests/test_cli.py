@@ -271,6 +271,20 @@ class TestTrack:
         assert "'theta_ofset'" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize(
+        "initial_y",
+        [[5.0], [0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 0.0]],
+        ids=["scalar", "short", "long", "nan"],
+    )
+    def test_bad_initial_y_exits_2(self, tmp_path, capsys, initial_y):
+        cfg = json.loads((CONFIG_DIR / "example1.json").read_text())
+        cfg["initial_y"] = initial_y
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))  # NaN is written as the JSON literal NaN
+        assert main(["track", "--config", str(config), "--out", str(tmp_path / "t.csv")]) == 2
+        assert "error: y0 " in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_example2_inner_budget(self, tmp_path):
         out = tmp_path / "track2.csv"
         rc = main(
@@ -280,6 +294,39 @@ class TestTrack:
         rows = out.read_text().splitlines()[1:-1]
         inner = [int(r.split(",")[15]) for r in rows]
         assert max(inner) <= 10
+
+
+@pytest.mark.parametrize("command", ["ik", "track"])
+@pytest.mark.parametrize(
+    "section, spec, name",
+    [
+        ("tolerances", {"delta": math.nan, "n_up": 50}, "delta"),
+        ("schedule", {"type": "constant", "lambda0": math.nan}, "lambda0"),
+        ("schedule", {"type": "ratio", "lambda0": 1, "a1": math.nan, "a2": 2}, "a1"),
+        ("schedule", {"type": "threshold", "lambda0": 2, "a1": 1.1, "a2": 1.02,
+                      "t1": math.nan}, "t1"),
+        ("schedule", {"type": "lookup", "error_bins": [1, math.nan], "cond_bins": [10],
+                      "table": [[0.1], [0.2]]}, "error_bins"),
+        ("schedule", {"type": "lookup", "error_bins": [1], "cond_bins": [10],
+                      "table": [[math.nan]]}, "table"),
+        ("schedule", {"type": "cond", "cond_bins": [math.nan], "lambdas": [1]}, "cond_bins"),
+        ("schedule", {"type": "cond", "cond_bins": [10], "lambdas": [math.nan]}, "lambdas"),
+    ],
+    ids=["delta", "lambda0", "a1", "t1", "bin", "table", "cond-bin", "cond-lambda"],
+)
+def test_nan_parameter_exits_2(tmp_path, capsys, command, section, spec, name):
+    # the parameter is named, rather than the run ending on its symptoms
+    cfg = json.loads((CONFIG_DIR / "example1.json").read_text())
+    cfg[section] = spec
+    if command == "ik":
+        del cfg["trajectory"], cfg["initial_y"]
+        cfg["solver"] = {"method": "mfac", "horizon": 1}
+        cfg["target"] = [3.0, 1.0, 14.0]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))  # NaN is written as the JSON literal NaN
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 class TestAnalyze:
@@ -318,6 +365,12 @@ class TestAnalyze:
         rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]
         top_gains = [float(r[7]) for r in rows]
         assert top_gains[0] < top_gains[1] < top_gains[2]
+
+    def test_nan_lambda_exits_2(self, capsys):
+        rc = main(["analyze", "--model", "three-link", "--q", "0.3,0.7,-0.5",
+                   "--lambda-sweep", "0.1,nan"])
+        assert rc == 2
+        assert "lambda sweep" in capsys.readouterr().err
 
     def test_singular_pose_svd_fallback(self, capsys):
         rc = main(

@@ -8,6 +8,7 @@ from ikdamp.damping import (
     Constant,
     DampingError,
     DampingObservation,
+    DampingSchedule,
     LookupTable,
     RatioRule,
     ThresholdRule,
@@ -201,3 +202,63 @@ class TestConfigFactory:
     def test_unknown_type(self):
         with pytest.raises(DampingError):
             schedule_from_config({"type": "nope"})
+
+
+# each schedule type, fresh, with the lambda it holds before any update
+SCHEDULES = {
+    "constant": (lambda: Constant(0.3), 0.3),
+    "ratio": (lambda: RatioRule(0.3, 1.5, 2.0), 0.3),
+    "threshold": (lambda: ThresholdRule(0.3, 1.1, 1.02, 1.0, reset_on_cross=True), 0.3),
+    "lookup": (lambda: LookupTable([1.0, 10.0], [100.0, 1e6], [[0.2, 0.5], [1.0, 5.0]]), 0.2),
+    "cond": (lambda: CondRule([10.0, 100.0], [0.5, 2.0]), 0.0),
+}
+
+
+class TestPeek:
+    def test_every_schedule_type_is_covered(self):
+        made = {type(make()) for make, _ in SCHEDULES.values()}
+        assert made == set(DampingSchedule.__subclasses__())
+
+    @pytest.mark.parametrize("kind", sorted(SCHEDULES))
+    @given(
+        observed=st.lists(
+            st.tuples(st.floats(0.0, 100.0), st.floats(1.0, 1e8)), max_size=20
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_peek_reads_the_last_lambda(self, kind, observed):
+        make, lambda0 = SCHEDULES[kind]
+        s = make()
+        assert s.peek() == lambda0
+        prev = None
+        for err, c in observed:
+            lam = s.next_lambda(obs(err, prev, c))
+            assert s.peek() == lam
+            prev = err
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: Constant(NAN), "lambda0"),
+        (lambda: RatioRule(NAN, 1.5, 2.0), "lambda0"),
+        (lambda: RatioRule(1.0, NAN, 2.0), "a1"),
+        (lambda: ThresholdRule(1.0, 1.1, NAN, 1.0), "a2"),
+        (lambda: ThresholdRule(1.0, 1.1, 1.02, NAN), "t1"),
+        (lambda: LookupTable([1.0, NAN], [10.0], [[0.1], [0.2]]), "error_bins"),
+        (lambda: LookupTable([1.0], [NAN], [[0.1]]), "cond_bins"),
+        (lambda: LookupTable([1.0], [10.0], [[NAN]]), "table"),
+        (lambda: CondRule([NAN], [1.0]), "cond_bins"),
+        (lambda: CondRule([1.0], [NAN]), "lambdas"),
+    ],
+    ids=[
+        "constant-lambda0", "ratio-lambda0", "ratio-a1", "threshold-a2", "threshold-t1",
+        "lookup-error-bin", "lookup-cond-bin", "lookup-table", "cond-bin", "cond-lambda",
+    ],
+)
+def test_nan_parameter_rejected(make, name):
+    with pytest.raises(DampingError, match=name):
+        make()

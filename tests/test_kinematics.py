@@ -460,3 +460,8 @@ class TestDhLoading:
     def test_link_lengths_must_be_positive(self):
         with pytest.raises(KinematicsError):
             ThreeLink(5.0, 0.0, 7.0)
+
+    def test_nan_link_length_rejected(self):
+        # min() of a list holding NaN depends on where the NaN sits
+        with pytest.raises(KinematicsError):
+            ThreeLink(5.0, math.nan, 7.0)

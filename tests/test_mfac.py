@@ -14,7 +14,14 @@ from conftest import CountingArm
 import ikdamp
 from ikdamp import mfac
 from ikdamp.damping import Constant, RatioRule, cond
-from ikdamp.kinematics import DhRow, ThreeLink, default_dh_chain, forward
+from ikdamp.kinematics import (
+    DhChain,
+    DhRow,
+    ThreeLink,
+    default_dh_chain,
+    forward,
+    pose_error,
+)
 from ikdamp.mfac import (
     HorizonMode,
     SolveStatus,
@@ -22,6 +29,7 @@ from ikdamp.mfac import (
     build_psi,
     mfac_step,
     solve_ik,
+    task_error,
 )
 from ikdamp.mfapc import solve_ik_predictive
 
@@ -207,6 +215,40 @@ class TestSolveIk:
             assert all(a > b for a, b in zip(trace, trace[1:]))
 
 
+class TestTaskError:
+    """The model turns samples into targets and measures the stacked error."""
+
+    MODELS = {"three-link": ARM, "counting-arm": CountingArm(), "default-dh": default_dh_chain()}
+
+    @staticmethod
+    def per_kind_oracle(model, window, q):
+        """The loop's and the tracker's formulas from when they branched on the model kind."""
+        if isinstance(model, DhChain):
+            current = model.forward_pose(q)
+            return np.concatenate([pose_error(t, current) for t in window])
+        return np.concatenate(window) - np.tile(forward(model, q), len(window))
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_measured_output_and_oracle_agree_bitwise(self, name, n, seed):
+        model = self.MODELS[name]
+        rng = np.random.default_rng(seed)
+        q = rng.uniform(-math.pi, math.pi, model.m_u)
+        window = [model._target(s) for s in rng.uniform(-3.0, 3.0, (n, model.m_y))]
+        at_q = task_error(model, window, q)
+        at_y = task_error(model, window, q, forward(model, q))
+        oracle = self.per_kind_oracle(model, window, q)
+        assert at_q.shape == at_y.shape == oracle.shape == (n * model.m_y,)
+        assert at_q.tobytes() == at_y.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("model", [ARM, CountingArm()], ids=["three-link", "counting-arm"])
+    def test_pose_target_needs_a_dh_chain(self, model):
+        pose = default_dh_chain().forward_pose(np.full(6, 0.2))
+        with pytest.raises(ValueError, match="Pose targets need a DhChain model"):
+            solve_ik(model, pose, np.zeros(3), SolverConfig())
+
+
 def solve_n2(model, target, q0, cfg):
     return solve_ik_predictive(model, [target, target], q0, cfg)
 
@@ -282,6 +324,29 @@ class TestSolverConfig:
             SolverConfig(n_up=0)
         with pytest.raises(ValueError):
             SolverConfig(horizon=0)
+        with pytest.raises(ValueError, match="delta"):
+            SolverConfig(delta=math.nan)
+
+    def test_schedule_state_lasts_across_solves(self):
+        # one config holds one schedule object: a second solve starts from
+        # the lambda the first left, not from lambda0
+        chain = default_dh_chain()
+        goal = chain.forward_pose([0.3, -0.4, 0.5, 0.2, -0.6, 0.1])
+        q0 = np.full(chain.m_u, 0.1)
+
+        def config():
+            return SolverConfig(delta=1e-9, n_up=200, schedule=RatioRule(0.1, 1.5, 1.5))
+
+        cfg = config()
+        first = solve_ik(chain, goal, q0, cfg)
+        second = solve_ik(chain, goal, q0, cfg)
+        fresh = solve_ik(chain, goal, q0, config())
+        assert first.converged and second.converged
+        assert first.lambda_trace[0] == 0.1 / 1.5
+        assert second.lambda_trace[0] == first.lambda_trace[-1] / 1.5
+        assert second.iterations < first.iterations
+        assert fresh.lambda_trace == first.lambda_trace
+        assert cfg.schedule.peek() == second.lambda_trace[-1]
 
     def test_mode_from_string(self):
         cfg = SolverConfig(horizon=2, n_up=2, mode="propagated")

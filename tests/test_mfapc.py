@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import CountingArm
-from ikdamp import mfac
+from ikdamp import kinematics
 from ikdamp.damping import CondRule, Constant, RatioRule, ThresholdRule
 from ikdamp.kinematics import (
+    KinematicsError,
     ThreeLink,
     default_dh_chain,
     forward,
@@ -272,6 +273,42 @@ class TestRecedingHorizonTrack:
         with pytest.raises(ValueError, match="y0"):
             receding_horizon_track(model, traj, q0, cfg, y0=y)
 
+    @pytest.mark.parametrize(
+        "y0, message",
+        [
+            ([5.0], "y0 must have length 3"),
+            ([0.0, 0.0], "y0 must have length 3"),
+            ([0.0, 0.0, 0.0, 0.0], "y0 must have length 3"),
+            ([math.nan, 0.0, 0.0], "y0 contains non-finite entries"),
+        ],
+        ids=["scalar", "short", "long", "nan"],
+    )
+    def test_y0_checked_like_q0(self, y0, message):
+        with pytest.raises(KinematicsError, match=message):
+            receding_horizon_track(ARM, helix(10), np.zeros(3), self.make_config(), y0=y0)
+
+    def test_y0_sets_the_first_residual(self):
+        # y0 sits apart from forward(q0) along directions the Jacobian at q0 sees
+        q0 = np.array([0.3, 0.8, -0.5])
+        y0 = np.array([4.0, 1.0, 12.0])
+        J = jacobian(ARM, q0)
+        assert np.linalg.norm(J.T @ (y0 - forward(ARM, q0))) > 1.0
+        traj = helix(20)
+
+        def config():
+            return SolverConfig(n_up=1, schedule=Constant(0.5), horizon=3)
+
+        with_y0 = receding_horizon_track(ARM, traj, q0, config(), y0=y0)
+        without = receding_horizon_track(ARM, traj, q0, config())
+        # the first residual is each window target minus y0
+        resid = np.concatenate(traj.samples[:3]) - np.tile(y0, 3)
+        first = with_y0.steps[0]
+        assert np.array_equal(first.q, q0 + mfac_step(J, resid, 0.5)[:3])
+        assert not np.array_equal(first.q, without.steps[0].q)
+        # after the first commit the plant output is the FK of q again
+        assert np.array_equal(first.output, forward(ARM, first.q))
+        assert first.error_norm == np.linalg.norm(traj.samples[0] - first.output)
+
     def test_one_fk_and_jacobian_per_single_step(self):
         model = CountingArm()
         report = receding_horizon_track(
@@ -287,7 +324,7 @@ class TestRecedingHorizonTrack:
             built.append(task)
             return pose_from_task(task)
 
-        monkeypatch.setattr(mfac, "pose_from_task", counted)
+        monkeypatch.setattr(kinematics, "pose_from_task", counted)
         chain = default_dh_chain()
         q_start = np.array([-math.pi / 4, 0, 0, 0, -math.pi / 2, 0])
         q_goal = np.array([math.pi / 4, 0, 0, 0, -math.pi / 2, 0])
