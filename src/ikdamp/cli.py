@@ -16,7 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import analysis, damping, kinematics, mfac, mfapc, trajectory
-from .damping import _check_keys
+from .damping import _check_keys, _from_config
 
 # the top-level keys each command reads; a config object with a key its reader skips exits 2
 _SOLVE_KEYS = ("model", "solver", "schedule", "tolerances", "initial_q", "output")
@@ -30,14 +30,25 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _number(spec: dict, where: str, key: str, default=None, whole: bool = False):
+    """spec[key] as a float, or an int if whole; default if absent, required if default is None.
+
+    Anything but a JSON number, or a fraction or NaN where whole, exits 2 naming the key.
+    """
+    value = spec[key] if default is None else spec.get(key, default)
+    if not (type(value) is int or type(value) is float and (not whole or value.is_integer())):
+        kind = "a whole number" if whole else "a number"
+        raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}")
+    return int(value) if whole else float(value)
+
+
 def parse_model(spec) -> kinematics.KinematicModel:
     """Builtin name ('three-link', 'default-dh'), DH JSON path, or dict."""
     if isinstance(spec, dict):
         if "rows" in spec:
             return kinematics.load_dh_chain(spec)
         if spec.get("type") == "three-link":
-            _check_keys(spec, ("type", "l1", "l2", "l3"), "model")
-            return kinematics.ThreeLink(**{k: float(v) for k, v in spec.items() if k != "type"})
+            return _from_config(kinematics.ThreeLink, spec, "model", ConfigError, ("type",))
         raise ConfigError(f"unrecognized model spec: {spec!r}")
     name = str(spec)
     if name == "three-link":
@@ -53,7 +64,7 @@ def parse_trajectory(spec, model) -> trajectory.Trajectory:
     kind = spec.get("type")
     if kind == "helix":
         _check_keys(spec, ("type", "k_max"), "helix trajectory")
-        return trajectory.helix(int(spec.get("k_max", 800)))
+        return trajectory.helix(_number(spec, "trajectory", "k_max", 800, whole=True))
     if kind == "lspb":
         joint = "start_q" in spec  # joint-space endpoints are converted to task space first
         ends = ("start_q", "goal_q") if joint else ("start", "goal")
@@ -62,8 +73,8 @@ def parse_trajectory(spec, model) -> trajectory.Trajectory:
             kinematics.forward(model, spec[k]) if joint else np.asarray(spec[k], dtype=float)
             for k in ends
         )
-        blend = float(spec.get("blend_fraction", 0.2))
-        return trajectory.lspb(start, goal, int(spec["steps"]), blend)
+        return trajectory.lspb(start, goal, _number(spec, "trajectory", "steps", whole=True),
+                               _number(spec, "trajectory", "blend_fraction", 0.2))
     if kind == "csv":
         _check_keys(spec, ("type", "path"), "csv trajectory")
         return trajectory.load_csv(spec["path"])
@@ -86,21 +97,16 @@ def solver_config_from(cfg: dict) -> mfac.SolverConfig:
     method = solver.get("method", "mfac")
     if method not in ("mfac", "mfapc"):
         raise ConfigError(f"unknown solver method {method!r} (mfac or mfapc)")
-    horizon = int(solver.get("horizon", 1))
+    horizon = _number(solver, "solver", "horizon", 1, whole=True)
     if method == "mfac" and horizon != 1:
         raise ConfigError("mfac requires horizon n = 1")
-    try:
-        return mfac.SolverConfig(
-            delta=float(tol.get("delta", 1e-10)),
-            n_up=int(tol.get("n_up", 500)),
-            schedule=damping.schedule_from_config(
-                cfg.get("schedule", {"type": "constant", "lambda0": 0.0})
-            ),
-            horizon=horizon,
-            mode=horizon_mode_from(cfg),
-        )
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return mfac.SolverConfig(
+        delta=_number(tol, "tolerances", "delta", 1e-10),
+        n_up=_number(tol, "tolerances", "n_up", 500, whole=True),
+        schedule=damping.schedule_from_config(cfg.get("schedule", {"type": "constant"})),
+        horizon=horizon,
+        mode=horizon_mode_from(cfg),
+    )
 
 
 def horizon_mode_from(cfg: dict) -> mfapc.HorizonMode:
@@ -171,13 +177,16 @@ def cmd_track(args) -> int:
     out = args.out or cfg.get("output")
     if out:
         write_track_csv(out, report, model)
-    settle = report.settling_step
-    print(
-        f"settling_step={settle if settle is not None else 'none'} "
-        f"max_post_settling_error="
-        f"{_fmt(report.max_post_settling_error) if settle is not None else 'none'}"
-    )
+    print(_settling(report))
     return 0
+
+
+def _settling(report: mfapc.TrackReport) -> str:
+    """The settling summary that `track` prints and ends its CSV with."""
+    if report.settling_step is None:
+        return "settling_step=none max_post_settling_error=none"
+    return (f"settling_step={report.settling_step} "
+            f"max_post_settling_error={_fmt(report.max_post_settling_error)}")
 
 
 def write_track_csv(path, report: mfapc.TrackReport, model) -> None:
@@ -199,14 +208,7 @@ def write_track_csv(path, report: mfapc.TrackReport, model) -> None:
                 + [_fmt(s.error_norm), _fmt(s.lam), s.inner_iterations]
                 + [_fmt(v) for v in s.q]
             )
-        settle = report.settling_step
-        if settle is None:
-            fh.write("# settling_step=none max_post_settling_error=none\n")
-        else:
-            fh.write(
-                f"# settling_step={settle} "
-                f"max_post_settling_error={_fmt(report.max_post_settling_error)}\n"
-            )
+        fh.write(f"# {_settling(report)}\n")
 
 
 def cmd_analyze(args) -> int:

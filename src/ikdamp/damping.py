@@ -10,7 +10,7 @@ tracker's inner loop relies on this from one waypoint to the next).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -215,32 +215,40 @@ def _check_keys(spec: dict, keys: tuple, what: str, error: type = ValueError) ->
         raise error(f"unknown {what} key(s) {unknown}; known: {', '.join(keys)}")
 
 
-def schedule_from_config(spec: dict) -> DampingSchedule:
-    """Build a schedule from a JSON config fragment: its "type" and the keys that type reads.
+# the JSON types of a float and of a bool field, by annotation (a string in every ikdamp module)
+_JSON_TYPES = {"float": (int, float), "bool": (bool,)}
 
-    Each type's keys are the tuple checked in its branch; any other key raises a ValueError.
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value has the type a field annotated float, bool or Sequence[...] takes."""
+    if annotation.startswith("Sequence["):
+        return type(value) is list and all(_fits(v, annotation[9:-1]) for v in value)
+    return type(value) in _JSON_TYPES[annotation]
+
+
+def _from_config(cls, spec: dict, what: str, error: type = ValueError, skip: tuple = ()):
+    """Build dataclass cls from a config object: its init fields, plus keys in skip, not passed.
+
+    A field with a default may be left out; integers become floats, lists go to cls to check.
+    Any other key, a missing required field or a value of another type raises error, naming it.
     """
+    params = [f for f in fields(cls) if f.init]
+    _check_keys(spec, tuple(skip) + tuple(f.name for f in params), what, error)
+    for f in params:
+        if f.name not in spec and f.default is MISSING and f.default_factory is MISSING:
+            raise error(f"missing {what} key {f.name!r}")
+        if f.name in spec and not _fits(spec[f.name], f.type):
+            raise error(f"{what} key {f.name!r} must be {f.type}, got {spec[f.name]!r}")
+    return cls(**{k: float(v) if type(v) is int else v for k, v in spec.items() if k not in skip})
+
+
+_SCHEDULE_TYPES = dict(constant=Constant, ratio=RatioRule, threshold=ThresholdRule,
+                       lookup=LookupTable, cond=CondRule)
+
+
+def schedule_from_config(spec: dict) -> DampingSchedule:
+    """Build a schedule from a JSON config fragment: its "type" and its class's parameters."""
     kind = spec.get("type")
-    if kind == "constant":
-        _check_keys(spec, ("type", "lambda0"), "constant schedule")
-        return Constant(float(spec["lambda0"]))
-    if kind == "ratio":
-        _check_keys(spec, ("type", "lambda0", "a1", "a2"), "ratio schedule")
-        return RatioRule(float(spec["lambda0"]), float(spec["a1"]), float(spec["a2"]))
-    if kind == "threshold":
-        keys = ("type", "lambda0", "a1", "a2", "t1", "reset_on_cross")
-        _check_keys(spec, keys, "threshold schedule")
-        return ThresholdRule(
-            float(spec["lambda0"]),
-            float(spec["a1"]),
-            float(spec["a2"]),
-            float(spec["t1"]),
-            bool(spec.get("reset_on_cross", False)),
-        )
-    if kind == "lookup":
-        _check_keys(spec, ("type", "error_bins", "cond_bins", "table"), "lookup schedule")
-        return LookupTable(spec["error_bins"], spec["cond_bins"], spec["table"])
-    if kind == "cond":
-        _check_keys(spec, ("type", "cond_bins", "lambdas"), "cond schedule")
-        return CondRule(spec["cond_bins"], spec["lambdas"])
-    raise DampingError(f"unknown schedule type: {kind!r}")
+    if not isinstance(kind, str) or kind not in _SCHEDULE_TYPES:
+        raise DampingError(f"unknown schedule type: {kind!r}")
+    return _from_config(_SCHEDULE_TYPES[kind], spec, f"{kind} schedule", DampingError, ("type",))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .damping import _check_keys
+from .damping import _check_keys, _from_config
 
 
 class KinematicsError(ValueError):
@@ -381,8 +381,8 @@ def load_dh_chain(source) -> DhChain:
     """Build a DhChain from a JSON document, path, or parsed dict.
 
     Schema: {"rows": [{"alpha": ..., "a": ..., "d": ..., "theta_offset": ...}, ...]}
-    Angles in radians, lengths in meters; theta_offset defaults to 0. Any
-    other key, in the document or in a row, raises a KinematicsError.
+    Angles in radians, lengths in meters; theta_offset defaults to 0. Any other
+    key, a missing row key or a non-number raises a KinematicsError naming it.
     """
     if isinstance(source, (str, Path)):
         with open(source) as fh:
@@ -391,20 +391,9 @@ def load_dh_chain(source) -> DhChain:
         doc = source
     try:
         _check_keys(doc, ("rows",), "DH document", KinematicsError)
-        for r in doc["rows"]:
-            _check_keys(r, ("alpha", "a", "d", "theta_offset"), "DH row", KinematicsError)
-        rows = [
-            DhRow(
-                alpha=float(r["alpha"]),
-                a=float(r["a"]),
-                d=float(r["d"]),
-                theta_offset=float(r.get("theta_offset", 0.0)),
-            )
-            for r in doc["rows"]
-        ]
+        return DhChain([_from_config(DhRow, r, "DH row", KinematicsError) for r in doc["rows"]])
     except (KeyError, TypeError) as exc:
         raise KinematicsError(f"malformed DH document: {exc}") from exc
-    return DhChain(tuple(rows))
 
 
 # Documented default 6-DOF elbow manipulator (classic DH, meters/radians).

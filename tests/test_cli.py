@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ikdamp.cli import main
+from ikdamp.cli import main, parse_model, parse_trajectory, solver_config_from
+from ikdamp.kinematics import ThreeLink, load_dh_chain
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -327,6 +328,87 @@ def test_nan_parameter_exits_2(tmp_path, capsys, command, section, spec, name):
     assert main([command, "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
     assert name in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
+
+
+def run_edited(tmp_path, example, edit):
+    """Exit code of `track` on configs/<example>.json after edit(cfg); no CSV is left on failure."""
+    cfg = json.loads((CONFIG_DIR / f"{example}.json").read_text())
+    edit(cfg)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))  # NaN is written as the JSON literal NaN
+    rc = main(["track", "--config", str(config), "--out", str(tmp_path / "t.csv")])
+    assert rc == 0 or not (tmp_path / "t.csv").exists()
+    return rc
+
+
+def test_never_settling_track_reports_none(tmp_path, capsys):
+    def edit(cfg):
+        cfg["schedule"]["lambda0"] = 5000
+        cfg["trajectory"]["k_max"] = 20
+
+    assert run_edited(tmp_path, "example1", edit) == 0
+    summary = "settling_step=none max_post_settling_error=none"
+    assert capsys.readouterr().out.strip() == summary
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert len(lines) == 22  # header + 20 rows + summary
+    assert lines[-1] == f"# {summary}"
+
+
+COUNT_KEYS = [
+    ("example1", "tolerances", "n_up"),
+    ("example1", "solver", "horizon"),
+    ("example1", "trajectory", "k_max"),
+    ("example2", "trajectory", "steps"),
+]
+
+
+@pytest.mark.parametrize("value", [1.9, math.nan, None, [5]], ids=["1.9", "nan", "null", "list"])
+@pytest.mark.parametrize("example, section, key", COUNT_KEYS, ids=[k for *_, k in COUNT_KEYS])
+def test_count_must_be_whole_number(tmp_path, capsys, example, section, key, value):
+    # 1.9 is not truncated to 1, and NaN or null is named rather than crashing int()
+    assert run_edited(tmp_path, example, lambda cfg: cfg[section].update({key: value})) == 2
+    assert f"{section}.{key} must be a whole number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "example, section, key, value",
+    [
+        ("example1", "schedule", "lambda0", None),
+        ("example1", "schedule", "reset_on_cross", 0),
+        ("example1", "tolerances", "delta", None),
+        ("example1", "tolerances", "delta", "1e-10"),
+        ("example1", "model", "l1", None),
+        ("example1", "model", "l2", [7]),
+        ("example2", "trajectory", "blend_fraction", None),
+        ("example2", "schedule", "lambda0", True),
+    ],
+    ids=["null-lambda0", "int-reset", "null-delta", "string-delta", "null-l1", "list-l2",
+         "null-blend", "bool-lambda0"],
+)
+def test_wrong_type_exits_2(tmp_path, capsys, example, section, key, value):
+    assert run_edited(tmp_path, example, lambda cfg: cfg[section].update({key: value})) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_config_loads(path):
+    """Every shipped config reads through the reader that `ikdamp` uses for it."""
+    cfg = json.loads(path.read_text())
+    if "rows" in cfg:
+        chain = load_dh_chain(cfg)
+        assert [vars(row) for row in chain.rows] == cfg["rows"]
+        return
+    model = parse_model(cfg["model"])
+    if isinstance(cfg["model"], dict):
+        assert model == ThreeLink(**{k: v for k, v in cfg["model"].items() if k != "type"})
+    config = solver_config_from(cfg)
+    for key, value in cfg["schedule"].items():  # example1 sets reset_on_cross to false
+        assert key == "type" or getattr(config.schedule, key) == value
+    assert (config.delta, config.n_up) == (cfg["tolerances"]["delta"], cfg["tolerances"]["n_up"])
+    assert config.horizon == cfg["solver"]["horizon"]
+    assert config.mode.value == cfg["solver"]["mode"]
+    traj = parse_trajectory(cfg["trajectory"], model)
+    assert len(traj) == cfg["trajectory"].get("k_max", cfg["trajectory"].get("steps"))
 
 
 class TestAnalyze:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,12 @@ from ikdamp.damping import (
     LookupTable,
     RatioRule,
     ThresholdRule,
+    _SCHEDULE_TYPES,
     cond,
     schedule_from_config,
 )
+from ikdamp.cli import ConfigError, parse_model
+from ikdamp.kinematics import KinematicsError, load_dh_chain
 
 
 def obs(err, prev=None, c=None):
@@ -218,6 +223,8 @@ class TestPeek:
     def test_every_schedule_type_is_covered(self):
         made = {type(make()) for make, _ in SCHEDULES.values()}
         assert made == set(DampingSchedule.__subclasses__())
+        # the config reader's type table names the same classes, under the same names
+        assert {k: type(SCHEDULES[k][0]()) for k in SCHEDULES} == _SCHEDULE_TYPES
 
     @pytest.mark.parametrize("kind", sorted(SCHEDULES))
     @given(
@@ -262,3 +269,85 @@ NAN = float("nan")
 def test_nan_parameter_rejected(make, name):
     with pytest.raises(DampingError, match=name):
         make()
+
+
+# each schedule type's parameters drawn for a config, some of them ints, which the reader
+# turns to floats (the rates are floats so a direct build also multiplies in floats)
+number = st.one_of(st.integers(0, 100), st.floats(0.0, 100.0))
+rate = st.floats(1.0, 5.0)
+CONFIG_PARAMS = {
+    "constant": st.fixed_dictionaries({"lambda0": number}),
+    "ratio": st.fixed_dictionaries({"lambda0": number, "a1": rate, "a2": rate}),
+    "threshold": st.fixed_dictionaries(
+        {"lambda0": number, "a1": rate, "a2": rate, "t1": number, "reset_on_cross": st.booleans()}
+    ),
+    "lookup": st.just(
+        {"error_bins": [1, 10.0], "cond_bins": [100.0, 1e6], "table": [[0.2, 0], [1.0, 5.0]]}
+    ),
+    "cond": st.just({"cond_bins": [10.0, 100], "lambdas": [0.5, 2]}),
+}
+
+
+class TestFromConfig:
+    @pytest.mark.parametrize("kind", sorted(_SCHEDULE_TYPES))
+    def test_keys_are_the_class_parameters(self, kind):
+        params = {f.name for f in dataclasses.fields(_SCHEDULE_TYPES[kind]) if f.init}
+        with pytest.raises(DampingError, match="'extra'") as info:
+            schedule_from_config({"type": kind, "extra": 1.0})
+        known = str(info.value).split("known: ")[1].split(", ")
+        assert sorted(known) == sorted(params | {"type"})
+
+    @pytest.mark.parametrize("kind", sorted(CONFIG_PARAMS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip(self, kind, data):
+        params = data.draw(CONFIG_PARAMS[kind])
+        assert set(params) == {f.name for f in dataclasses.fields(_SCHEDULE_TYPES[kind]) if f.init}
+        read = schedule_from_config({"type": kind, **params})
+        made = _SCHEDULE_TYPES[kind](**params)
+        assert type(read) is type(made)
+        assert read.peek() == made.peek()
+        observed = data.draw(
+            st.lists(st.tuples(st.floats(0.0, 100.0), st.floats(1.0, 1e8)), max_size=20)
+        )
+        prev = None
+        for err, c in observed:
+            assert read.next_lambda(obs(err, prev, c)) == made.next_lambda(obs(err, prev, c))
+            assert read.peek() == made.peek()
+            prev = err
+
+    def test_defaulted_parameter_may_be_left_out(self):
+        assert schedule_from_config({"type": "constant"}).peek() == 0.0
+        rule = schedule_from_config({"type": "threshold", "lambda0": 2, "a1": 1.1, "a2": 1.02,
+                                     "t1": 10})
+        assert rule.reset_on_cross is False
+
+    @pytest.mark.parametrize(
+        "read, key",
+        [
+            (lambda: schedule_from_config({"type": "ratio", "lambda0": 1, "a1": 2}), "a2"),
+            (lambda: load_dh_chain({"rows": [{"alpha": 0.0, "a": 1.0}]}), "d"),
+        ],
+        ids=["schedule", "dh-row"],
+    )
+    def test_missing_parameter_named(self, read, key):
+        # ThreeLink has a default for every link length, so a three-link dict has none to miss
+        with pytest.raises(ValueError, match=f"missing .* key '{key}'"):
+            read()
+
+    @pytest.mark.parametrize(
+        "read, key, error",
+        [
+            (lambda v: schedule_from_config({"type": "constant", "lambda0": v}), "lambda0",
+             DampingError),
+            (lambda v: schedule_from_config({"type": "cond", "cond_bins": [10], "lambdas": [v]}),
+             "lambdas", DampingError),
+            (lambda v: load_dh_chain({"rows": [{"alpha": 0.0, "a": v, "d": 0.0}]}), "a",
+             KinematicsError),
+            (lambda v: parse_model({"type": "three-link", "l3": v}), "l3", ConfigError),
+        ],
+        ids=["schedule", "schedule-list-entry", "dh-row", "three-link"],
+    )
+    def test_null_value_named(self, read, key, error):
+        with pytest.raises(error, match=f"key '{key}' must be .*, got .*None"):
+            read(None)

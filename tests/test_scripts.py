@@ -22,22 +22,6 @@ def test_lambda_sweep(capsys):
     assert [float(r.split()[0]) for r in rows] == [0.0, 1.0]
 
 
-def test_run_example1(tmp_path, capsys):
-    out = tmp_path / "track.csv"
-    assert load("run_example1").main(["--steps", "40", "--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 42  # header + 40 rows + summary
-    assert "settling_step=" in capsys.readouterr().out
-
-
-def test_run_example1_never_settles(tmp_path, capsys):
-    out = tmp_path / "track.csv"
-    args = ["--steps", "20", "--lambda0", "5000", "--out", str(out)]
-    assert load("run_example1").main(args) == 0
-    printed = capsys.readouterr().out
-    assert "settling_step=none" in printed
-    assert "max_post_settling_error=none" in printed
-
-
 def test_output_digest(capsys):
     digest = load("output_digest")
     runs = []
