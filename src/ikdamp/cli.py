@@ -16,7 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import analysis, damping, kinematics, mfac, mfapc, trajectory
-from .damping import _check_keys, _from_config
+from .damping import _check_keys, _check_object, _from_config
 
 # the top-level keys each command reads; a config object with a key its reader skips exits 2
 _SOLVE_KEYS = ("model", "solver", "schedule", "tolerances", "initial_q", "output")
@@ -61,6 +61,7 @@ def parse_model(spec) -> kinematics.KinematicModel:
 
 
 def parse_trajectory(spec, model) -> trajectory.Trajectory:
+    _check_object(spec, "trajectory", ConfigError)
     kind = spec.get("type")
     if kind == "helix":
         _check_keys(spec, ("type", "k_max"), "helix trajectory")
@@ -70,13 +71,16 @@ def parse_trajectory(spec, model) -> trajectory.Trajectory:
         ends = ("start_q", "goal_q") if joint else ("start", "goal")
         _check_keys(spec, ("type", "steps", "blend_fraction") + ends, "lspb trajectory")
         start, goal = (
-            kinematics.forward(model, spec[k]) if joint else np.asarray(spec[k], dtype=float)
+            kinematics.forward(model, spec[k]) if joint
+            else kinematics._as_vector(spec[k], model.m_y, f"trajectory.{k}")
             for k in ends
         )
         return trajectory.lspb(start, goal, _number(spec, "trajectory", "steps", whole=True),
                                _number(spec, "trajectory", "blend_fraction", 0.2))
     if kind == "csv":
         _check_keys(spec, ("type", "path"), "csv trajectory")
+        if not isinstance(spec["path"], str):  # an integer would open a file descriptor
+            raise ConfigError(f"trajectory.path must be a path string, got {spec['path']!r}")
         return trajectory.load_csv(spec["path"])
     raise ConfigError(f"unknown trajectory type {kind!r}")
 
@@ -110,7 +114,9 @@ def solver_config_from(cfg: dict) -> mfac.SolverConfig:
 
 
 def horizon_mode_from(cfg: dict) -> mfapc.HorizonMode:
-    mode = cfg.get("solver", {}).get("mode", "frozen")
+    solver = cfg.get("solver", {})
+    _check_object(solver, "solver")
+    mode = solver.get("mode", "frozen")
     try:
         return mfapc.HorizonMode(mode)
     except ValueError as exc:
@@ -144,18 +150,27 @@ def _write_ik_csv(path, report, m_u: int) -> None:
             )
 
 
+def _output_path(args, cfg: dict) -> Optional[str]:
+    """--out, else the config's "output": a non-empty path string, or None for no CSV."""
+    out = args.out or cfg.get("output")
+    # an integer would open a file descriptor, and "" would write nothing without a word
+    if not (out is None or isinstance(out, str) and out):
+        raise ConfigError(f"output must be a non-empty path string, got {out!r}")
+    return out
+
+
 def cmd_ik(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     _check_keys(cfg, _SOLVE_KEYS + ("target",), "ik config")
     model = parse_model(args.model or cfg.get("model", "three-link"))
     config = solver_config_from(cfg)
+    out = _output_path(args, cfg)
     # the loop converts and checks the target and q0 itself
     target = _parse_floats(args.target) if args.target else cfg["target"]
     q0 = _parse_floats(args.q) if args.q else cfg.get("initial_q", np.zeros(model.m_u))
     # mfac is the n = 1 case: solve_ik is this call with one target
     report = mfapc.solve_ik_predictive(model, [target] * config.horizon, q0, config)
 
-    out = args.out or cfg.get("output")
     if out:
         _write_ik_csv(out, report, model.m_u)
     print(
@@ -172,9 +187,9 @@ def cmd_track(args) -> int:
     model = parse_model(cfg.get("model", "three-link"))
     config = solver_config_from(cfg)
     traj = parse_trajectory(cfg["trajectory"], model)
+    out = _output_path(args, cfg)
     q0 = cfg.get("initial_q", np.zeros(model.m_u))
     report = mfapc.receding_horizon_track(model, traj, q0, config, y0=cfg.get("initial_y"))
-    out = args.out or cfg.get("output")
     if out:
         write_track_csv(out, report, model)
     print(_settling(report))

@@ -167,9 +167,11 @@ class LookupTable(DampingSchedule):
     def __post_init__(self):
         self.error_bins = _ascending(self.error_bins, "error_bins")
         self.cond_bins = _ascending(self.cond_bins, "cond_bins")
+        shape = (len(self.error_bins), len(self.cond_bins))
+        # rows checked one by one first: numpy would reject a ragged table without naming it
+        if len(self.table) != shape[0] or any(np.shape(row) != shape[1:] for row in self.table):
+            raise DampingError(f"table shape must be (error bins) x (cond bins) = {shape}")
         self.table = np.asarray(self.table, dtype=float)
-        if self.table.shape != (len(self.error_bins), len(self.cond_bins)):
-            raise DampingError("table shape must be (error bins) x (cond bins)")
         if not np.all(self.table >= 0):
             raise DampingError("table entries must be non-negative")
         self.lam = float(self.table[0, 0])
@@ -208,8 +210,15 @@ class CondRule(DampingSchedule):
         return self.lam
 
 
+def _check_object(spec, what: str, error: type = ValueError) -> None:
+    """Reject a config section that is not a JSON object, naming the section."""
+    if not isinstance(spec, dict):
+        raise error(f"{what} must be a JSON object, got {spec!r}")
+
+
 def _check_keys(spec: dict, keys: tuple, what: str, error: type = ValueError) -> None:
-    """Reject a config object holding a key its reader does not read, by name."""
+    """Reject a config section that is not an object, or holds a key its reader does not read."""
+    _check_object(spec, what, error)
     unknown = [k for k in spec if k not in keys]
     if unknown:
         raise error(f"unknown {what} key(s) {unknown}; known: {', '.join(keys)}")
@@ -248,6 +257,7 @@ _SCHEDULE_TYPES = dict(constant=Constant, ratio=RatioRule, threshold=ThresholdRu
 
 def schedule_from_config(spec: dict) -> DampingSchedule:
     """Build a schedule from a JSON config fragment: its "type" and its class's parameters."""
+    _check_object(spec, "schedule", DampingError)
     kind = spec.get("type")
     if not isinstance(kind, str) or kind not in _SCHEDULE_TYPES:
         raise DampingError(f"unknown schedule type: {kind!r}")

@@ -26,7 +26,10 @@ ROTATION_TOL = 1e-9
 
 
 def _as_vector(q, length: int, name: str = "q") -> np.ndarray:
-    q = np.asarray(q, dtype=float).ravel()
+    try:
+        q = np.asarray(q, dtype=float).ravel()
+    except (TypeError, ValueError) as exc:  # e.g. a JSON object or string where numbers belong
+        raise KinematicsError(f"{name} must be a vector of numbers: {exc}") from exc
     if q.shape != (length,):
         raise KinematicsError(f"{name} must have length {length}, got {q.shape}")
     # a Python loop over a few floats costs less than numpy's reduction setup

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .damping import DampingObservation, DampingSchedule, Constant, cond
-from .kinematics import KinematicModel, jacobian
+from .kinematics import KinematicModel, _as_vector, jacobian
 
 
 class SolveStatus(Enum):
@@ -157,9 +157,7 @@ def solve_ik_predictive(
     n = len(targets)
     if n != config.horizon:
         raise ValueError(f"{n} targets given for config.horizon = {config.horizon}")
-    q = np.asarray(q0, dtype=float).ravel().copy()
-    if q.shape[0] != model.m_u:
-        raise ValueError(f"q0 length must be {model.m_u}")
+    q = _as_vector(q0, model.m_u, "q0").copy()
     schedule = config.schedule
     frozen = config.mode is HorizonMode.FROZEN
 

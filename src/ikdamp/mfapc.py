@@ -129,7 +129,7 @@ def receding_horizon_track(
     if len(trajectory) < n:
         raise ValueError("trajectory must be at least as long as the horizon")
     targets = [model._target(sample) for sample in trajectory.samples]
-    q = np.asarray(q0, dtype=float).ravel().copy()
+    q = _as_vector(q0, model.m_u, "q0").copy()
     schedule = config.schedule
     y = forward(model, q) if y0 is None else _as_vector(y0, model.m_y, "y0")
 

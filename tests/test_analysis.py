@@ -266,14 +266,26 @@ class TestClosedLoopSimulation:
 
     @pytest.mark.parametrize("n, steps", [(1, 1), (1, 30), (5, 1), (5, 30)])
     def test_reference_sampled_once_per_k(self, n, steps):
+        # one call, over np.arange(steps + n): every k once, in order
         calls = []
 
         def reference(k):
-            calls.append(k)
-            return k * np.ones(3)
+            calls.append(np.array(k))
+            return np.multiply.outer(k, np.ones(3))
 
         simulate_linear_closed_loop(np.eye(3), MfapcController(n, 0.1), reference, steps)
-        assert calls == list(range(steps + n))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.arange(steps + n))
+
+    @pytest.mark.parametrize("reference", [
+        lambda k: np.array([k, -k, 2 * k], dtype=float),  # written for a scalar k: one column per k
+        lambda k: np.ones(3),  # one row for every k
+        lambda k: np.zeros((len(k), 2)),  # rows of the wrong width
+        lambda k: np.zeros((len(k) - 1, 3)),  # a row short
+    ], ids=["scalar-only", "one-row", "wrong-width", "row-short"])
+    def test_reference_protocol_enforced(self, reference):
+        with pytest.raises(ValueError, match="reference protocol"):
+            simulate_linear_closed_loop(np.eye(3), MfapcController(2, 0.1), reference, 10)
 
     def test_one_damped_solve_per_gain(self, rng, monkeypatch):
         calls = []
@@ -296,6 +308,20 @@ class TestClosedLoopSimulation:
             np.testing.assert_array_equal(ramp(k), k * np.asarray(slope, dtype=float))
             assert ramp(k).dtype == const(k).dtype == np.float64
             np.testing.assert_array_equal(const(k), [1.0, -2.0, 0.5])
+
+    @given(
+        values=st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=6),
+        length=st.integers(1, 3000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_array_of_k_is_each_k_bit_for_bit(self, values, length):
+        k = np.arange(length)
+        for reference in (RampReference(values), ConstantReference(values)):
+            with np.errstate(over="ignore", invalid="ignore"):  # k * huge is inf, 0 * inf NaN
+                rows = reference(k)
+                assert rows.dtype == np.float64 and rows.shape == (length, len(values))
+                for i, row in enumerate(rows):
+                    assert row.tobytes() == reference(i).tobytes()
 
     def test_written_reference_values_do_not_leak(self):
         slope, value = np.ones(2), np.ones(2)

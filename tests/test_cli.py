@@ -1,10 +1,14 @@
+import contextlib
 import json
 import math
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ikdamp.cli import main, parse_model, parse_trajectory, solver_config_from
 from ikdamp.kinematics import ThreeLink, load_dh_chain
@@ -390,6 +394,40 @@ def test_wrong_type_exits_2(tmp_path, capsys, example, section, key, value):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, section, value", [
+    (command, section, value) for command in ("ik", "track")
+    for section, value in [("tolerances", 5), ("solver", 3), ("schedule", "constant"),
+                           ("trajectory", [1])]
+    if (command, section) != ("ik", "trajectory")  # ik reads no trajectory
+])
+def test_non_object_section_exits_2(tmp_path, capsys, command, section, value):
+    cfg = json.loads((CONFIG_DIR / "example1.json").read_text())
+    cfg[section] = value
+    if command == "ik":
+        del cfg["trajectory"], cfg["initial_y"]
+        cfg["target"] = [3.0, 1.0, 14.0]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert f"{section} must be a JSON object, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [(None, "output", 1), (None, "output", ""),
+                                                 ("trajectory", "path", 1)])
+def test_path_that_is_no_file_name_exits_2(tmp_path, capsys, section, key, value):
+    # an integer path would open that file descriptor: writing to 1 closes stdout
+    cfg = json.loads((CONFIG_DIR / "example1.json").read_text())
+    if section:
+        cfg[section] = {"type": "csv", key: value}
+    else:
+        cfg[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["track", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be a" in err and f"path string, got {value!r}" in err
+
+
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
 def test_shipped_config_loads(path):
     """Every shipped config reads through the reader that `ikdamp` uses for it."""
@@ -513,3 +551,51 @@ class TestDeterminism:
                 == 0
             )
         assert a.read_bytes() == b.read_bytes()
+
+
+def _paths(node, prefix=()):
+    """The path of every key and list item in a JSON document, parents before children."""
+    if isinstance(node, list):
+        node = dict(enumerate(node))
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield prefix + (key,)
+            yield from _paths(child, prefix + (key,))
+
+
+# numbers stay small so that a count (k_max, steps, n_up, horizon) keeps a run short;
+# strings hold no "/", so an output path stays in the run's own directory
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 30), st.floats(-50, 50),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e-300]),
+    st.text(st.characters(exclude_characters="/"), max_size=6),
+)
+_JSON_VALUES = st.one_of(
+    _JSON_SCALARS,
+    st.lists(_JSON_SCALARS, max_size=7),
+    st.dictionaries(st.text(max_size=6), _JSON_SCALARS, max_size=3),
+)
+# the shipped configs' trajectories shortened, so that one run takes milliseconds
+_SHORT_TRAJECTORY = {"example1": {"k_max": 20}, "example2": {"steps": 10}}
+
+
+@given(data=st.data(), example=st.sampled_from(sorted(_SHORT_TRAJECTORY)))
+@settings(max_examples=150, deadline=None)
+def test_mutated_config_exits_cleanly(data, example):
+    """Any one value replaced, or any one key deleted: `track` exits 0, 1 or 2 and never raises."""
+    cfg = json.loads((CONFIG_DIR / f"{example}.json").read_text())
+    cfg["trajectory"].update(_SHORT_TRAJECTORY[example])
+    path = data.draw(st.sampled_from(list(_paths(cfg))), label="path")
+    *parents, last = path
+    node = cfg
+    for key in parents:
+        node = node[key]
+    if isinstance(node, dict) and data.draw(st.booleans(), label="delete"):
+        del node[last]
+    else:
+        node[last] = data.draw(_JSON_VALUES, label="value")
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        Path("config.json").write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow in a diverging run
+            assert main(["track", "--config", "config.json"]) in (0, 1, 2)

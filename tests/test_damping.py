@@ -271,6 +271,16 @@ def test_nan_parameter_rejected(make, name):
         make()
 
 
+@pytest.mark.parametrize("table", [[[0.1], [0.2, 0.3]], [[0.1, 0.2], [0.3]], [[0.1, 0.2]]],
+                         ids=["short-first-row", "short-last-row", "missing-row"])
+def test_ragged_table_rejected_by_name(table):
+    spec = {"type": "lookup", "error_bins": [1.0, 10.0], "cond_bins": [100.0, 1e6]}
+    with pytest.raises(DampingError, match="table shape"):
+        LookupTable(spec["error_bins"], spec["cond_bins"], table)
+    with pytest.raises(DampingError, match="table shape"):
+        schedule_from_config({**spec, "table": table})
+
+
 # each schedule type's parameters drawn for a config, some of them ints, which the reader
 # turns to floats (the rates are floats so a direct build also multiplies in floats)
 number = st.one_of(st.integers(0, 100), st.floats(0.0, 100.0))
