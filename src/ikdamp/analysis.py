@@ -63,8 +63,8 @@ def static_error_gain(J, lam: float) -> np.ndarray:
     Jacobian this is also the one-step closed-loop matrix:
     e(k+1) = G e(k) for a constant reference.
     """
-    if not lam >= 0:
-        raise ValueError("lam must be non-negative")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be finite and non-negative")
     J = np.asarray(J, dtype=float)
     U, s, _ = np.linalg.svd(J)
     d = lam + s**2
@@ -81,8 +81,8 @@ def mfapc_pole_matrix(jacobians: Sequence[np.ndarray], lam: float) -> PoleReport
     the frozen stack T (x) J_0 when every block equals J_0, as in frozen
     mode, else the dense stack `build_psi` of the blocks.
     """
-    if not lam >= 0:
-        raise ValueError("lam must be non-negative")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be finite and non-negative")
     blocks = [np.asarray(J, dtype=float) for J in jacobians]
     J0 = blocks[0]
     m_y, m_u = J0.shape

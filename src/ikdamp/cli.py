@@ -230,8 +230,8 @@ def cmd_analyze(args) -> int:
     model = parse_model(args.model)
     q = _parse_floats(args.q)
     lams = [float(v) for v in args.lambda_sweep.split(",")]
-    if not all(v >= 0 for v in lams):
-        raise ConfigError("lambda sweep values must be non-negative")
+    if not all(0 <= v < np.inf for v in lams):
+        raise ConfigError("lambda sweep values must be finite and non-negative")
     J = kinematics.jacobian(model, q)
     m_y = J.shape[0]
     sigmas = np.linalg.svd(J, compute_uv=False)

@@ -25,8 +25,9 @@ class DampingObservation:
     """Per-iteration inputs to a schedule.
 
     error_norm / prev_error_norm are ||y* - y||_2 at the current and
-    previous iterate; cond is the Jacobian condition number (in
-    propagated mode, the max over the horizon blocks).
+    previous iterate; cond is the Jacobian condition number. In frozen
+    mode it comes from the singular values of the damped step's own SVD;
+    in propagated mode it is the max of `cond` over the horizon blocks.
     """
 
     error_norm: float
@@ -42,12 +43,16 @@ class DampingObservation:
             raise DampingError("condition number must be >= 1")
 
 
-def cond(J) -> float:
-    """Condition number sigma_max / sigma_min, +inf when rank deficient."""
-    s = np.linalg.svd(np.asarray(J, dtype=float), compute_uv=False)
+def _cond_of(s) -> float:
+    """sigma_max / sigma_min of descending singular values s, +inf when rank deficient."""
     if s.size == 0 or s[0] == 0.0 or s[-1] < 1e-15 * s[0]:
         return float("inf")
     return float(s[0] / s[-1])
+
+
+def cond(J) -> float:
+    """Condition number sigma_max / sigma_min, +inf when rank deficient."""
+    return _cond_of(np.linalg.svd(np.asarray(J, dtype=float), compute_uv=False))
 
 
 class DampingSchedule:
@@ -62,12 +67,12 @@ class DampingSchedule:
         return self.lam
 
 
-def _check_rates(lambda0: float, a1: float, a2: float) -> None:
+def _check_rates(lambda0: float, a1: float = 1.0, a2: float = 1.0) -> None:
     # each check is written so that a NaN, which compares False, fails it
-    if not lambda0 >= 0:
-        raise DampingError("lambda0 must be non-negative")
-    if not (a1 >= 1 and a2 >= 1):
-        raise DampingError("a1 and a2 must be >= 1")
+    if not 0 <= lambda0 < np.inf:
+        raise DampingError("lambda0 must be finite and non-negative")
+    if not (1 <= a1 < np.inf and 1 <= a2 < np.inf):
+        raise DampingError("a1 and a2 must be finite and >= 1")
 
 
 def _ascending(bins: Sequence[float], name: str) -> list:
@@ -84,8 +89,7 @@ class Constant(DampingSchedule):
     lam: float = field(init=False)
 
     def __post_init__(self):
-        if not self.lambda0 >= 0:
-            raise DampingError("lambda0 must be non-negative")
+        _check_rates(self.lambda0)
         self.lam = self.lambda0
 
     def next_lambda(self, obs: DampingObservation) -> float:
@@ -172,8 +176,8 @@ class LookupTable(DampingSchedule):
         if len(self.table) != shape[0] or any(np.shape(row) != shape[1:] for row in self.table):
             raise DampingError(f"table shape must be (error bins) x (cond bins) = {shape}")
         self.table = np.asarray(self.table, dtype=float)
-        if not np.all(self.table >= 0):
-            raise DampingError("table entries must be non-negative")
+        if not np.all((self.table >= 0) & (self.table < np.inf)):
+            raise DampingError("table entries must be finite and non-negative")
         self.lam = float(self.table[0, 0])
 
     def next_lambda(self, obs: DampingObservation) -> float:
@@ -198,8 +202,8 @@ class CondRule(DampingSchedule):
         self.lambdas = [float(v) for v in self.lambdas]
         if len(self.lambdas) != len(self.cond_bins):
             raise DampingError("need one lambda per condition threshold")
-        if not all(v >= 0 for v in self.lambdas):
-            raise DampingError("lambdas must be non-negative")
+        if not all(0 <= v < np.inf for v in self.lambdas):
+            raise DampingError("lambdas must be finite and non-negative")
 
     def next_lambda(self, obs: DampingObservation) -> float:
         if obs.cond is None:

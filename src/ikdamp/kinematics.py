@@ -201,8 +201,8 @@ class ThreeLink(KinematicModel):
     m_y = 3
 
     def __post_init__(self):
-        if not all(v > 0 for v in (self.l1, self.l2, self.l3)):
-            raise KinematicsError("link lengths must be strictly positive")
+        if not all(0 < v < np.inf for v in (self.l1, self.l2, self.l3)):
+            raise KinematicsError("link lengths must be finite and strictly positive")
 
     def forward(self, q) -> np.ndarray:
         q1, q2, q3 = _as_vector(q, 3)

@@ -3,25 +3,28 @@
 The control law is one damped least-squares (Levenberg-Marquardt) step,
 computed by filtering singular values: `mfac_step` solves it for n
 stacked waypoint errors against the frozen horizon stack T (x) J from
-one thin SVD of J. `solve_ik_predictive` iterates that step with an
-adaptive damping schedule until the error norm drops below a tolerance,
-on the frozen stack or, in `SolverConfig.mode` PROPAGATED, on the dense
-stack `build_psi` of Jacobians at provisional states. `solve_ik` is that
-loop with n = 1, so the one-step solver is the predictive one by
-construction. The loop never asks which kind of model it drives: the
-model turns each sample into its target and measures the stacked error
-(`task_error`), as the law needs only that error and the Jacobian.
+one thin SVD of J. Its damping factor may be a number or a function of
+those singular values, so a damping rule that reads the condition number
+takes it from the step's own SVD. `solve_ik_predictive` iterates that
+step with an adaptive damping schedule until the error norm drops below
+a tolerance, on the frozen stack or, in `SolverConfig.mode` PROPAGATED,
+on the dense stack `build_psi` of Jacobians at provisional states.
+`solve_ik` is that loop with n = 1, so the one-step solver is the
+predictive one by construction. The loop never asks which kind of model
+it drives: the model turns each sample into its target and measures the
+stacked error (`task_error`), as the law needs only that error and the
+Jacobian.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .damping import DampingObservation, DampingSchedule, Constant, cond
+from .damping import DampingObservation, DampingSchedule, Constant, _cond_of, cond
 from .kinematics import KinematicModel, _as_vector, jacobian
 
 
@@ -48,8 +51,8 @@ class SolverConfig:
 
     def __post_init__(self):
         # written so that a NaN, which compares False, fails each check
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < np.inf:
+            raise ValueError("delta must be finite and positive")
         if not self.n_up >= 1:
             raise ValueError("n_up must be >= 1")
         if not self.horizon >= 1:
@@ -86,7 +89,7 @@ def _horizon_spectrum(n: int):
     return mu, W, WtTt
 
 
-def mfac_step(J, e, lam: float) -> np.ndarray:
+def mfac_step(J, e, lam: float | Callable[[np.ndarray], float]) -> np.ndarray:
     """The damped step: solve (psi^T psi + lam*I) dQ = psi^T e, psi = T (x) J.
 
     e stacks n = len(e) / rows(J) waypoint errors and T is the n x n
@@ -99,6 +102,9 @@ def mfac_step(J, e, lam: float) -> np.ndarray:
     too small to register also gives, with no null-space motion.
     The step is linear in e, so e may also be an (n * rows(J)) x k block of
     error columns: column c of the result is, bit for bit, the step for column c.
+    lam is a number or a function of sigma, the singular values of J in
+    descending order from this step's SVD, returning the number; either
+    must be finite and non-negative.
     """
     J = np.asarray(J, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -106,9 +112,11 @@ def mfac_step(J, e, lam: float) -> np.ndarray:
     n, rest = divmod(e.shape[0] if e.ndim in (1, 2) else 0, m_y)
     if n < 1 or rest:
         raise ValueError("e must be a vector or column block with a multiple of rows(J) rows")
-    if not lam >= 0:
-        raise ValueError("lam must be non-negative")
     U, sigma, Vt = np.linalg.svd(J, full_matrices=False)
+    if callable(lam):
+        lam = lam(sigma)
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be finite and non-negative")
     mu, W, WtTt = _horizon_spectrum(n)
     s2 = mu[:, None] * sigma**2
     cutoff = np.finfo(float).eps * n * max(m_y, m_u) * np.sqrt(mu[-1]) * sigma[0]
@@ -146,12 +154,14 @@ def solve_ik_predictive(
     """Iterative predictive IK over a fixed window of n targets.
 
     Per iteration: evaluate the stacked error, stop if its norm is
-    <= config.delta, else update the damping factor from the schedule,
-    solve the coupled damped system against the current Jacobian
-    (config.mode FROZEN) or the Jacobians at provisional future states
-    (PROPAGATED) and commit the first increment; provisional states
-    advance by the cumulative increment blocks. Stops after config.n_up
-    iterations otherwise. The window must hold config.horizon targets.
+    <= config.delta, else solve the coupled damped system against the
+    current Jacobian (config.mode FROZEN) or the Jacobians at provisional
+    future states (PROPAGATED) and commit the first increment. The
+    schedule updates the damping factor inside that solve, from the
+    condition number of the solve's own SVD of J (FROZEN) or the largest
+    over the blocks (PROPAGATED). Provisional states advance by the
+    cumulative increment blocks. Stops after config.n_up iterations
+    otherwise. The window must hold config.horizon targets.
     """
     targets = [model._target(t) for t in targets]
     n = len(targets)
@@ -183,18 +193,16 @@ def solve_ik_predictive(
             status = SolveStatus.CONVERGED
             break
 
-        if frozen:
-            stack = jacobian(model, q)
-            kappa = cond(stack)
+        if frozen:  # the condition number comes from the step's own SVD of J
+            stack, kappa_of = jacobian(model, q), _cond_of
         else:
             jac_blocks = [jacobian(model, p) for p in provisional]
             kappa = max(cond(J) for J in jac_blocks)
-            stack = build_psi(jac_blocks)
-        lam = schedule.next_lambda(
-            DampingObservation(err, prev_error_norm=prev_norm, cond=kappa)
-        )
-        lambda_trace.append(lam)
-        dQ = mfac_step(stack, resid, lam)
+            stack, kappa_of = build_psi(jac_blocks), lambda s: kappa
+        dQ = mfac_step(stack, resid, lambda s: schedule.next_lambda(
+            DampingObservation(err, prev_error_norm=prev_norm, cond=kappa_of(s))
+        ))
+        lambda_trace.append(schedule.peek())
         if not frozen:
             provisional = q + np.cumsum(dQ.reshape(n, model.m_u), axis=0)
         q = q + dQ[: model.m_u]

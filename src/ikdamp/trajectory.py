@@ -100,14 +100,21 @@ def save_csv(traj: Trajectory, path) -> None:
 
 
 def load_csv(path) -> Trajectory:
+    """Read the columns `save_csv` writes; the header row is optional.
+
+    Every row must have the first row's width, or a ValueError names the
+    file and the line, as numpy would reject the ragged rows without either.
+    """
     rows = []
     with open(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header and header[0] != "k":
-            rows.append([float(v) for v in header[1:]])
         for line in reader:
-            if not line:
+            if not line or (reader.line_num == 1 and line[0] == "k"):
                 continue
+            if rows and len(line) != len(rows[0]) + 1:
+                raise ValueError(
+                    f"{path} line {reader.line_num}: {len(line)} fields, "
+                    f"the rows above have {len(rows[0]) + 1}"
+                )
             rows.append([float(v) for v in line[1:]])
     return Trajectory(np.asarray(rows, dtype=float))

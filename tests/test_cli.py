@@ -224,6 +224,19 @@ class TestTrack:
         assert "trajectory contains non-finite samples" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_ragged_trajectory_exits_2(self, tmp_path, capsys):
+        traj_path = tmp_path / "traj.csv"
+        traj_path.write_text("k,y1,y2,y3\n1,3,1,14\n2,3,1\n3,3,1,14\n")
+        cfg = write_config(
+            tmp_path,
+            tolerances={"delta": 1e-10, "n_up": 1},
+            trajectory={"type": "csv", "path": str(traj_path)},
+            output=str(tmp_path / "out.csv"),
+        )
+        assert main(["track", "--config", str(cfg)]) == 2
+        assert f"{traj_path} line 3:" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize(
         "example, change",
         [
@@ -316,8 +329,16 @@ class TestTrack:
                       "table": [[math.nan]]}, "table"),
         ("schedule", {"type": "cond", "cond_bins": [math.nan], "lambdas": [1]}, "cond_bins"),
         ("schedule", {"type": "cond", "cond_bins": [10], "lambdas": [math.nan]}, "lambdas"),
+        ("tolerances", {"delta": math.inf, "n_up": 50}, "delta"),
+        ("schedule", {"type": "constant", "lambda0": math.inf}, "lambda0"),
+        ("schedule", {"type": "ratio", "lambda0": 0, "a1": math.inf, "a2": 2}, "a1"),
+        ("schedule", {"type": "lookup", "error_bins": [1], "cond_bins": [10],
+                      "table": [[math.inf]]}, "table"),
+        ("schedule", {"type": "cond", "cond_bins": [10], "lambdas": [math.inf]}, "lambdas"),
+        ("model", {"type": "three-link", "l1": math.inf}, "link lengths"),
     ],
-    ids=["delta", "lambda0", "a1", "t1", "bin", "table", "cond-bin", "cond-lambda"],
+    ids=["delta", "lambda0", "a1", "t1", "bin", "table", "cond-bin", "cond-lambda",
+         "inf-delta", "inf-lambda0", "inf-a1", "inf-table", "inf-cond-lambda", "inf-l1"],
 )
 def test_nan_parameter_exits_2(tmp_path, capsys, command, section, spec, name):
     # the parameter is named, rather than the run ending on its symptoms
@@ -328,7 +349,8 @@ def test_nan_parameter_exits_2(tmp_path, capsys, command, section, spec, name):
         cfg["solver"] = {"method": "mfac", "horizon": 1}
         cfg["target"] = [3.0, 1.0, 14.0]
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(cfg))  # NaN is written as the JSON literal NaN
+    # NaN and inf are written as the JSON literals NaN and Infinity; 1e999 also reads as inf
+    config.write_text(json.dumps(cfg))
     assert main([command, "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
     assert name in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
@@ -487,10 +509,11 @@ class TestAnalyze:
         assert top_gains[0] < top_gains[1] < top_gains[2]
 
     def test_nan_lambda_exits_2(self, capsys):
-        rc = main(["analyze", "--model", "three-link", "--q", "0.3,0.7,-0.5",
-                   "--lambda-sweep", "0.1,nan"])
-        assert rc == 2
-        assert "lambda sweep" in capsys.readouterr().err
+        for bad in ("nan", "inf"):
+            rc = main(["analyze", "--model", "three-link", "--q", "0.3,0.7,-0.5",
+                       "--lambda-sweep", f"0.1,{bad}"])
+            assert rc == 2
+            assert "lambda sweep" in capsys.readouterr().err
 
     def test_singular_pose_svd_fallback(self, capsys):
         rc = main(

@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 from conftest import CountingArm
 import ikdamp
 from ikdamp import mfac
-from ikdamp.damping import Constant, RatioRule, cond
+from ikdamp.damping import Constant, CondRule, RatioRule, cond
 from ikdamp.kinematics import (
     DhChain,
     DhRow,
     ThreeLink,
     default_dh_chain,
     forward,
+    jacobian,
     pose_error,
 )
 from ikdamp.mfac import (
@@ -137,6 +138,37 @@ class TestMfacStep:
         with pytest.raises(ValueError):
             mfac_step(np.eye(2), np.zeros((2, 1, 1)), 0.1)
 
+    @given(
+        shape=st.sampled_from([(3, 3), (3, 6), (6, 3)]),
+        n=st.sampled_from([1, 2, 5]),
+        seed=st.integers(0, 2**32 - 1),
+        rank_deficient=st.booleans(),
+        lam=st.one_of(st.just(0.0), st.floats(1e-12, 1e6)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lambda_as_function_of_singular_values(self, shape, n, seed, rank_deficient, lam):
+        rng = np.random.default_rng(seed)
+        J = rng.standard_normal(shape)
+        if rank_deficient:
+            J[-1] = J[0]
+        e = rng.standard_normal(n * shape[0])
+        seen = []
+
+        def lam_of(s):
+            seen.append(s.copy())
+            return lam
+
+        assert np.array_equal(mfac_step(J, e, lam_of), mfac_step(J, e, lam))
+        (s,) = seen  # called once, with the step's singular values
+        expected = np.linalg.svd(J, compute_uv=False)
+        np.testing.assert_allclose(s, expected, rtol=0, atol=1e-14 * expected[0])
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError) as by_number:
+                mfac_step(J, e, bad)
+            with pytest.raises(ValueError) as by_function:
+                mfac_step(J, e, lambda s: bad)
+            assert str(by_function.value) == str(by_number.value)
+
 
 def test_import_loads_no_scipy():
     src = str(Path(ikdamp.__file__).resolve().parent.parent)
@@ -214,6 +246,32 @@ class TestSolveIk:
             trace = report.error_trace[1:]
             assert all(a > b for a, b in zip(trace, trace[1:]))
 
+    def test_cond_rule_reads_the_step_svd(self, monkeypatch):
+        # the condition number a schedule sees is cond(J) at each damped iterate
+        observed = []
+        next_lambda = CondRule.next_lambda
+
+        def recording(self, obs):
+            observed.append(obs.cond)
+            return next_lambda(self, obs)
+
+        monkeypatch.setattr(CondRule, "next_lambda", recording)
+        chain = default_dh_chain()
+        goal = chain.forward_pose([0.3, -0.4, 0.5, 0.2, -0.6, 0.1])
+        q0 = np.array([0.1, -0.2, 0.3, 0.4, -0.3, 0.2])
+        # kappa falls from 13.6 to 8.59 on the way, so each of the three bins is used
+        cfg = SolverConfig(n_up=50, schedule=CondRule([8.6, 10.0], [1e-4, 1e-2]))
+        report = solve_ik(chain, goal, q0, cfg)
+        steps = report.iterations - report.converged
+        assert steps > 1 and len(observed) == steps
+        iterates = [q0] + report.q_trace[: steps - 1]
+        expected = [cond(jacobian(chain, q)) for q in iterates]
+        np.testing.assert_allclose(observed, expected, rtol=1e-13, atol=0)
+        assert report.lambda_trace[:steps] == [
+            0.0 if k < 8.6 else 1e-4 if k < 10.0 else 1e-2 for k in observed
+        ]
+        assert set(report.lambda_trace) == {0.0, 1e-4, 1e-2}
+
 
 class TestTaskError:
     """The model turns samples into targets and measures the stacked error."""
@@ -255,18 +313,26 @@ def solve_n2(model, target, q0, cfg):
 
 class TestEvaluationCounts:
     """One forward pass per iterate for the whole window; one Jacobian and one
-    condition number per damped step, none after convergence. Propagated mode
-    makes each of these once per provisional state."""
+    SVD per damped step, none after convergence. The frozen loop reads the
+    condition number off the step's own SVD, so it calls no `cond`. Propagated
+    mode makes each evaluation once per provisional state, and one `cond` (an
+    SVD each) per state besides the SVD of the dense stack."""
 
     @pytest.fixture
-    def cond_calls(self, monkeypatch):
-        calls = []
+    def calls(self, monkeypatch):
+        calls = {"cond": 0, "svd": []}
+        svd = np.linalg.svd
 
         def counting_cond(J):
-            calls.append(1)
+            calls["cond"] += 1
             return cond(J)
 
+        def counting_svd(a, *args, **kwargs):
+            calls["svd"].append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
         monkeypatch.setattr(mfac, "cond", counting_cond)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         return calls
 
     SOLVERS = {  # name: (solver, horizon, mode, evaluations per iterate)
@@ -285,7 +351,7 @@ class TestEvaluationCounts:
         ],
         ids=["reachable", "unreachable"],
     )
-    def test_one_evaluation_per_step(self, cond_calls, solver, target, status):
+    def test_one_evaluation_per_step(self, calls, solver, target, status):
         model = CountingArm()
         solve, horizon, mode, per_iterate = self.SOLVERS[solver]
         cfg = SolverConfig(n_up=30, schedule=Constant(0.01), horizon=horizon, mode=mode)
@@ -295,7 +361,13 @@ class TestEvaluationCounts:
         assert steps > 0
         assert model.forwards == per_iterate * report.iterations
         assert model.jacobians == per_iterate * steps
-        assert len(cond_calls) == per_iterate * steps
+        if mode == "frozen":
+            assert calls["cond"] == 0
+            assert calls["svd"] == [(3, 3)] * steps  # the step's SVD of J
+        else:
+            assert calls["cond"] == horizon * steps
+            # each step: one cond SVD per 3 x 3 block, then the dense 6 x 6 stack's
+            assert calls["svd"] == ([(3, 3)] * horizon + [(3 * horizon, 3 * horizon)]) * steps
 
     @pytest.mark.parametrize("n_up", [200, 5], ids=["converges", "capped"])
     def test_one_dh_walk_per_iterate(self, monkeypatch, n_up):
