@@ -4,8 +4,9 @@
 The outputs are the `ikdamp track` CSVs of configs/example1.json and
 configs/example2.json, of example2 in propagated mode and with the
 single-step law (n_up = 1), and of example1 with the inner loop
-(n_up = 10) and no initial_y, and of example1 from another q0 with an
-initial_y away from its output; every SolveReport field of `solve_ik` on
+(n_up = 10) and no initial_y, of example1 from another q0 with an
+initial_y away from its output, and of example1 with a schedule that
+reads the condition number; every SolveReport field of `solve_ik` on
 seeds 501-502 x --goals random 6-DOF goals x two damping schedules;
 `ikdamp ik` in propagated mode with n = 2 on --goals seeded 6-DOF goals;
 `DhChain.forward_pose` and `jacobian` on 500 seeded configurations of
@@ -60,8 +61,14 @@ POLE_SEED = 505
 SIM_CONFIGS = 10
 SIM_SEED = 506
 SIM_STEPS = 50
+
+
+class Replace(dict):
+    """A config section that replaces the config's own instead of merging into it."""
+
+
 # (label, config, edits): a dict merges into that config section, None deletes the key,
-# any other value replaces it
+# any other value (a Replace too) replaces it
 TRACK_RUNS = (
     ("example1", "example1", {}),
     ("example2", "example2", {}),
@@ -71,6 +78,9 @@ TRACK_RUNS = (
     # y0 apart from forward(q0) along directions the first Jacobian sees
     ("example1-initial-y", "example1", {"initial_q": [0.3, 0.8, -0.5],
                                         "initial_y": [4.0, 1.0, 12.0]}),
+    # every bin is hit along the helix, where the condition number runs from 1.6 to about 240
+    ("example1-cond-schedule", "example1", {"schedule": Replace(
+        type="cond", cond_bins=[1.7, 2.5, 5.0], lambdas=[0.2, 1.0, 4.0])}),
 )
 LAMBDAS = (0.0, 0.01, 0.1, 1.0, 10.0)
 ANALYZE_Q = {"three-link": "0.3,0.7,-0.5", "default-dh": "0.3,-0.4,0.5,0.2,-0.6,0.1"}
@@ -107,7 +117,7 @@ def track_digests(out_dir: Path):
         for key, value in edits.items():
             if value is None:
                 del cfg[key]
-            elif isinstance(value, dict):
+            elif isinstance(value, dict) and not isinstance(value, Replace):
                 cfg[key].update(value)
             else:
                 cfg[key] = value

@@ -206,23 +206,22 @@ def _settling(report: mfapc.TrackReport) -> str:
 
 def write_track_csv(path, report: mfapc.TrackReport, model) -> None:
     m_y, m_u = model.m_y, model.m_u
+    header = (
+        ["k"]
+        + [f"ystar_{i + 1}" for i in range(m_y)]
+        + [f"y_{i + 1}" for i in range(m_y)]
+        + ["error_norm", "lambda", "inner_iterations"]
+        + [f"q_{i + 1}" for i in range(m_u)]
+    )
+    # one %-format per row: %.17g formats as `_fmt` does, and no field needs csv quoting
+    row = ",".join(["%d"] + ["%.17g"] * (2 * m_y + 2) + ["%d"] + ["%.17g"] * m_u) + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["k"]
-            + [f"ystar_{i + 1}" for i in range(m_y)]
-            + [f"y_{i + 1}" for i in range(m_y)]
-            + ["error_norm", "lambda", "inner_iterations"]
-            + [f"q_{i + 1}" for i in range(m_u)]
+        fh.write(",".join(header) + "\n")
+        fh.writelines(
+            row % (s.k, *s.target.tolist(), *s.output.tolist(), s.error_norm, s.lam,
+                   s.inner_iterations, *s.q.tolist())
+            for s in report.steps
         )
-        for s in report.steps:
-            writer.writerow(
-                [s.k]
-                + [_fmt(v) for v in s.target]
-                + [_fmt(v) for v in s.output]
-                + [_fmt(s.error_norm), _fmt(s.lam), s.inner_iterations]
-                + [_fmt(v) for v in s.q]
-            )
         fh.write(f"# {_settling(report)}\n")
 
 

@@ -180,6 +180,12 @@ class KinematicModel:
             raise KinematicsError("Pose targets need a DhChain model")
         return _as_vector(sample, self.m_y, "target")
 
+    def _targets(self, samples, n: int = 1):
+        """The samples' targets, the last repeated n - 1 more times so that each horizon
+        window of n is a slice: one array for a position model, so each window is a view."""
+        targets = [self._target(s) for s in samples]
+        return np.array(targets + targets[-1:] * (n - 1))
+
     def _errors(self, targets, q, y=None) -> np.ndarray:
         """Stacked errors of `_target`s from the output y, by default forward(q)."""
         return np.subtract(targets, self.forward(q) if y is None else y).ravel()
@@ -304,6 +310,10 @@ class DhChain(KinematicModel):
         if isinstance(sample, Pose):
             return sample
         return pose_from_task(_as_vector(sample, self.m_y, "target"))
+
+    def _targets(self, samples, n: int = 1) -> list:
+        targets = [self._target(s) for s in samples]
+        return targets + targets[-1:] * (n - 1)
 
     def _errors(self, targets, q, y=None) -> np.ndarray:
         # y is not read: the pose at q comes from the walk already kept

@@ -78,15 +78,18 @@ class SolveReport:
         return self.status is SolveStatus.CONVERGED
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 @lru_cache(maxsize=64)
 def _horizon_spectrum(n: int):
-    """(mu, W, W^T T^T) for T = tril(ones(n, n)) and T^T T = W diag(mu) W^T."""
+    """(mu as a column, sqrt(max mu), W, W^T T^T) for T = tril(ones(n, n)), T^T T = W diag(mu) W^T."""
     T = np.tril(np.ones((n, n)))
     mu, W = np.linalg.eigh(T.T @ T)
     WtTt = W.T @ T.T
     for a in (mu, W, WtTt):
         a.setflags(write=False)
-    return mu, W, WtTt
+    return mu[:, None], float(np.sqrt(mu[-1])), W, WtTt
 
 
 def mfac_step(J, e, lam: float | Callable[[np.ndarray], float]) -> np.ndarray:
@@ -117,11 +120,11 @@ def mfac_step(J, e, lam: float | Callable[[np.ndarray], float]) -> np.ndarray:
         lam = lam(sigma)
     if not 0 <= lam < np.inf:
         raise ValueError("lam must be finite and non-negative")
-    mu, W, WtTt = _horizon_spectrum(n)
-    s2 = mu[:, None] * sigma**2
-    cutoff = np.finfo(float).eps * n * max(m_y, m_u) * np.sqrt(mu[-1]) * sigma[0]
+    mu, root_mu_max, W, WtTt = _horizon_spectrum(n)
+    s2 = mu * sigma**2
+    cutoff = _EPS * n * max(m_y, m_u) * root_mu_max * sigma[0]
     # s / (s^2 + lam), divided by the sqrt(mu_i) that T's left singular vectors carry
-    gain = np.divide(sigma, s2 + lam, out=np.zeros_like(s2), where=s2 > cutoff**2)
+    gain = np.divide(sigma, s2 + lam, out=np.zeros(s2.shape), where=s2 > cutoff**2)
     # one n x m_y error matrix per column: a stack of them runs the same matmuls per column
     dQ = W @ (gain * (WtTt @ e.T.reshape(e.shape[1:] + (n, m_y)) @ U)) @ Vt
     return dQ.reshape(e.shape[1:] + (n * m_u,)).T
@@ -163,7 +166,7 @@ def solve_ik_predictive(
     cumulative increment blocks. Stops after config.n_up iterations
     otherwise. The window must hold config.horizon targets.
     """
-    targets = [model._target(t) for t in targets]
+    targets = model._targets(targets)
     n = len(targets)
     if n != config.horizon:
         raise ValueError(f"{n} targets given for config.horizon = {config.horizon}")

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .damping import DampingObservation, cond
+from .damping import DampingObservation, _cond_of
 from .kinematics import DhChain, KinematicModel, _as_vector, forward, jacobian
 from .mfac import (
     HorizonMode,
@@ -24,7 +24,11 @@ from .mfac import (
     solve_ik_predictive,
     task_error,
 )
-from .trajectory import Trajectory, horizon_window
+from .trajectory import Trajectory
+
+# unused here; the benchmark's spans patch these two bindings until ROADMAP item 1 lands
+from .damping import cond  # noqa: F401
+from .trajectory import horizon_window  # noqa: F401
 
 
 class SingularBlockError(ValueError):
@@ -105,16 +109,18 @@ def receding_horizon_track(
 ) -> TrackReport:
     """Track a desired trajectory with the receding-horizon law.
 
-    The samples become targets once per run. At each step the horizon
-    window (padded at the trajectory tail by repeating the last waypoint)
-    is stacked, one predictive increment is committed, and the plant
-    advances by one true FK, against which the first target is scored. With
-    config.n_up == 1 this is the pure one-increment-per-step controller
-    and the damping schedule is fed the frozen-model predicted stacked
-    error after each commit, with the previous step's as the previous
-    error; with n_up > 1 a full inner predictive solve runs at every
-    waypoint, in config.mode. The single-step law is frozen only, which
-    is why `SolverConfig` rejects PROPAGATED with n_up == 1.
+    The samples, padded at the trajectory tail by repeating the last one,
+    become targets once per run, so each step's horizon window is a slice
+    of them. At each step the window is stacked, one predictive increment
+    is committed, and the plant advances by one true FK, against which the
+    first target is scored. With config.n_up == 1 this is the pure
+    one-increment-per-step controller: the step applies the schedule's
+    current lambda, and the schedule is then fed the frozen-model
+    predicted stacked error, with the previous step's as the previous
+    error, and the condition number of the step's own SVD of J. With
+    n_up > 1 a full inner predictive solve runs at every waypoint, in
+    config.mode. The single-step law is frozen only, which is why
+    `SolverConfig` rejects PROPAGATED with n_up == 1.
 
     y0 overrides the initial plant output (it may be inconsistent with
     q0; the plant re-synchronizes after the first commit) and is checked
@@ -128,26 +134,33 @@ def receding_horizon_track(
         raise ValueError("y0 is read only by the single-step law on a position-only model")
     if len(trajectory) < n:
         raise ValueError("trajectory must be at least as long as the horizon")
-    targets = [model._target(sample) for sample in trajectory.samples]
+    targets = model._targets(trajectory.samples, n)
     q = _as_vector(q0, model.m_u, "q0").copy()
     schedule = config.schedule
     y = forward(model, q) if y0 is None else _as_vector(y0, model.m_y, "y0")
+    sigma = None
+
+    def current_lambda(s):
+        """The schedule's lambda for the step, keeping the step's singular values of J."""
+        nonlocal sigma
+        sigma = s
+        return schedule.peek()
 
     steps: List[TrackStep] = []
     prev_predicted: Optional[float] = None
-    for t in range(len(targets)):
-        window = horizon_window(targets, t, n)
+    for t in range(len(trajectory)):
+        window = targets[t:t + n]
         if single_step:
             lam = schedule.peek()
             J = jacobian(model, q)
             resid = task_error(model, window, q, y)
-            dQ = mfac_step(J, resid, lam)
+            dQ = mfac_step(J, resid, current_lambda)
             q = q + dQ[: model.m_u]
             # frozen-model prediction: block r of (T (x) J) dQ is J (dQ_0 + .. + dQ_r)
             moved = np.cumsum(dQ.reshape(n, model.m_u), axis=0) @ J.T
             predicted_err = float(np.linalg.norm(resid - moved.ravel()))
             schedule.next_lambda(
-                DampingObservation(predicted_err, prev_predicted, cond(J))
+                DampingObservation(predicted_err, prev_predicted, _cond_of(sigma))
             )
             prev_predicted = predicted_err
             inner = 1

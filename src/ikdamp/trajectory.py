@@ -102,8 +102,9 @@ def save_csv(traj: Trajectory, path) -> None:
 def load_csv(path) -> Trajectory:
     """Read the columns `save_csv` writes; the header row is optional.
 
-    Every row must have the first row's width, or a ValueError names the
-    file and the line, as numpy would reject the ragged rows without either.
+    Every row must have the first row's width and numbers in every column
+    after k, or a ValueError names the file and the line, which neither
+    numpy nor float() would.
     """
     rows = []
     with open(path) as fh:
@@ -116,5 +117,8 @@ def load_csv(path) -> Trajectory:
                     f"{path} line {reader.line_num}: {len(line)} fields, "
                     f"the rows above have {len(rows[0]) + 1}"
                 )
-            rows.append([float(v) for v in line[1:]])
+            try:
+                rows.append([float(v) for v in line[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
     return Trajectory(np.asarray(rows, dtype=float))

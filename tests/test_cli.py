@@ -1,17 +1,29 @@
 import contextlib
+import csv
+import io
 import json
 import math
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ikdamp.cli import main, parse_model, parse_trajectory, solver_config_from
+from ikdamp.cli import (
+    _fmt,
+    _settling,
+    main,
+    parse_model,
+    parse_trajectory,
+    solver_config_from,
+    write_track_csv,
+)
 from ikdamp.kinematics import ThreeLink, load_dh_chain
+from ikdamp.mfapc import TrackReport, TrackStep
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -235,6 +247,19 @@ class TestTrack:
         )
         assert main(["track", "--config", str(cfg)]) == 2
         assert f"{traj_path} line 3:" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_non_numeric_trajectory_entry_exits_2(self, tmp_path, capsys):
+        traj_path = tmp_path / "traj.csv"
+        traj_path.write_text("k,y1,y2,y3\n1,3,1,14\n2,x,4,5\n")
+        cfg = write_config(
+            tmp_path,
+            tolerances={"delta": 1e-10, "n_up": 1},
+            trajectory={"type": "csv", "path": str(traj_path)},
+            output=str(tmp_path / "out.csv"),
+        )
+        assert main(["track", "--config", str(cfg)]) == 2
+        assert f"{traj_path} line 3: could not convert" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize(
@@ -469,6 +494,65 @@ def test_shipped_config_loads(path):
     assert config.mode.value == cfg["solver"]["mode"]
     traj = parse_trajectory(cfg["trajectory"], model)
     assert len(traj) == cfg["trajectory"].get("k_max", cfg["trajectory"].get("steps"))
+
+
+def csv_writer_track_csv(report, m_y: int, m_u: int) -> bytes:
+    """The track CSV as csv.writer wrote it, with `_fmt` of each float: the reference."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["k"]
+        + [f"ystar_{i + 1}" for i in range(m_y)]
+        + [f"y_{i + 1}" for i in range(m_y)]
+        + ["error_norm", "lambda", "inner_iterations"]
+        + [f"q_{i + 1}" for i in range(m_u)]
+    )
+    for s in report.steps:
+        writer.writerow(
+            [s.k]
+            + [_fmt(v) for v in s.target]
+            + [_fmt(v) for v in s.output]
+            + [_fmt(s.error_norm), _fmt(s.lam), s.inner_iterations]
+            + [_fmt(v) for v in s.q]
+        )
+    buf.write(f"# {_settling(report)}\n")
+    return buf.getvalue().encode()
+
+
+# any float, with NaN, ±inf, ±0, subnormals, the extremes and inexact decimals drawn more often
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2e-308, 1e300, -1e-300,
+               1.7976931348623157e308, 0.1, 1 / 3]
+FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+LAMBDAS = st.one_of(FLOATS, FLOATS.map(np.float64), st.integers(0, 10**6))
+
+
+@st.composite
+def track_reports(draw):
+    m_y, m_u = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+
+    def vector(size):
+        return np.array(draw(st.lists(FLOATS, min_size=size, max_size=size)))
+
+    steps = [
+        TrackStep(k=k, target=vector(m_y), output=vector(m_y), error_norm=draw(FLOATS),
+                  lam=draw(LAMBDAS), inner_iterations=draw(st.integers(1, 500)), q=vector(m_u))
+        for k in range(1, draw(st.integers(0, 4)) + 1)
+    ]
+    settled = draw(st.booleans())
+    report = TrackReport(steps, draw(st.integers(1, 10**4)) if settled else None,
+                         draw(FLOATS) if settled else None)
+    return report, m_y, m_u
+
+
+class TestTrackCsv:
+    @given(track_reports())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_csv_writer(self, drawn):
+        report, m_y, m_u = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "track.csv"
+            write_track_csv(path, report, SimpleNamespace(m_y=m_y, m_u=m_u))
+            assert path.read_bytes() == csv_writer_track_csv(report, m_y, m_u)
 
 
 class TestAnalyze:

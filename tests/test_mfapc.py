@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import CountingArm
-from ikdamp import kinematics
-from ikdamp.damping import CondRule, Constant, RatioRule, ThresholdRule
+from ikdamp import kinematics, mfac, mfapc
+from ikdamp.damping import CondRule, Constant, RatioRule, ThresholdRule, cond
 from ikdamp.kinematics import (
     KinematicsError,
     ThreeLink,
@@ -347,3 +347,63 @@ class TestRecedingHorizonTrack:
         cfg = SolverConfig(n_up=1, schedule=Constant(0.0), horizon=5)
         with pytest.raises(ValueError):
             receding_horizon_track(ARM, traj, np.zeros(3), cfg)
+
+
+class RecordingCondRule(CondRule):
+    """A CondRule that records each condition number it is fed."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.seen = []
+
+    def next_lambda(self, obs):
+        self.seen.append(obs.cond)
+        return super().next_lambda(obs)
+
+
+class TestSingleStepFactorizations:
+    """The single-step tracker factors J once per step: the step's own SVD,
+    whose singular values give the condition number its schedule reads after
+    the step. It calls no `cond`."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"cond": 0, "svd": []}
+        svd = np.linalg.svd
+
+        def counting_cond(J):
+            calls["cond"] += 1
+            return cond(J)
+
+        def counting_svd(a, *args, **kwargs):
+            calls["svd"].append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        for module in (mfac, mfapc):
+            monkeypatch.setattr(module, "cond", counting_cond)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        return calls
+
+    def arm_run(self):
+        return ARM, helix(20), np.array([0.2, 0.6, -0.4]), 5
+
+    def chain_run(self):
+        chain = default_dh_chain()
+        q_start = np.array([-math.pi / 4, 0, 0, 0, -math.pi / 2, 0])
+        q_goal = np.array([math.pi / 4, 0, 0, 0, -math.pi / 2, 0])
+        return chain, lspb(forward(chain, q_start), forward(chain, q_goal), 12, 0.25), q_start, 2
+
+    @pytest.mark.parametrize("run", ["arm_run", "chain_run"])
+    def test_one_svd_and_no_cond_per_step(self, calls, run):
+        model, traj, q0, n = getattr(self, run)()
+        schedule = RecordingCondRule([1.0, 5.0, 50.0], [0.01, 0.1, 1.0])
+        cfg = SolverConfig(n_up=1, schedule=schedule, horizon=n)
+        report = receding_horizon_track(model, traj, q0, cfg)
+        steps = len(traj)
+        assert calls["cond"] == 0
+        assert calls["svd"] == [(model.m_y, model.m_u)] * steps
+        # each condition number is that of the Jacobian the step was taken at
+        qs = [q0] + [s.q for s in report.steps[:-1]]
+        expected = [cond(jacobian(model, q)) for q in qs]
+        np.testing.assert_allclose(schedule.seen, expected, rtol=1e-12)
+

@@ -123,3 +123,18 @@ class TestCsv:
     def test_non_empty_required(self):
         with pytest.raises(ValueError):
             Trajectory(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("k,y1,y2,y3\n1,3,1,14\n2,3,1\n", 3),  # ragged
+            ("k,y1,y2,y3\n1,3,1,14\n2,x,4,5\n", 3),  # not a number
+            ("1,3,1,14\n2,3,1,14\n\n4,3,,14\n", 4),  # an empty entry, no header, a blank line
+        ],
+        ids=["ragged", "non-numeric", "empty-entry"],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, text, line):
+        path = tmp_path / "traj.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{path} line {line}: "):
+            load_csv(path)
