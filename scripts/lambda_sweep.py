@@ -16,7 +16,6 @@ from ikdamp.analysis import (
     RampReference,
     mfac_pole_matrix,
     simulate_linear_closed_loop,
-    static_error_gain,
 )
 from ikdamp.cli import parse_model
 from ikdamp.kinematics import jacobian
@@ -40,7 +39,7 @@ def main(argv=None) -> int:
     print(f"{'lambda':>10} {'max|pole|':>12} {'top gain':>12} {'ramp e_ss':>12}")
     for lam in (float(v) for v in args.lambdas.split(",")):
         pole = mfac_pole_matrix(J, lam)
-        gain = float(np.max(np.linalg.eigvalsh(static_error_gain(J, lam))))
+        gain = float(np.max(np.linalg.eigvalsh(pole.pole_matrix)))  # the static error gain
         errors = simulate_linear_closed_loop(
             J, MfapcController(1, lam), RampReference(np.ones(J.shape[0])), args.ramp_steps
         )

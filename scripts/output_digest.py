@@ -14,7 +14,8 @@ the default chain; `mfapc_pole_matrix` of the frozen n = 5 horizon on
 seeded three-link Jacobians and of n = 5 distinct seeded blocks;
 `simulate_linear_closed_loop` on seeded three-link and default-chain
 Jacobians for n = 1 and 5; and the `ikdamp analyze` CSVs of both
-builtin models. Every line runs through
+builtin models and of the default chain at its singular home pose
+q = 0. Every line runs through
 the CLI or an API that older checkouts share, so the script runs
 unchanged on both. Run it against each checkout's sources and diff:
 
@@ -199,6 +200,10 @@ def analysis_digests():
     for model, q in ANALYZE_Q.items():
         data = _run(["analyze", "--model", model, "--q", q, "--lambda-sweep", sweep])
         yield f"analyze/{model}.csv", _digest(data)
+    # the home pose, where the chain's smallest singular value is rounding (about 3e-18)
+    data = _run(["analyze", "--model", "default-dh", "--q", "0,0,0,0,0,0",
+                 "--lambda-sweep", "0,1e-20,0.01"])
+    yield "analyze/default-dh-home.csv", _digest(data)
 
 
 def kinematics_digests():

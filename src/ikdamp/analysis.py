@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .damping import _rank_cutoff
 from .mfac import build_psi, mfac_step
 
 
@@ -50,8 +51,8 @@ def _pole_report(M: np.ndarray) -> PoleReport:
 def mfac_pole_matrix(J, lam: float) -> PoleReport:
     """Closed-loop pole matrix I - J (J^T J + lam I)^{-1} J^T, i.e. `static_error_gain`.
 
-    Uncontrollable directions, zero singular values at lam = 0 and the
-    complement of the range of a tall J, contribute a pole at 1.
+    Uncontrollable directions, singular values at or below `mfac_step`'s rank
+    cutoff and the complement of the range of a tall J contribute a pole at 1.
     """
     return _pole_report(static_error_gain(J, lam))
 
@@ -59,7 +60,8 @@ def mfac_pole_matrix(J, lam: float) -> PoleReport:
 def static_error_gain(J, lam: float) -> np.ndarray:
     """U diag(lam / (lam + sigma_i^2)) U^T; each gain lies in [0, 1].
 
-    Directions outside the range of J keep a gain of 1. On a frozen
+    Directions outside the range of J or below the step's rank cutoff keep
+    a gain of 1, as in `mfapc_pole_matrix` of one block. On a frozen
     Jacobian this is also the one-step closed-loop matrix:
     e(k+1) = G e(k) for a constant reference.
     """
@@ -67,9 +69,9 @@ def static_error_gain(J, lam: float) -> np.ndarray:
         raise ValueError("lam must be finite and non-negative")
     J = np.asarray(J, dtype=float)
     U, s, _ = np.linalg.svd(J)
-    d = lam + s**2
     gains = np.ones(J.shape[0])
-    gains[: s.size] = np.divide(lam, d, out=np.ones_like(s), where=d > 0)
+    gains[: s.size] = np.divide(lam, lam + s**2, out=np.ones_like(s),
+                                where=s > _rank_cutoff(s[0], max(J.shape)))
     return U @ np.diag(gains) @ U.T
 
 

@@ -7,7 +7,7 @@ Exit codes: 0 success/converged, 1 non-convergence, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -137,19 +137,6 @@ def cmd_fk(args) -> int:
     return 0
 
 
-def _write_ik_csv(path, report, m_u: int) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["iter", "error_norm", "lambda"] + [f"q_{i + 1}" for i in range(m_u)]
-        )
-        for i in range(report.iterations):
-            writer.writerow(
-                [i + 1, _fmt(report.error_trace[i]), _fmt(report.lambda_trace[i])]
-                + [_fmt(v) for v in report.q_trace[i]]
-            )
-
-
 def _output_path(args, cfg: dict) -> Optional[str]:
     """--out, else the config's "output": a non-empty path string, or None for no CSV."""
     out = args.out or cfg.get("output")
@@ -172,7 +159,12 @@ def cmd_ik(args) -> int:
     report = mfapc.solve_ik_predictive(model, [target] * config.horizon, q0, config)
 
     if out:
-        _write_ik_csv(out, report, model.m_u)
+        header = ["iter", "error_norm", "lambda"] + [f"q_{i + 1}" for i in range(model.m_u)]
+        with open(out, "w", newline="") as fh:
+            trajectory._write_csv(fh, header, (
+                (i + 1, report.error_trace[i], report.lambda_trace[i], *report.q_trace[i].tolist())
+                for i in range(report.iterations)
+            ))
     print(
         f"status={report.status.value} iterations={report.iterations} "
         f"error={_fmt(report.error_trace[-1])} "
@@ -205,6 +197,7 @@ def _settling(report: mfapc.TrackReport) -> str:
 
 
 def write_track_csv(path, report: mfapc.TrackReport, model) -> None:
+    """The track CSV at path (benchmark/spans.py reads its size from this first argument)."""
     m_y, m_u = model.m_y, model.m_u
     header = (
         ["k"]
@@ -213,22 +206,21 @@ def write_track_csv(path, report: mfapc.TrackReport, model) -> None:
         + ["error_norm", "lambda", "inner_iterations"]
         + [f"q_{i + 1}" for i in range(m_u)]
     )
-    # one %-format per row: %.17g formats as `_fmt` does, and no field needs csv quoting
-    row = ",".join(["%d"] + ["%.17g"] * (2 * m_y + 2) + ["%d"] + ["%.17g"] * m_u) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(
-            row % (s.k, *s.target.tolist(), *s.output.tolist(), s.error_norm, s.lam,
-                   s.inner_iterations, *s.q.tolist())
+        trajectory._write_csv(fh, header, (
+            (s.k, *s.target.tolist(), *s.output.tolist(), s.error_norm, s.lam,
+             s.inner_iterations, *s.q.tolist())
             for s in report.steps
-        )
-        fh.write(f"# {_settling(report)}\n")
+        ), _settling(report))
 
 
 def cmd_analyze(args) -> int:
     model = parse_model(args.model)
     q = _parse_floats(args.q)
-    lams = [float(v) for v in args.lambda_sweep.split(",")]
+    try:  # an empty entry is an error here, where _parse_floats skips it
+        lams = [float(v) for v in args.lambda_sweep.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad --lambda-sweep {args.lambda_sweep!r}: {exc}") from exc
     if not all(0 <= v < np.inf for v in lams):
         raise ConfigError("lambda sweep values must be finite and non-negative")
     J = kinematics.jacobian(model, q)
@@ -239,25 +231,16 @@ def cmd_analyze(args) -> int:
         pole = analysis.mfac_pole_matrix(J, lam)  # its pole matrix is the static gain
         gains = np.sort(np.linalg.eigvalsh(pole.pole_matrix))[::-1]
         poles = np.sort(np.abs(pole.eigenvalues))[::-1]
-        rows.append(
-            [_fmt(lam)]
-            + [_fmt(s) for s in sigmas]
-            + [_fmt(p) for p in poles]
-            + [_fmt(g) for g in gains]
-        )
+        rows.append((lam, *sigmas, *poles, *gains))
     header = (
         ["lambda"]
         + [f"sigma_{i + 1}" for i in range(sigmas.size)]
         + [f"pole_{i + 1}" for i in range(m_y)]
         + [f"static_gain_{i + 1}" for i in range(m_y)]
     )
-    lines = [",".join(header)] + [",".join(r) for r in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with (open(args.out, "w", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        trajectory._write_csv(fh, header, rows)
     return 0
 
 

@@ -43,16 +43,25 @@ class DampingObservation:
             raise DampingError("condition number must be >= 1")
 
 
-def _cond_of(s) -> float:
-    """sigma_max / sigma_min of descending singular values s, +inf when rank deficient."""
-    if s.size == 0 or s[0] == 0.0 or s[-1] < 1e-15 * s[0]:
+_EPS = float(np.finfo(float).eps)
+
+
+def _rank_cutoff(s_max: float, size: int) -> float:
+    """numpy's rank rule: a sigma at or below it is zero; size is the larger dimension."""
+    return _EPS * size * s_max
+
+
+def _cond_of(s, size: int) -> float:
+    """sigma_max / sigma_min of descending singular values s, +inf at or below `_rank_cutoff`."""
+    if s.size == 0 or s[-1] <= _rank_cutoff(s[0], size):
         return float("inf")
     return float(s[0] / s[-1])
 
 
 def cond(J) -> float:
     """Condition number sigma_max / sigma_min, +inf when rank deficient."""
-    return _cond_of(np.linalg.svd(np.asarray(J, dtype=float), compute_uv=False))
+    J = np.asarray(J, dtype=float)
+    return _cond_of(np.linalg.svd(J, compute_uv=False), max(J.shape))
 
 
 class DampingSchedule:

@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .damping import DampingObservation, DampingSchedule, Constant, _cond_of, cond
+from .damping import DampingObservation, DampingSchedule, Constant, _cond_of, _rank_cutoff, cond
 from .kinematics import KinematicModel, _as_vector, jacobian
 
 
@@ -78,9 +78,6 @@ class SolveReport:
         return self.status is SolveStatus.CONVERGED
 
 
-_EPS = float(np.finfo(float).eps)
-
-
 @lru_cache(maxsize=64)
 def _horizon_spectrum(n: int):
     """(mu as a column, sqrt(max mu), W, W^T T^T) for T = tril(ones(n, n)), T^T T = W diag(mu) W^T."""
@@ -122,7 +119,7 @@ def mfac_step(J, e, lam: float | Callable[[np.ndarray], float]) -> np.ndarray:
         raise ValueError("lam must be finite and non-negative")
     mu, root_mu_max, W, WtTt = _horizon_spectrum(n)
     s2 = mu * sigma**2
-    cutoff = _EPS * n * max(m_y, m_u) * root_mu_max * sigma[0]
+    cutoff = _rank_cutoff(root_mu_max * sigma[0], n * max(m_y, m_u))
     # s / (s^2 + lam), divided by the sqrt(mu_i) that T's left singular vectors carry
     gain = np.divide(sigma, s2 + lam, out=np.zeros(s2.shape), where=s2 > cutoff**2)
     # one n x m_y error matrix per column: a stack of them runs the same matmuls per column
@@ -197,7 +194,7 @@ def solve_ik_predictive(
             break
 
         if frozen:  # the condition number comes from the step's own SVD of J
-            stack, kappa_of = jacobian(model, q), _cond_of
+            stack, kappa_of = jacobian(model, q), lambda s: _cond_of(s, max(stack.shape))
         else:
             jac_blocks = [jacobian(model, p) for p in provisional]
             kappa = max(cond(J) for J in jac_blocks)

@@ -160,7 +160,7 @@ def receding_horizon_track(
             moved = np.cumsum(dQ.reshape(n, model.m_u), axis=0) @ J.T
             predicted_err = float(np.linalg.norm(resid - moved.ravel()))
             schedule.next_lambda(
-                DampingObservation(predicted_err, prev_predicted, _cond_of(sigma))
+                DampingObservation(predicted_err, prev_predicted, _cond_of(sigma, max(J.shape)))
             )
             prev_predicted = predicted_err
             inner = 1

@@ -90,13 +90,24 @@ def horizon_window(samples: Sequence, k: int, n: int) -> list:
     return [samples[min(k + j, len(samples) - 1)] for j in range(n)]
 
 
+def _write_csv(fh, header: Sequence[str], rows, footer=None) -> None:
+    """The header, each row (a tuple of numbers) `%.17g` and an optional `# footer` line.
+
+    Every CSV ikdamp writes comes from here: a float reads back bit for bit, and a count
+    below 1e17 (k, iter, inner_iterations) prints as `%d` would.
+    """
+    fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    fh.write(",".join(header) + "\n")
+    fh.writelines(fmt % row for row in rows)
+    if footer is not None:
+        fh.write(f"# {footer}\n")
+
+
 def save_csv(traj: Trajectory, path) -> None:
-    """Write columns: k, then the task components (17 significant digits)."""
+    """Write columns: k, then the task components."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k"] + [f"y{i + 1}" for i in range(traj.dim)])
-        for k, row in enumerate(traj.samples, start=1):
-            writer.writerow([k] + [f"{v:.17g}" for v in row])
+        _write_csv(fh, ["k"] + [f"y{i + 1}" for i in range(traj.dim)],
+                   ((k, *row) for k, row in enumerate(traj.samples.tolist(), start=1)))
 
 
 def load_csv(path) -> Trajectory:

@@ -14,6 +14,7 @@ from ikdamp.analysis import (
     static_error_gain,
 )
 from ikdamp.damping import cond
+from ikdamp.kinematics import ThreeLink, default_dh_chain
 from ikdamp.mfac import build_psi, mfac_step
 
 
@@ -103,6 +104,53 @@ class TestStaticErrorGain:
         vals = np.linalg.eigvalsh(static_error_gain(rng.standard_normal((3, 3)), 2.0))
         assert np.all(vals >= -1e-12)
         assert np.all(vals < 1.0)
+
+
+def assert_one_block_law(J, lam):
+    """The one-step poles and the n = 1 predictive poles, sorted by modulus, agree to 1e-12."""
+    np.testing.assert_allclose(
+        np.sort(np.abs(mfac_pole_matrix(J, lam).eigenvalues)),
+        np.sort(np.abs(mfapc_pole_matrix([J], lam).eigenvalues)),
+        rtol=0, atol=1e-12,
+    )
+
+
+class TestRankCutoff:
+    """The poles, the step and cond count the same singular values as zero."""
+
+    @pytest.mark.parametrize("model, q", [(default_dh_chain(), np.zeros(6)),
+                                          (ThreeLink(), np.array([0.2, 0.5, 0.0]))],
+                             ids=["default-dh-home", "three-link-straight"])
+    @pytest.mark.parametrize("lam", [0.0, 1e-20, 0.01])
+    def test_singular_pose_poles_match_the_law(self, model, q, lam):
+        J = model.jacobian(q)
+        assert np.linalg.svd(J, compute_uv=False)[-1] < 1e-15
+        assert cond(J) == np.inf
+        assert_one_block_law(J, lam)
+        # the weakest direction is never corrected: a pole at 1, so the loop is not stable
+        assert not mfac_pole_matrix(J, lam).stable
+        assert mfac_pole_matrix(J, lam).max_modulus == pytest.approx(1.0, abs=1e-12)
+
+    @given(
+        shape=st.sampled_from([(3, 3), (2, 3), (3, 2), (6, 6), (6, 3), (3, 7)]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+        lam=st.sampled_from([0.0, 1e-20, 1e-6, 0.5]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rank_deficient_products(self, shape, seed, data, lam):
+        """J = U diag(sigma) V^T with some sigma exactly 0: its computed ones are rounding."""
+        m, n = shape
+        rank = data.draw(st.integers(0, min(shape) - 1), label="rank")
+        sigma = sorted(data.draw(st.lists(st.floats(0.01, 10.0), min_size=rank,
+                                          max_size=rank), label="sigma"), reverse=True)
+        rng = np.random.default_rng(seed)
+        U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        J = U[:, :rank] @ np.diag(sigma) @ V[:, :rank].T
+        assert cond(J) == np.inf
+        assert_one_block_law(J, lam)
+        assert not mfac_pole_matrix(J, lam).stable
 
 
 class TestMfapcPoleMatrix:

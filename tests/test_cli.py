@@ -7,12 +7,14 @@ import tempfile
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ikdamp import mfapc
 from ikdamp.cli import (
     _fmt,
     _settling,
@@ -23,6 +25,7 @@ from ikdamp.cli import (
     write_track_csv,
 )
 from ikdamp.kinematics import ThreeLink, load_dh_chain
+from ikdamp.mfac import SolveReport, SolveStatus
 from ikdamp.mfapc import TrackReport, TrackStep
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -555,7 +558,66 @@ class TestTrackCsv:
             assert path.read_bytes() == csv_writer_track_csv(report, m_y, m_u)
 
 
+def csv_writer_ik_csv(report, m_u: int) -> bytes:
+    """The ik CSV as csv.writer wrote it, with `_fmt` of each float: the reference."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["iter", "error_norm", "lambda"] + [f"q_{i + 1}" for i in range(m_u)])
+    for i in range(report.iterations):
+        writer.writerow(
+            [i + 1, _fmt(report.error_trace[i]), _fmt(report.lambda_trace[i])]
+            + [_fmt(v) for v in report.q_trace[i]]
+        )
+    return buf.getvalue().encode()
+
+
+@st.composite
+def solve_reports(draw, m_u):
+    iterations = draw(st.integers(1, 5))
+    q_trace = [np.array(draw(st.lists(FLOATS, min_size=m_u, max_size=m_u)))
+               for _ in range(iterations)]
+    return SolveReport(
+        q_final=q_trace[-1], status=draw(st.sampled_from(SolveStatus)), iterations=iterations,
+        error_trace=draw(st.lists(FLOATS, min_size=iterations, max_size=iterations)),
+        lambda_trace=draw(st.lists(LAMBDAS, min_size=iterations, max_size=iterations)),
+        dq_total=q_trace[-1], q_trace=q_trace,
+    )
+
+
+class TestIkCsv:
+    @given(data=st.data(), model=st.sampled_from([("three-link", 3), ("default-dh", 6)]))
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_equal_csv_writer(self, data, model):
+        """`ikdamp ik --out` writes each report of the loop as csv.writer wrote it."""
+        name, m_u = model
+        report = data.draw(solve_reports(m_u), label="report")
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(mfapc, "solve_ik_predictive", return_value=report), \
+                contextlib.redirect_stdout(io.StringIO()):
+            path = Path(tmp) / "ik.csv"
+            rc = main(["ik", "--model", name, "--target", "1,2,3", "--out", str(path)])
+            assert rc == (0 if report.converged else 1)
+            assert path.read_bytes() == csv_writer_ik_csv(report, m_u)
+
+
 class TestAnalyze:
+    def test_stdout_and_out_write_the_same_bytes(self, tmp_path, capsysbinary):
+        args = ["analyze", "--model", "default-dh", "--q", "0.3,-0.4,0.5,0.2,-0.6,0.1",
+                "--lambda-sweep", "0,1e-20,0.01,10"]
+        assert main(args) == 0
+        printed = capsysbinary.readouterr().out
+        assert main(args + ["--out", str(tmp_path / "a.csv")]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert (tmp_path / "a.csv").read_bytes() == printed
+        assert printed.count(b"\n") == 5
+
+    @pytest.mark.parametrize("sweep", ["0,abc", "0,,1", "", "0.1,"])
+    def test_bad_lambda_sweep_names_the_option(self, capsys, sweep):
+        rc = main(["analyze", "--model", "three-link", "--q", "0.3,0.7,-0.5",
+                   "--lambda-sweep", sweep])
+        assert rc == 2
+        assert f"bad --lambda-sweep {sweep!r}" in capsys.readouterr().err
+
     def test_lambda_zero_row(self, capsys):
         rc = main(
             [

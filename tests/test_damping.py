@@ -20,6 +20,7 @@ from ikdamp.damping import (
 )
 from ikdamp.cli import ConfigError, parse_model
 from ikdamp.kinematics import KinematicsError, load_dh_chain
+from ikdamp.mfac import mfac_step
 
 
 def obs(err, prev=None, c=None):
@@ -38,6 +39,13 @@ class TestCond:
 
     def test_all_zero(self):
         assert cond(np.zeros((2, 2))) == float("inf")
+
+    def test_rank_rule_is_the_steps(self):
+        # eps * max(shape) * sigma_max: 1.2e-15 is above the cutoff at 2 x 2, below it at 6 x 6
+        assert cond(np.diag([1.0, 1.2e-15])) == pytest.approx(1 / 1.2e-15)
+        J = np.diag([1.0] * 5 + [1.2e-15])
+        assert cond(J) == float("inf")
+        assert mfac_step(J, np.ones(6), 0.0)[-1] == 0.0  # the step drops that direction too
 
 
 class TestConstant:

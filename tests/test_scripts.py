@@ -40,6 +40,6 @@ def test_output_digest(capsys):
         + ["ik/propagated_n2", "dh/forward_pose", "dh/jacobian"]
         + ["analysis/mfapc_pole_matrix", "analysis/mfapc_pole_matrix_distinct",
            "analysis/simulate_linear_closed_loop"]
-        + ["analyze/three-link.csv", "analyze/default-dh.csv"]
+        + ["analyze/three-link.csv", "analyze/default-dh.csv", "analyze/default-dh-home.csv"]
     )
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in runs[0])

@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ikdamp.trajectory import Trajectory, helix, horizon_window, load_csv, lspb, save_csv
 
@@ -119,6 +123,19 @@ class TestCsv:
         save_csv(traj, path)
         back = load_csv(path)
         np.testing.assert_allclose(back.samples, traj.samples)
+
+    @given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim),
+        min_size=1, max_size=5)))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_is_bit_exact(self, rows):
+        traj = Trajectory(np.array(rows))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "traj.csv"
+            save_csv(traj, path)
+            back = load_csv(path)
+        # compared as bytes, so -0.0 and each subnormal must come back exactly
+        assert back.samples.tobytes() == traj.samples.tobytes()
 
     def test_non_empty_required(self):
         with pytest.raises(ValueError):
