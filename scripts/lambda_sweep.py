@@ -38,13 +38,12 @@ def main(argv=None) -> int:
     print(f"sigma(J) = {np.array2string(sigmas, precision=4)}")
     print(f"{'lambda':>10} {'max|pole|':>12} {'top gain':>12} {'ramp e_ss':>12}")
     for lam in (float(v) for v in args.lambdas.split(",")):
-        pole = mfac_pole_matrix(J, lam)
-        gain = float(np.max(np.linalg.eigvalsh(pole.pole_matrix)))  # the static error gain
+        pole = mfac_pole_matrix(J, lam)  # its pole matrix is the static error gain
         errors = simulate_linear_closed_loop(
             J, MfapcController(1, lam), RampReference(np.ones(J.shape[0])), args.ramp_steps
         )
         e_ss = float(np.linalg.norm(errors[-1]))
-        print(f"{lam:>10.4g} {pole.max_modulus:>12.6g} {gain:>12.6g} {e_ss:>12.6g}")
+        print(f"{lam:>10.4g} {pole.max_modulus:>12.6g} {pole.max_modulus:>12.6g} {e_ss:>12.6g}")
     return 0
 
 

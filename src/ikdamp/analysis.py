@@ -1,12 +1,16 @@
 """Closed-loop stability and steady-state diagnostics.
 
-The damped one-step law on a locally frozen Jacobian places the
-closed-loop poles at lam / (lam + sigma_i^2), the SVD filter factors of
-J, and at 1 in directions outside the range of J. `static_error_gain`
-is that closed form; the n-step pole matrix and the frozen linear
-closed-loop simulator each take the first-increment gain from one
-`mfac_step` call on an identity error block (one SVD), so steady-state
-claims can be verified numerically instead of symbolically.
+On a frozen J = U diag(sigma) V^T the damped n-step law decouples along U:
+with T^T T = W diag(mu) W^T for the n x n lower-triangular ones matrix T,
+direction j has the pole p_j = sum_i w_i lam / (lam + mu_i sigma_j^2), the
+one-step poles at the singular values sqrt(mu_i) sigma_j of the stack T (x) J
+weighted by w_i = W[0,i] (W^T T^T 1)_i / mu_i. The weights sum to
+e_0^T T^{-1} 1 = 1 and are positive (checked up to n = 24), so each pole lies
+in [0, 1]; at n = 1, w = [1]. A term at or below `mfac_step`'s rank cutoff,
+and each direction outside the range of J, counts as 1. `_frozen_loop` gives
+p and U diag(p) U^T from one SVD of J; distinct blocks take the dense stack's
+first-increment gain from `mfac_step` and its poles from `eigvals`, and the
+simulator takes its gain from one `mfac_step` call on an identity error block.
 
 The simulator is a linear recurrence y(k+1) = A y(k) + b(k) with a
 constant A = I - sum_j J K_j. A reference maps an integer array of k to
@@ -26,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .damping import _rank_cutoff
-from .mfac import build_psi, mfac_step
+from .mfac import _horizon_spectrum, build_psi, mfac_step
 
 
 @dataclass
@@ -37,15 +41,24 @@ class PoleReport:
     stable: bool
 
 
-def _pole_report(M: np.ndarray) -> PoleReport:
-    eig = np.linalg.eigvals(M)
+def _pole_report(M: np.ndarray, eig: np.ndarray) -> PoleReport:
     max_mod = float(np.max(np.abs(eig))) if eig.size else 0.0
-    return PoleReport(
-        pole_matrix=M,
-        eigenvalues=eig,
-        max_modulus=max_mod,
-        stable=max_mod < 1.0 - 1e-12,
-    )
+    return PoleReport(M, eig, max_mod, stable=max_mod < 1.0 - 1e-12)
+
+
+def _frozen_loop(J, n: int, lam: float) -> PoleReport:
+    """U diag(p) U^T with eigenvalues p, the n-step poles on a frozen J (module docstring)."""
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be finite and non-negative")
+    J = np.asarray(J, dtype=float)
+    U, sigma, _ = np.linalg.svd(J)
+    mu, root_mu_max, W, WtTt = _horizon_spectrum(n)
+    s2 = mu * sigma**2
+    cutoff = _rank_cutoff(root_mu_max * sigma[0], n * max(J.shape))  # mfac_step's rule
+    p = np.ones(J.shape[0])
+    p[: sigma.size] = (W[0] * WtTt.sum(axis=1) / mu.ravel()) @ np.divide(
+        lam, lam + s2, out=np.ones(s2.shape), where=s2 > cutoff**2)
+    return _pole_report(U @ np.diag(p) @ U.T, p)
 
 
 def mfac_pole_matrix(J, lam: float) -> PoleReport:
@@ -54,7 +67,7 @@ def mfac_pole_matrix(J, lam: float) -> PoleReport:
     Uncontrollable directions, singular values at or below `mfac_step`'s rank
     cutoff and the complement of the range of a tall J contribute a pole at 1.
     """
-    return _pole_report(static_error_gain(J, lam))
+    return _frozen_loop(J, 1, lam)
 
 
 def static_error_gain(J, lam: float) -> np.ndarray:
@@ -65,34 +78,26 @@ def static_error_gain(J, lam: float) -> np.ndarray:
     Jacobian this is also the one-step closed-loop matrix:
     e(k+1) = G e(k) for a constant reference.
     """
-    if not 0 <= lam < np.inf:
-        raise ValueError("lam must be finite and non-negative")
-    J = np.asarray(J, dtype=float)
-    U, s, _ = np.linalg.svd(J)
-    gains = np.ones(J.shape[0])
-    gains[: s.size] = np.divide(lam, lam + s**2, out=np.ones_like(s),
-                                where=s > _rank_cutoff(s[0], max(J.shape)))
-    return U @ np.diag(gains) @ U.T
+    return _frozen_loop(J, 1, lam).pole_matrix
 
 
 def mfapc_pole_matrix(jacobians: Sequence[np.ndarray], lam: float) -> PoleReport:
     """Frozen-coefficient pole matrix of the n-step predictive loop.
 
     I - J_0 g^T (Psi^T Psi + lam I)^{-1} Psi^T E, where g^T selects the
-    first increment block and E replicates the current output. Psi is
-    the frozen stack T (x) J_0 when every block equals J_0, as in frozen
-    mode, else the dense stack `build_psi` of the blocks.
+    first increment block and E replicates the current output. When every
+    block equals J_0, as in frozen mode, Psi is T (x) J_0 and the poles are
+    the closed form of `_frozen_loop`; otherwise Psi is the dense stack
+    `build_psi` of the blocks and the poles are its eigenvalues.
     """
-    if not 0 <= lam < np.inf:
-        raise ValueError("lam must be finite and non-negative")
     blocks = [np.asarray(J, dtype=float) for J in jacobians]
-    J0 = blocks[0]
+    J0, n = blocks[0], len(blocks)
+    if all(np.array_equal(b, J0) for b in blocks[1:]):
+        return _frozen_loop(J0, n, lam)
     m_y, m_u = J0.shape
-    n = len(blocks)
-    frozen = all(np.array_equal(b, J0) for b in blocks[1:])
-    stack = J0 if frozen else build_psi(blocks)
-    K = mfac_step(stack, np.eye(n * m_y), lam)[:m_u]  # the first-increment gain
-    return _pole_report(np.eye(m_y) - J0 @ K.reshape(m_u, n, m_y).sum(axis=1))
+    K = mfac_step(build_psi(blocks), np.eye(n * m_y), lam)[:m_u]  # the first-increment gain
+    M = np.eye(m_y) - J0 @ K.reshape(m_u, n, m_y).sum(axis=1)
+    return _pole_report(M, np.linalg.eigvals(M))
 
 
 @dataclass(frozen=True)

@@ -123,16 +123,17 @@ def horizon_mode_from(cfg: dict) -> mfapc.HorizonMode:
         raise ConfigError(f"unknown horizon mode {mode!r}") from exc
 
 
-def _parse_floats(text: str) -> np.ndarray:
+def _parse_floats(text: str, name: str) -> np.ndarray:
+    """A comma-separated list; an empty or non-numeric entry exits 2 naming the option."""
     try:
-        return np.array([float(v) for v in text.split(",") if v != ""])
+        return np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}") from exc
+        raise ConfigError(f"bad {name} {text!r}: {exc}") from exc
 
 
 def cmd_fk(args) -> int:
     model = parse_model(args.model)
-    y = kinematics.forward(model, _parse_floats(args.q))
+    y = kinematics.forward(model, _parse_floats(args.q, "--q"))
     print(" ".join(_fmt(v) for v in y))
     return 0
 
@@ -153,8 +154,8 @@ def cmd_ik(args) -> int:
     config = solver_config_from(cfg)
     out = _output_path(args, cfg)
     # the loop converts and checks the target and q0 itself
-    target = _parse_floats(args.target) if args.target else cfg["target"]
-    q0 = _parse_floats(args.q) if args.q else cfg.get("initial_q", np.zeros(model.m_u))
+    target = _parse_floats(args.target, "--target") if args.target else cfg["target"]
+    q0 = _parse_floats(args.q, "--q") if args.q else cfg.get("initial_q", np.zeros(model.m_u))
     # mfac is the n = 1 case: solve_ik is this call with one target
     report = mfapc.solve_ik_predictive(model, [target] * config.horizon, q0, config)
 
@@ -216,22 +217,17 @@ def write_track_csv(path, report: mfapc.TrackReport, model) -> None:
 
 def cmd_analyze(args) -> int:
     model = parse_model(args.model)
-    q = _parse_floats(args.q)
-    try:  # an empty entry is an error here, where _parse_floats skips it
-        lams = [float(v) for v in args.lambda_sweep.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"bad --lambda-sweep {args.lambda_sweep!r}: {exc}") from exc
+    q = _parse_floats(args.q, "--q")
+    lams = _parse_floats(args.lambda_sweep, "--lambda-sweep")
     if not all(0 <= v < np.inf for v in lams):
         raise ConfigError("lambda sweep values must be finite and non-negative")
     J = kinematics.jacobian(model, q)
     m_y = J.shape[0]
     sigmas = np.linalg.svd(J, compute_uv=False)
     rows = []
-    for lam in lams:
-        pole = analysis.mfac_pole_matrix(J, lam)  # its pole matrix is the static gain
-        gains = np.sort(np.linalg.eigvalsh(pole.pole_matrix))[::-1]
-        poles = np.sort(np.abs(pole.eigenvalues))[::-1]
-        rows.append((lam, *sigmas, *poles, *gains))
+    for lam in lams:  # the pole matrix is the static gain, so its poles are the gains
+        poles = np.sort(analysis.mfac_pole_matrix(J, lam).eigenvalues)[::-1]
+        rows.append((lam, *sigmas, *poles, *poles))
     header = (
         ["lambda"]
         + [f"sigma_{i + 1}" for i in range(sigmas.size)]

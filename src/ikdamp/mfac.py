@@ -156,7 +156,8 @@ def solve_ik_predictive(
     Per iteration: evaluate the stacked error, stop if its norm is
     <= config.delta, else solve the coupled damped system against the
     current Jacobian (config.mode FROZEN) or the Jacobians at provisional
-    future states (PROPAGATED) and commit the first increment. The
+    future states (PROPAGATED, each taken with that state's error, so on the
+    iterate that stops too) and commit the first increment. The
     schedule updates the damping factor inside that solve, from the
     condition number of the solve's own SVD of J (FROZEN) or the largest
     over the blocks (PROPAGATED). Provisional states advance by the
@@ -180,11 +181,14 @@ def solve_ik_predictive(
 
     for _ in range(config.n_up):
         resid = task_error(model, targets, q)
-        # provisional[0] is q, whose error is the first block of resid
-        stacked_err = resid if frozen else np.concatenate(
-            [resid[: model.m_y]]
-            + [task_error(model, [t], p) for t, p in zip(targets[1:], provisional[1:])]
-        )
+        stacked_err = resid
+        if not frozen:  # provisional[0] is q, whose error heads resid; each state's Jacobian
+            # is taken right after its error, so a chain walks its rows once per state
+            errs, jac_blocks = [resid[: model.m_y]], [jacobian(model, q)]
+            for t, p in zip(targets[1:], provisional[1:]):
+                errs.append(task_error(model, [t], p))
+                jac_blocks.append(jacobian(model, p))
+            stacked_err = np.concatenate(errs)
         err = float(np.linalg.norm(stacked_err))
         error_trace.append(err)
         if err <= config.delta:
@@ -196,7 +200,6 @@ def solve_ik_predictive(
         if frozen:  # the condition number comes from the step's own SVD of J
             stack, kappa_of = jacobian(model, q), lambda s: _cond_of(s, max(stack.shape))
         else:
-            jac_blocks = [jacobian(model, p) for p in provisional]
             kappa = max(cond(J) for J in jac_blocks)
             stack, kappa_of = build_psi(jac_blocks), lambda s: kappa
         dQ = mfac_step(stack, resid, lambda s: schedule.next_lambda(

@@ -13,7 +13,7 @@ from ikdamp.analysis import (
     simulate_linear_closed_loop,
     static_error_gain,
 )
-from ikdamp.damping import cond
+from ikdamp.damping import _rank_cutoff, cond
 from ikdamp.kinematics import ThreeLink, default_dh_chain
 from ikdamp.mfac import build_psi, mfac_step
 
@@ -151,6 +151,54 @@ class TestRankCutoff:
         assert cond(J) == np.inf
         assert_one_block_law(J, lam)
         assert not mfac_pole_matrix(J, lam).stable
+
+
+class TestFrozenLoop:
+    """The closed-form frozen poles of `_frozen_loop`, against the dense stack's own gain."""
+
+    @staticmethod
+    def filter_factor_gain(J, lam):
+        """U diag(lam / (lam + sigma^2)) U^T with gain 1 at or below the rank cutoff, directly."""
+        U, s, _ = np.linalg.svd(J)
+        gains = np.ones(J.shape[0])
+        gains[: s.size] = np.divide(lam, lam + s**2, out=np.ones_like(s),
+                                    where=s > _rank_cutoff(s[0], max(J.shape)))
+        return U @ np.diag(gains) @ U.T
+
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        seed=st.integers(0, 2**32 - 1),
+        dropped=st.integers(0, 5),
+        tiny=st.booleans(),
+        n=st.integers(1, 6),
+        lam=st.sampled_from([0.0, 1e-20, 1e-6, 0.01, 1.0, 100.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form(self, shape, seed, dropped, tiny, n, lam):
+        m, k = shape
+        rank = min(shape)
+        rng = np.random.default_rng(seed)
+        U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        V = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        sigma = np.sort(rng.uniform(0.1, 10.0, rank))[::-1]
+        # the weakest singular values exactly 0 or a rounding-level 1e-17 sigma_0
+        sigma[rank - min(dropped, rank - 1):] = 1e-17 * sigma[0] if tiny else 0.0
+        J = U[:, :rank] @ np.diag(sigma) @ V[:, :rank].T
+
+        report = mfapc_pole_matrix([J] * n, lam)
+        K = mfac_step(build_psi([J] * n), np.eye(n * m), lam)[:k]
+        oracle = np.eye(m) - J @ K.reshape(k, n, m).sum(axis=1)
+        np.testing.assert_allclose(report.pole_matrix, oracle, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(np.sort(report.eigenvalues),
+                                   np.sort(np.linalg.eigvals(oracle).real), rtol=0, atol=1e-10)
+        assert np.all((report.eigenvalues >= 0) & (report.eigenvalues <= 1 + 1e-12))
+
+        one_step, one_block = mfac_pole_matrix(J, lam), mfapc_pole_matrix([J], lam)
+        assert one_step.pole_matrix.tobytes() == one_block.pole_matrix.tobytes()
+        assert one_step.eigenvalues.tobytes() == one_block.eigenvalues.tobytes()
+        assert (one_step.max_modulus, one_step.stable) == (one_block.max_modulus,
+                                                           one_block.stable)
+        assert static_error_gain(J, lam).tobytes() == self.filter_factor_gain(J, lam).tobytes()
 
 
 class TestMfapcPoleMatrix:
@@ -336,18 +384,23 @@ class TestClosedLoopSimulation:
             simulate_linear_closed_loop(np.eye(3), MfapcController(2, 0.1), reference, 10)
 
     def test_one_damped_solve_per_gain(self, rng, monkeypatch):
-        calls = []
+        # the frozen pole matrix is the closed form from one SVD; the simulator takes one solve
+        calls = {"mfac_step": 0, "svd": 0, "eigvals": 0}
 
-        def counted(*args):
-            calls.append(args)
-            return mfac_step(*args)
+        def counted(name, f):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(analysis, "mfac_step", counted)
+        monkeypatch.setattr(analysis, "mfac_step", counted("mfac_step", mfac_step))
+        for name in ("svd", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         J = full_rank(rng)
         mfapc_pole_matrix([J] * 5, 0.1)
-        assert len(calls) == 1
+        assert calls == {"mfac_step": 0, "svd": 1, "eigvals": 0}
         simulate_linear_closed_loop(J, MfapcController(5, 0.1), RampReference(np.ones(3)), 20)
-        assert len(calls) == 2
+        assert calls["mfac_step"] == 1
 
     def test_references_are_their_formula(self):
         slope = np.array([0.3, -0.7, 1e-300])

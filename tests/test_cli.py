@@ -59,6 +59,12 @@ class TestFk:
             main(["fk", "--model", "three-link"])
         assert exc.value.code == 2
 
+    def test_empty_entry_names_the_option(self, capsys):
+        assert main(["fk", "--model", "three-link", "--q", "0.3,,0.7,-0.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "bad --q '0.3,,0.7,-0.5': could not convert string to float: ''" in err
+
     @pytest.mark.parametrize("command", ["fk", "ik"])
     def test_non_finite_dh_row_exits_2(self, tmp_path, capsys, command):
         doc = json.loads((CONFIG_DIR / "default_dh.json").read_text())
@@ -152,6 +158,13 @@ class TestIk:
         rc = main(["ik", "--config", str(cfg), "--target", "3,1,14", "--q", "0.1,0.5,0.2"])
         assert rc == 2
         assert "propagated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value", [("--target", "3,,1,14"), ("--q", "0.1,0.5,")])
+    def test_empty_entry_names_the_option(self, capsys, option, value):
+        args = {"--target": "3,1,14", "--q": "0.1,0.5,0.2", option: value}
+        rc = main(["ik", "--model", "three-link", *(x for kv in args.items() for x in kv)])
+        assert rc == 2
+        assert f"bad {option} {value!r}" in capsys.readouterr().err
 
     def test_non_finite_target_exits_2(self, capsys):
         with warnings.catch_warnings():

@@ -315,8 +315,9 @@ class TestEvaluationCounts:
     """One forward pass per iterate for the whole window; one Jacobian and one
     SVD per damped step, none after convergence. The frozen loop reads the
     condition number off the step's own SVD, so it calls no `cond`. Propagated
-    mode makes each evaluation once per provisional state, and one `cond` (an
-    SVD each) per state besides the SVD of the dense stack."""
+    mode makes each evaluation once per provisional state, the Jacobian right
+    after the error and so on the iterate that converges too, and one `cond`
+    (an SVD each) per state besides the SVD of the dense stack."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -360,7 +361,7 @@ class TestEvaluationCounts:
         steps = report.iterations - report.converged
         assert steps > 0
         assert model.forwards == per_iterate * report.iterations
-        assert model.jacobians == per_iterate * steps
+        assert model.jacobians == per_iterate * (steps if mode == "frozen" else report.iterations)
         if mode == "frozen":
             assert calls["cond"] == 0
             assert calls["svd"] == [(3, 3)] * steps  # the step's SVD of J
@@ -369,8 +370,10 @@ class TestEvaluationCounts:
             # each step: one cond SVD per 3 x 3 block, then the dense 6 x 6 stack's
             assert calls["svd"] == ([(3, 3)] * horizon + [(3 * horizon, 3 * horizon)]) * steps
 
-    @pytest.mark.parametrize("n_up", [200, 5], ids=["converges", "capped"])
-    def test_one_dh_walk_per_iterate(self, monkeypatch, n_up):
+    @pytest.mark.parametrize("n_up, horizon, mode", [
+        (200, 1, "frozen"), (5, 1, "frozen"), (200, 2, "propagated"), (5, 2, "propagated"),
+    ], ids=["converges", "capped", "propagated-converges", "propagated-capped"])
+    def test_one_dh_walk_per_iterate(self, monkeypatch, n_up, horizon, mode):
         chain = default_dh_chain()
         goal = chain.forward_pose([0.3, -0.4, 0.5, 0.2, -0.6, 0.1])
         walks = []
@@ -381,11 +384,13 @@ class TestEvaluationCounts:
             return transform(row, q)
 
         monkeypatch.setattr(DhRow, "transform", counting_transform)
-        cfg = SolverConfig(delta=1e-9, n_up=n_up, schedule=Constant(0.01))
-        report = solve_ik(chain, goal, np.full(chain.m_u, 0.1), cfg)
+        cfg = SolverConfig(delta=1e-9, n_up=n_up, schedule=Constant(0.01), horizon=horizon,
+                           mode=mode)
+        report = solve_ik_predictive(chain, [goal] * horizon, np.full(chain.m_u, 0.1), cfg)
         assert report.converged == (n_up == 200)
-        # the Jacobian of each damped step reuses the walk of that iterate's error
-        assert len(walks) == chain.m_u * report.iterations
+        # each Jacobian reuses the walk of its state's error: one walk per provisional state,
+        # where the first iterate's states all equal q0 and share one
+        assert len(walks) == chain.m_u * (horizon * report.iterations - horizon + 1)
 
 
 class TestSolverConfig:
