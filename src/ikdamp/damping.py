@@ -2,7 +2,8 @@
 
 Each schedule is a small state machine producing the scalar damping
 factor (applied as lam * I) for the next damped solve, driven by the
-current tracking-error norm and/or the Jacobian condition number. It
+tracking-error norm and/or the singular values of the step's SVD of J
+(only `DampingObservation.cond` turns them into a condition number). It
 holds its current factor in `lam`, which `peek` reads. That state lasts
 as long as the object: every solve given one `SolverConfig` shares its
 schedule, so a second solve starts from the factor the first left (the
@@ -11,6 +12,7 @@ tracker's inner loop relies on this from one waypoint to the next).
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
+from operator import ge
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,23 +26,36 @@ class DampingError(ValueError):
 class DampingObservation:
     """Per-iteration inputs to a schedule.
 
-    error_norm / prev_error_norm are ||y* - y||_2 at the current and
-    previous iterate; cond is the Jacobian condition number. In frozen
-    mode it comes from the singular values of the damped step's own SVD;
-    in propagated mode it is the max of `cond` over the horizon blocks.
+    error_norm / prev_error_norm are ||y* - y||_2 at the current and previous
+    iterate; sigma, the descending singular values of J from the step's own SVD
+    (one row per block in propagated mode); size, J's larger dimension, which
+    the rank rule reads: a 6 x 7 J has 6 values of sigma but size 7.
     """
 
     error_norm: float
     prev_error_norm: Optional[float] = None
-    cond: Optional[float] = None
+    sigma: Optional[np.ndarray] = None
+    size: int = 0
 
     def __post_init__(self):
         if self.error_norm < 0:
             raise DampingError("error_norm must be non-negative")
         if self.prev_error_norm is not None and self.prev_error_norm < 0:
             raise DampingError("prev_error_norm must be non-negative")
-        if self.cond is not None and self.cond < 1:
-            raise DampingError("condition number must be >= 1")
+        if self.sigma is not None:
+            s = self.sigma = np.asarray(self.sigma, dtype=float)
+            rows = [s.tolist()] if s.ndim == 1 else s.tolist()
+            # each row descends to a value >= 0; a NaN fails a comparison
+            if not (s.ndim in (1, 2) and s.shape[-1] <= self.size
+                    and all(all(map(ge, [np.inf, *r], [*r, 0.0])) for r in rows)):
+                raise DampingError("sigma must be rows of at most size non-increasing values >= 0")
+
+    @property
+    def cond(self) -> float:
+        """sigma_max / sigma_min by numpy's rank rule, the largest over the rows of sigma."""
+        if self.sigma is None:
+            raise DampingError("this schedule needs the singular values of J")
+        return max(_cond_of(s, self.size) for s in np.atleast_2d(self.sigma))
 
 
 _EPS = float(np.finfo(float).eps)
@@ -190,8 +205,6 @@ class LookupTable(DampingSchedule):
         self.lam = float(self.table[0, 0])
 
     def next_lambda(self, obs: DampingObservation) -> float:
-        if obs.cond is None:
-            raise DampingError("LookupTable needs the condition number")
         row = _bin_index(self.error_bins, obs.error_norm)
         col = _bin_index(self.cond_bins, obs.cond)
         self.lam = float(self.table[row, col])
@@ -215,8 +228,6 @@ class CondRule(DampingSchedule):
             raise DampingError("lambdas must be finite and non-negative")
 
     def next_lambda(self, obs: DampingObservation) -> float:
-        if obs.cond is None:
-            raise DampingError("CondRule needs the condition number")
         # number of thresholds <= cond; 0 means below the first bin
         idx = int(np.searchsorted(self.cond_bins, obs.cond, side="right"))
         self.lam = 0.0 if idx == 0 else self.lambdas[min(idx, len(self.lambdas)) - 1]

@@ -114,8 +114,10 @@ def axis_angle_to_rotation(axis, angle: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=float).ravel()
     if axis.shape != (3,):
         raise KinematicsError("axis must be a 3-vector")
-    if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(axis) - 1.0) <= 1e-9:  # both checks fail a NaN, which compares False
         raise KinematicsError("axis must be a unit vector")
+    if not abs(angle) < np.inf:
+        raise KinematicsError("angle must be finite")
     kx, ky, kz = axis
     K = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
     return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
@@ -366,8 +368,8 @@ def jacobian_fd(model: KinematicModel, q, h: float = 1e-6) -> np.ndarray:
     `pose_error` against the pose at q, so the convention matches the
     geometric Jacobian.
     """
-    if h <= 0:
-        raise KinematicsError("step size h must be positive")
+    if not 0 < h < np.inf:  # so that a NaN, which compares False, fails it
+        raise KinematicsError(f"step size h must be finite and positive, got {h}")
     q = np.asarray(q, dtype=float).ravel()
 
     if isinstance(model, DhChain):
@@ -382,12 +384,8 @@ def jacobian_fd(model: KinematicModel, q, h: float = 1e-6) -> np.ndarray:
     else:
         output = model.forward
 
-    cols = []
-    for i in range(len(q)):
-        dq = np.zeros_like(q)
-        dq[i] = h
-        cols.append((output(q + dq) - output(q - dq)) / (2.0 * h))
-    return np.column_stack(cols)
+    steps = h * np.eye(q.size)  # row i is h e_i; column i of J differences along it
+    return np.column_stack([(output(q + dq) - output(q - dq)) / (2.0 * h) for dq in steps])
 
 
 def load_dh_chain(source) -> DhChain:

@@ -4,11 +4,11 @@ The control law is one damped least-squares (Levenberg-Marquardt) step,
 computed by filtering singular values: `mfac_step` solves it for n
 stacked waypoint errors against the frozen horizon stack T (x) J from
 one thin SVD of J. Its damping factor may be a number or a function of
-those singular values, so a damping rule that reads the condition number
-takes it from the step's own SVD. `solve_ik_predictive` iterates that
-step with an adaptive damping schedule until the error norm drops below
-a tolerance, on the frozen stack or, in `SolverConfig.mode` PROPAGATED,
-on the dense stack `build_psi` of Jacobians at provisional states.
+those singular values, so a damping schedule observes the step's own.
+`solve_ik_predictive` iterates that step with an adaptive damping schedule
+until the error norm drops below a tolerance, on the frozen stack or, in
+`SolverConfig.mode` PROPAGATED, on the dense stack `build_psi` of Jacobians
+at provisional states, where the schedule observes each block's singular values.
 `solve_ik` is that loop with n = 1, so the one-step solver is the
 predictive one by construction. The loop never asks which kind of model
 it drives: the model turns each sample into its target and measures the
@@ -24,7 +24,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .damping import DampingObservation, DampingSchedule, Constant, _cond_of, _rank_cutoff, cond
+from .damping import DampingObservation, DampingSchedule, Constant, _rank_cutoff
+from .damping import cond  # noqa: F401  unused; the benchmark patches it until ROADMAP item 1
 from .kinematics import KinematicModel, _as_vector, jacobian
 
 
@@ -70,7 +71,6 @@ class SolveReport:
     iterations: int
     error_trace: List[float]
     lambda_trace: List[float]
-    dq_total: np.ndarray
     q_trace: List[np.ndarray] = field(default_factory=list)
 
     @property
@@ -158,9 +158,9 @@ def solve_ik_predictive(
     current Jacobian (config.mode FROZEN) or the Jacobians at provisional
     future states (PROPAGATED, each taken with that state's error, so on the
     iterate that stops too) and commit the first increment. The
-    schedule updates the damping factor inside that solve, from the
-    condition number of the solve's own SVD of J (FROZEN) or the largest
-    over the blocks (PROPAGATED). Provisional states advance by the
+    schedule updates the damping factor inside that solve, observing the
+    singular values of the solve's own SVD of J (FROZEN) or those of each
+    block (PROPAGATED). Provisional states advance by the
     cumulative increment blocks. Stops after config.n_up iterations
     otherwise. The window must hold config.horizon targets.
     """
@@ -197,14 +197,14 @@ def solve_ik_predictive(
             status = SolveStatus.CONVERGED
             break
 
-        if frozen:  # the condition number comes from the step's own SVD of J
-            stack, kappa_of = jacobian(model, q), lambda s: _cond_of(s, max(stack.shape))
-        else:
-            kappa = max(cond(J) for J in jac_blocks)
-            stack, kappa_of = build_psi(jac_blocks), lambda s: kappa
-        dQ = mfac_step(stack, resid, lambda s: schedule.next_lambda(
-            DampingObservation(err, prev_error_norm=prev_norm, cond=kappa_of(s))
-        ))
+        if frozen:  # the schedule observes the singular values of the step's own SVD of J
+            stack = jacobian(model, q)
+        else:  # ... or those of every block, one row each, from one call
+            stack = build_psi(jac_blocks)
+            sigma = np.linalg.svd(np.array(jac_blocks), compute_uv=False)
+        dQ = mfac_step(stack, resid, lambda s: schedule.next_lambda(DampingObservation(
+            err, prev_norm, s if frozen else sigma, max(model.m_y, model.m_u)
+        )))
         lambda_trace.append(schedule.peek())
         if not frozen:
             provisional = q + np.cumsum(dQ.reshape(n, model.m_u), axis=0)
@@ -218,7 +218,6 @@ def solve_ik_predictive(
         iterations=len(error_trace),
         error_trace=error_trace,
         lambda_trace=lambda_trace,
-        dq_total=q - np.asarray(q0, dtype=float).ravel(),
         q_trace=q_trace,
     )
 

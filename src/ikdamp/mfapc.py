@@ -5,7 +5,8 @@ triangular Jacobian and solves one coupled damped system; only the
 first joint increment is committed (receding horizon). Its iteration
 loop, `solve_ik_predictive`, lives in `mfac` next to the one-step law it
 reduces to at n = 1, and is re-exported here with `build_psi` and
-`HorizonMode`; the horizon mode is `SolverConfig.mode`.
+`HorizonMode`; the horizon mode is `SolverConfig.mode`. The single-step
+tracker's schedule observes the singular values of its step's SVD of J.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .damping import DampingObservation, _cond_of
+from .damping import DampingObservation
 from .kinematics import DhChain, KinematicModel, _as_vector, forward, jacobian
 from .mfac import (
     HorizonMode,
@@ -117,7 +118,7 @@ def receding_horizon_track(
     one-increment-per-step controller: the step applies the schedule's
     current lambda, and the schedule is then fed the frozen-model
     predicted stacked error, with the previous step's as the previous
-    error, and the condition number of the step's own SVD of J. With
+    error, and the singular values of the step's own SVD of J. With
     n_up > 1 a full inner predictive solve runs at every waypoint, in
     config.mode. The single-step law is frozen only, which is why
     `SolverConfig` rejects PROPAGATED with n_up == 1.
@@ -138,13 +139,6 @@ def receding_horizon_track(
     q = _as_vector(q0, model.m_u, "q0").copy()
     schedule = config.schedule
     y = forward(model, q) if y0 is None else _as_vector(y0, model.m_y, "y0")
-    sigma = None
-
-    def current_lambda(s):
-        """The schedule's lambda for the step, keeping the step's singular values of J."""
-        nonlocal sigma
-        sigma = s
-        return schedule.peek()
 
     steps: List[TrackStep] = []
     prev_predicted: Optional[float] = None
@@ -154,13 +148,14 @@ def receding_horizon_track(
             lam = schedule.peek()
             J = jacobian(model, q)
             resid = task_error(model, window, q, y)
-            dQ = mfac_step(J, resid, current_lambda)
+            sigma = []  # the step applies lam and keeps its singular values of J for the update
+            dQ = mfac_step(J, resid, lambda s: sigma.append(s) or lam)
             q = q + dQ[: model.m_u]
             # frozen-model prediction: block r of (T (x) J) dQ is J (dQ_0 + .. + dQ_r)
             moved = np.cumsum(dQ.reshape(n, model.m_u), axis=0) @ J.T
             predicted_err = float(np.linalg.norm(resid - moved.ravel()))
             schedule.next_lambda(
-                DampingObservation(predicted_err, prev_predicted, _cond_of(sigma, max(J.shape)))
+                DampingObservation(predicted_err, prev_predicted, sigma[0], max(J.shape))
             )
             prev_predicted = predicted_err
             inner = 1

@@ -29,10 +29,6 @@ class Trajectory:
         """A copy of sample k (0-based), so no caller writes into the trajectory."""
         return self.samples[k].copy()
 
-    @property
-    def dim(self) -> int:
-        return self.samples.shape[1]
-
 
 def helix(k_max: int) -> Trajectory:
     """Helical reference: circle of radius 3 about (4, 0) rising by k/200."""
@@ -106,7 +102,7 @@ def _write_csv(fh, header: Sequence[str], rows, footer=None) -> None:
 def save_csv(traj: Trajectory, path) -> None:
     """Write columns: k, then the task components."""
     with open(path, "w", newline="") as fh:
-        _write_csv(fh, ["k"] + [f"y{i + 1}" for i in range(traj.dim)],
+        _write_csv(fh, ["k"] + [f"y{i + 1}" for i in range(traj.samples.shape[1])],
                    ((k, *row) for k, row in enumerate(traj.samples.tolist(), start=1)))
 
 

@@ -1,9 +1,20 @@
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ikdamp.kinematics import KinematicModel, ThreeLink, axis_angle_to_rotation
+
+
+angles = st.floats(-math.pi, math.pi, allow_nan=False)
+# (alpha, a, d, theta_offset) rows of a random chain of 1 to 7 joints
+dh_rows = st.lists(
+    st.tuples(angles, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), angles),
+    min_size=1,
+    max_size=7,
+)
 
 
 def seed() -> int:

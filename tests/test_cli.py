@@ -593,7 +593,7 @@ def solve_reports(draw, m_u):
         q_final=q_trace[-1], status=draw(st.sampled_from(SolveStatus)), iterations=iterations,
         error_trace=draw(st.lists(FLOATS, min_size=iterations, max_size=iterations)),
         lambda_trace=draw(st.lists(LAMBDAS, min_size=iterations, max_size=iterations)),
-        dq_total=q_trace[-1], q_trace=q_trace,
+        q_trace=q_trace,
     )
 
 

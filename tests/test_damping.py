@@ -24,7 +24,9 @@ from ikdamp.mfac import mfac_step
 
 
 def obs(err, prev=None, c=None):
-    return DampingObservation(err, prev_error_norm=prev, cond=c)
+    """An observation whose singular values [c, 1] (or [1, 0] for c = inf) have cond c."""
+    sigma = None if c is None else [1.0, 0.0] if c == np.inf else [c, 1.0]
+    return DampingObservation(err, prev_error_norm=prev, sigma=sigma, size=2)
 
 
 class TestCond:
@@ -46,6 +48,33 @@ class TestCond:
         J = np.diag([1.0] * 5 + [1.2e-15])
         assert cond(J) == float("inf")
         assert mfac_step(J, np.ones(6), 0.0)[-1] == 0.0  # the step drops that direction too
+
+
+class TestObservation:
+    def test_cond_reads_size(self):
+        # a 6 x 7 J has 6 singular values and size 7: the rank rule reads the 7
+        sigma = np.array([1.0] * 5 + [1.4e-15])
+        assert DampingObservation(1.0, sigma=sigma, size=6).cond == pytest.approx(1 / 1.4e-15)
+        assert DampingObservation(1.0, sigma=sigma, size=7).cond == float("inf")
+
+    def test_cond_is_the_largest_over_the_blocks(self):
+        o = DampingObservation(1.0, sigma=np.array([[4.0, 1.0], [3.0, 0.5]]), size=3)
+        assert o.cond == 6.0
+        with pytest.raises(DampingError, match="singular values"):
+            DampingObservation(1.0).cond
+
+    @pytest.mark.parametrize("sigma", [
+        [1.0, -0.5], [1.0, 2.0], [1.0, float("nan")], [float("nan"), 1.0], [float("nan")],
+        [[2.0, 1.0], [1.0, 2.0]], [[2.0, 1.0, 0.5]], 1.0,
+    ], ids=["negative", "increasing", "nan-last", "nan-first", "nan-only",
+            "increasing-block", "more-than-size", "scalar"])
+    def test_sigma_check(self, sigma):
+        with pytest.raises(DampingError, match="sigma"):
+            DampingObservation(1.0, sigma=sigma, size=2)
+
+    def test_sigma_needs_a_size(self):
+        with pytest.raises(DampingError, match="sigma"):
+            DampingObservation(1.0, sigma=[2.0, 1.0])
 
 
 class TestConstant:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rotation
+from conftest import angles, dh_rows, random_rotation
 from ikdamp import kinematics
 from ikdamp.kinematics import (
     DhChain,
@@ -35,7 +35,6 @@ from ikdamp.kinematics import (
 ARM = ThreeLink(5.0, 7.0, 7.0)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
-angles = st.floats(-math.pi, math.pi, allow_nan=False)
 # unit vectors from a longitude and a height on the sphere
 unit_axes = st.tuples(angles, st.floats(-1.0, 1.0)).map(
     lambda t: np.array(
@@ -44,13 +43,6 @@ unit_axes = st.tuples(angles, st.floats(-1.0, 1.0)).map(
          t[1]]
     )
 )
-# (alpha, a, d, theta_offset) rows of a random chain of 1 to 7 joints
-dh_rows = st.lists(
-    st.tuples(angles, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), angles),
-    min_size=1,
-    max_size=7,
-)
-
 
 class TestForward:
     def test_zero_configuration(self):
@@ -230,6 +222,11 @@ class TestJacobian:
     def test_fd_rejects_nonpositive_step(self):
         with pytest.raises(KinematicsError):
             jacobian_fd(ARM, [0, 0, 0], 0.0)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_fd_rejects_non_finite_step_by_name(self, h):
+        with pytest.raises(KinematicsError, match="step size h"):
+            jacobian_fd(ARM, [0, 0, 0], h)
 
 
 class TestLastWalk:
@@ -417,6 +414,13 @@ class TestAxisAngle:
     def test_rejects_non_unit_axis(self):
         with pytest.raises(KinematicsError):
             axis_angle_to_rotation([0, 0, 2], 0.3)
+
+    @pytest.mark.parametrize("axis, angle, name", [
+        ([0, math.nan, 1], 0.3, "axis"), ([0, 0, 1], math.nan, "angle"), ([0, 0, 1], math.inf, "angle"),
+    ], ids=["nan-axis", "nan-angle", "inf-angle"])
+    def test_rejects_non_finite_input(self, axis, angle, name):
+        with pytest.raises(KinematicsError, match=name):
+            axis_angle_to_rotation(axis, angle)
 
 
 class TestDhLoading:

@@ -4,19 +4,21 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import CountingArm
+from conftest import CountingArm, angles, dh_rows
 import ikdamp
 from ikdamp import mfac
 from ikdamp.damping import Constant, CondRule, RatioRule, cond
 from ikdamp.kinematics import (
     DhChain,
     DhRow,
+    KinematicModel,
     ThreeLink,
     default_dh_chain,
     forward,
@@ -196,7 +198,7 @@ class TestSolveIk:
         report = solve_ik(ARM, forward(ARM, q0), q0, cfg)
         assert report.status is SolveStatus.CONVERGED
         assert report.iterations == 1
-        assert np.linalg.norm(report.dq_total) == pytest.approx(0.0)
+        assert report.q_final.tobytes() == q0.tobytes()
 
     def test_unreachable_target(self):
         # beyond the radial workspace bound l2 + l3
@@ -272,6 +274,62 @@ class TestSolveIk:
         ]
         assert set(report.lambda_trace) == {0.0, 1e-4, 1e-2}
 
+    @staticmethod
+    def observed_cond(model, goal, q0, horizon, mode):
+        """The cond a CondRule records at each damped iterate, and what each should be:
+        cond(J) at the iterate (frozen) or the largest cond(J_i) over the blocks (propagated)."""
+        rule, observed, stacked = CondRule([10.0, 1e3], [1e-4, 1e-2]), [], []
+        next_lambda = rule.next_lambda
+        rule.next_lambda = lambda obs: observed.append(obs.cond) or next_lambda(obs)
+        cfg = SolverConfig(n_up=20, schedule=rule, horizon=horizon, mode=mode)
+        with mock.patch.object(mfac, "build_psi", lambda Js: stacked.append(Js) or build_psi(Js)):
+            report = solve_ik_predictive(model, [goal] * horizon, q0, cfg)
+        steps = report.iterations - report.converged
+        if mode == "frozen":
+            expected = [cond(jacobian(model, q)) for q in ([q0] + report.q_trace)[:steps]]
+        else:
+            expected = [max(cond(J) for J in Js) for Js in stacked]
+        assert len(observed) == len(expected) == steps
+        return observed, expected
+
+    MODES = [(1, "frozen"), (2, "frozen"), (2, "propagated")]
+
+    @given(rows=dh_rows, data=st.data(), horizon_mode=st.sampled_from(MODES))
+    @settings(max_examples=60, deadline=None)
+    def test_observed_cond_on_random_chains(self, rows, data, horizon_mode):
+        # 1 to 7 joints: J is 6 x m_u, so for m_u != 6 the rank rule reads max(6, m_u)
+        chain = DhChain(tuple(rows))
+        q_goal, q0 = (np.array(data.draw(st.lists(angles, min_size=len(rows), max_size=len(rows))))
+                      for _ in range(2))
+        observed, expected = self.observed_cond(chain, chain.forward_pose(q_goal), q0,
+                                                *horizon_mode)
+        np.testing.assert_allclose(observed, expected, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("horizon, mode", MODES)
+    def test_observed_cond_is_inf_at_the_singular_home_pose(self, horizon, mode):
+        chain = default_dh_chain()
+        goal = chain.forward_pose([0.3, -0.4, 0.5, 0.2, -0.6, 0.1])
+        observed, expected = self.observed_cond(chain, goal, np.zeros(6), horizon, mode)
+        assert observed[0] == math.inf
+        np.testing.assert_allclose(observed, expected, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("horizon, mode", MODES)
+    def test_rank_rule_reads_the_larger_dimension(self, horizon, mode):
+        # a 6 x 7 J whose sigma_min lies between eps * 6 * sigma_max and eps * 7 * sigma_max
+        class Linear(KinematicModel):
+            m_y, m_u = 6, 7
+            J = np.hstack([np.diag([1.0] * 5 + [1.4e-15]), np.zeros((6, 1))])
+
+            def forward(self, q):
+                return self.J @ q
+
+            def jacobian(self, q):
+                return self.J
+
+        q0 = np.zeros(7)
+        observed, expected = self.observed_cond(Linear(), np.ones(6), q0, horizon, mode)
+        assert observed == expected == [math.inf] * len(observed)
+
 
 class TestTaskError:
     """The model turns samples into targets and measures the stacked error."""
@@ -313,11 +371,12 @@ def solve_n2(model, target, q0, cfg):
 
 class TestEvaluationCounts:
     """One forward pass per iterate for the whole window; one Jacobian and one
-    SVD per damped step, none after convergence. The frozen loop reads the
-    condition number off the step's own SVD, so it calls no `cond`. Propagated
-    mode makes each evaluation once per provisional state, the Jacobian right
-    after the error and so on the iterate that converges too, and one `cond`
-    (an SVD each) per state besides the SVD of the dense stack."""
+    SVD per damped step, none after convergence. No mode calls `cond`: the
+    frozen schedule observes the singular values of the step's own SVD of J.
+    Propagated mode makes each evaluation once per provisional state, the
+    Jacobian right after the error and so on the iterate that converges too,
+    and two SVDs per damped step: one batched call over the n blocks, whose
+    singular values the schedule observes, then the dense stack's."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -362,13 +421,12 @@ class TestEvaluationCounts:
         assert steps > 0
         assert model.forwards == per_iterate * report.iterations
         assert model.jacobians == per_iterate * (steps if mode == "frozen" else report.iterations)
+        assert calls["cond"] == 0
         if mode == "frozen":
-            assert calls["cond"] == 0
             assert calls["svd"] == [(3, 3)] * steps  # the step's SVD of J
         else:
-            assert calls["cond"] == horizon * steps
-            # each step: one cond SVD per 3 x 3 block, then the dense 6 x 6 stack's
-            assert calls["svd"] == ([(3, 3)] * horizon + [(3 * horizon, 3 * horizon)]) * steps
+            # each step: one SVD of the n stacked 3 x 3 blocks, then the dense 6 x 6 stack's
+            assert calls["svd"] == [(horizon, 3, 3), (3 * horizon, 3 * horizon)] * steps
 
     @pytest.mark.parametrize("n_up, horizon, mode", [
         (200, 1, "frozen"), (5, 1, "frozen"), (200, 2, "propagated"), (5, 2, "propagated"),
