@@ -155,13 +155,17 @@ def orientation_error(desired, current) -> np.ndarray:
     return _angle_axis(check_rotation(desired) @ check_rotation(current).T)
 
 
+def _pose_error(out, desired: Pose, position, rotation) -> np.ndarray:
+    """Write the error of the pose (position, rotation) from `desired` into the 6-vector out."""
+    np.subtract(desired.position, position, out=out[:3])
+    out[3:] = _angle_axis(desired.rotation.dot(rotation.T))
+    return out
+
+
 def pose_error(desired: Pose, current: Pose) -> np.ndarray:
     """6-vector task error: position difference, then angle-axis error."""
     # each Pose validated its rotation when it was built
-    return np.concatenate(
-        [desired.position - current.position,
-         _angle_axis(desired.rotation @ current.rotation.T)]
-    )
+    return _pose_error(np.empty(6), desired, current.position, current.rotation)
 
 
 class KinematicModel:
@@ -245,19 +249,19 @@ class DhRow:
         if not all(math.isfinite(v) for v in (self.alpha, self.a, self.d, self.theta_offset)):
             raise KinematicsError(f"DH parameters must be finite, got {self}")
 
-    def transform(self, q: float) -> np.ndarray:
-        """Classic DH transform Rz(theta) Tz(d) Tx(a) Rx(alpha)."""
+    def _entries(self, q: float) -> list:
+        """The 16 row-major entries of the classic DH transform Rz(theta) Tz(d) Tx(a) Rx(alpha)."""
         th = q + self.theta_offset
         ct, st = math.cos(th), math.sin(th)
         ca, sa = math.cos(self.alpha), math.sin(self.alpha)
-        return np.array(
-            [
-                [ct, -st * ca, st * sa, self.a * ct],
-                [st, ct * ca, -ct * sa, self.a * st],
-                [0.0, sa, ca, self.d],
-                [0.0, 0.0, 0.0, 1.0],
-            ]
-        )
+        return [ct, -st * ca, st * sa, self.a * ct,
+                st, ct * ca, -ct * sa, self.a * st,
+                0.0, sa, ca, self.d,
+                0.0, 0.0, 0.0, 1.0]
+
+    def transform(self, q: float) -> np.ndarray:
+        """Classic DH transform Rz(theta) Tz(d) Tx(a) Rx(alpha)."""
+        return np.array(self._entries(q)).reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -289,21 +293,27 @@ class DhChain(KinematicModel):
     def _frames(self, q) -> np.ndarray:
         """The base frame and the frame after each row: (m_u + 1) x 4 x 4, read-only.
 
-        The last walk is kept, keyed by the bytes of q, so a Jacobian taken
-        at the q of the pose just computed (and the reverse) walks the rows
-        once. The (key, frames) tuple is replaced whole, so concurrent
-        callers on one chain can miss but never read a key with another
-        walk's frames. Callers copy what they hand out.
+        One array holds every row's `_entries`, and each frame is the previous
+        one `dot` its row's transform, in place: the bits of `DhRow.transform`
+        under `@`. The last walk is kept, keyed by the bytes of q, so the pose,
+        its error and the Jacobian at one q walk the rows once. The (key,
+        frames) tuple is replaced whole, so concurrent callers on one chain can
+        miss but never read a key with another walk's frames. Callers read the
+        frames in place and hand out only new arrays.
         """
         q = _as_vector(q, self.m_u)
         key = q.tobytes()
         last_key, last = self._last_walk
         if key == last_key:
             return last
+        entries = []
+        for row, qi in zip(self.rows, q.tolist()):
+            entries += row._entries(qi)
+        T = np.array(entries).reshape(self.m_u, 4, 4)
         frames = np.empty((self.m_u + 1, 4, 4))
         frames[0] = np.eye(4)
-        for i, (row, qi) in enumerate(zip(self.rows, q)):
-            frames[i + 1] = frames[i] @ row.transform(qi)
+        for i in range(self.m_u):
+            frames[i].dot(T[i], out=frames[i + 1])
         frames.setflags(write=False)
         object.__setattr__(self, "_last_walk", (key, frames))
         return frames
@@ -318,9 +328,13 @@ class DhChain(KinematicModel):
         return targets + targets[-1:] * (n - 1)
 
     def _errors(self, targets, q, y=None) -> np.ndarray:
-        # y is not read: the pose at q comes from the walk already kept
-        current = self.forward_pose(q)
-        return np.concatenate([pose_error(t, current) for t in targets])
+        # y is not read: the pose at q is the last frame of the walk already kept
+        T = self._frames(q)[-1]
+        position, rotation = T[:3, 3], T[:3, :3]
+        out = np.empty((len(targets), 6))
+        for e, t in zip(out, targets):
+            _pose_error(e, t, position, rotation)
+        return out.ravel()
 
     def forward_pose(self, q) -> Pose:
         T = self._frames(q)[-1]

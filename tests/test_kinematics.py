@@ -31,6 +31,7 @@ from ikdamp.kinematics import (
     pose_error,
     rot_z,
 )
+from ikdamp.mfac import task_error
 
 ARM = ThreeLink(5.0, 7.0, 7.0)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -43,6 +44,13 @@ unit_axes = st.tuples(angles, st.floats(-1.0, 1.0)).map(
          t[1]]
     )
 )
+# angles with the exact values whose sines, cosines and signed zeros a walk must carry bit for bit
+exact_angles = st.one_of(angles, st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi]))
+poses = st.builds(
+    lambda axis, angle, position: Pose(position, axis_angle_to_rotation(axis, angle)),
+    unit_axes, exact_angles, st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+)
+
 
 class TestForward:
     def test_zero_configuration(self):
@@ -184,13 +192,16 @@ class TestJacobian:
     @settings(max_examples=60, deadline=None)
     def test_random_dh_chain(self, rows, data):
         chain = DhChain(tuple(rows))
-        q = np.array(data.draw(st.lists(angles, min_size=len(rows), max_size=len(rows))))
+        q = np.array(data.draw(st.lists(exact_angles, min_size=len(rows), max_size=len(rows))))
         J = jacobian(chain, q)
         err = np.max(np.abs(J - jacobian_fd(chain, q, 1e-6)))
         assert err <= 1e-6 * np.max(np.abs(J))
         frames = list(itertools.accumulate(
             [row.transform(qi) for row, qi in zip(chain.rows, q)], np.matmul, initial=np.eye(4)
         ))
+        # the flat walk forms the same products; forward's atan2 tells a -0.0 from a 0.0
+        np.testing.assert_array_equal(chain._frames(q), frames)
+        np.testing.assert_array_equal(np.signbit(chain._frames(q)), np.signbit(frames))
         z = np.array([T[:3, 2] for T in frames[:-1]])
         p = np.array([T[:3, 3] for T in frames])
         np.testing.assert_array_equal(J, np.vstack([np.cross(z, p[-1] - p[:-1]).T, z.T]))
@@ -260,7 +271,9 @@ class TestLastWalk:
         chain = default_dh_chain()
         pose = chain.forward_pose(self.QA)
         J = chain.jacobian(self.QA)
-        for a in (pose.position, pose.rotation, J):
+        err = task_error(chain, [self.fresh("forward_pose", self.QB)] * 2, self.QA)
+        assert not chain._frames(self.QA).flags.writeable
+        for a in (pose.position, pose.rotation, J, err):
             assert a.flags.writeable
             a[...] = 0.0
         self.assert_same(chain.forward_pose(self.QA), self.fresh("forward_pose", self.QA))
@@ -392,6 +405,24 @@ class TestPoseError:
             [a.position - b.position, orientation_error(desired, current)]
         )
         np.testing.assert_array_equal(pose_error(a, b), expected)
+
+    @given(rows=dh_rows, targets=st.lists(poses, min_size=1, max_size=3), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_task_error_equals_pose_errors(self, rows, targets, data):
+        chain = DhChain(tuple(rows))
+        q = data.draw(st.lists(exact_angles, min_size=len(rows), max_size=len(rows)))
+        current = forward_pose(chain, q)
+        if data.draw(st.booleans()):  # a target at the pose itself: every error entry a zero
+            targets = targets[:-1] + [Pose(current.position, current.rotation)]
+        err = task_error(chain, targets, q)
+        expected = np.concatenate([pose_error(t, current) for t in targets])
+        # pose_error is the difference of positions, then the angle-axis error
+        formula = np.concatenate([np.concatenate(
+            [t.position - current.position, orientation_error(t.rotation, current.rotation)]
+        ) for t in targets])
+        for a in (expected, formula):
+            np.testing.assert_array_equal(err, a)
+            np.testing.assert_array_equal(np.signbit(err), np.signbit(a))
 
 
 class TestAxisAngle:

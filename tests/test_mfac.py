@@ -435,13 +435,13 @@ class TestEvaluationCounts:
         chain = default_dh_chain()
         goal = chain.forward_pose([0.3, -0.4, 0.5, 0.2, -0.6, 0.1])
         walks = []
-        transform = DhRow.transform
+        entries = DhRow._entries
 
-        def counting_transform(row, q):
+        def counting_entries(row, q):  # the walk builds each row's transform from these
             walks.append(1)
-            return transform(row, q)
+            return entries(row, q)
 
-        monkeypatch.setattr(DhRow, "transform", counting_transform)
+        monkeypatch.setattr(DhRow, "_entries", counting_entries)
         cfg = SolverConfig(delta=1e-9, n_up=n_up, schedule=Constant(0.01), horizon=horizon,
                            mode=mode)
         report = solve_ik_predictive(chain, [goal] * horizon, np.full(chain.m_u, 0.1), cfg)
