@@ -2,12 +2,14 @@
 
 Configs are JSON, outputs are CSV with fixed 17-significant-digit float
 formatting so identical configs reproduce byte-identical files.
-Exit codes: 0 success/converged, 1 non-convergence, 2 usage/config error.
+Exit codes: 0 success/converged; 1 the solver did not converge, so `ik`
+printed status=max_iterations, stalled or diverged; 2 usage/config error.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from pathlib import Path
@@ -240,7 +242,10 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser every `main` call reads: parsing does not change it, and building it
+    takes about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="ikdamp", description="Damped-IK experiment runner"
     )
@@ -274,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (KeyError, ValueError, OSError) as exc:  # ConfigError is a ValueError

@@ -38,10 +38,11 @@ class DampingObservation:
     size: int = 0
 
     def __post_init__(self):
-        if self.error_norm < 0:
-            raise DampingError("error_norm must be non-negative")
-        if self.prev_error_norm is not None and self.prev_error_norm < 0:
-            raise DampingError("prev_error_norm must be non-negative")
+        # written so that a NaN, which compares False, fails each check
+        if not self.error_norm >= 0:
+            raise DampingError(f"error_norm must be non-negative, got {self.error_norm}")
+        if not (self.prev_error_norm is None or self.prev_error_norm >= 0):
+            raise DampingError(f"prev_error_norm must be non-negative, got {self.prev_error_norm}")
         if self.sigma is not None:
             s = self.sigma = np.asarray(self.sigma, dtype=float)
             rows = [s.tolist()] if s.ndim == 1 else s.tolist()

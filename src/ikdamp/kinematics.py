@@ -23,6 +23,10 @@ class KinematicsError(ValueError):
 
 
 ROTATION_TOL = 1e-9
+_EYE4 = np.eye(4)  # the base frame of every DH walk, copied in, never written
+# a 3-vector taken at (1, 2, 0, 1) holds a_j at entries 0-2 and a_k at entries 1-3 of
+# the components (a x b)_i = a_j b_k - a_k b_j, i = 0, 1, 2: one product forms all three
+_CROSS = np.array([1, 2, 0, 1])
 
 
 def _as_vector(q, length: int, name: str = "q") -> np.ndarray:
@@ -64,7 +68,7 @@ class Pose:
 
     @classmethod
     def _trusted(cls, position: np.ndarray, rotation: np.ndarray) -> "Pose":
-        """A Pose from a finite 3-vector and a rotation by construction, unchecked (FK only)."""
+        """A Pose from a finite 3-vector and a rotation by construction, unchecked."""
         pose = object.__new__(cls)
         object.__setattr__(pose, "position", position)
         object.__setattr__(pose, "rotation", rotation)
@@ -248,12 +252,14 @@ class DhRow:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.alpha, self.a, self.d, self.theta_offset)):
             raise KinematicsError(f"DH parameters must be finite, got {self}")
+        # the twist is constant, so every walk reads its cosine and sine from here
+        object.__setattr__(self, "_cos_sin_alpha", (math.cos(self.alpha), math.sin(self.alpha)))
 
     def _entries(self, q: float) -> list:
         """The 16 row-major entries of the classic DH transform Rz(theta) Tz(d) Tx(a) Rx(alpha)."""
         th = q + self.theta_offset
         ct, st = math.cos(th), math.sin(th)
-        ca, sa = math.cos(self.alpha), math.sin(self.alpha)
+        ca, sa = self._cos_sin_alpha
         return [ct, -st * ca, st * sa, self.a * ct,
                 st, ct * ca, -ct * sa, self.a * st,
                 0.0, sa, ca, self.d,
@@ -284,11 +290,8 @@ class DhChain(KinematicModel):
         if not rows:
             raise KinematicsError("DH chain needs at least one row")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "m_u", len(rows))  # an attribute: the loop reads it per iterate
         object.__setattr__(self, "_last_walk", (None, None))
-
-    @property
-    def m_u(self) -> int:
-        return len(self.rows)
 
     def _frames(self, q) -> np.ndarray:
         """The base frame and the frame after each row: (m_u + 1) x 4 x 4, read-only.
@@ -301,17 +304,20 @@ class DhChain(KinematicModel):
         miss but never read a key with another walk's frames. Callers read the
         frames in place and hand out only new arrays.
         """
+        last_key, last = self._last_walk
+        # a kept key is the bytes of a q that passed `_as_vector`, so a hit needs no check
+        if type(q) is np.ndarray and q.dtype == np.float64 and q.tobytes() == last_key:
+            return last
         q = _as_vector(q, self.m_u)
         key = q.tobytes()
-        last_key, last = self._last_walk
         if key == last_key:
             return last
         entries = []
         for row, qi in zip(self.rows, q.tolist()):
             entries += row._entries(qi)
-        T = np.array(entries).reshape(self.m_u, 4, 4)
+        T = np.fromiter(entries, float, 16 * self.m_u).reshape(self.m_u, 4, 4)
         frames = np.empty((self.m_u + 1, 4, 4))
-        frames[0] = np.eye(4)
+        frames[0] = _EYE4
         for i in range(self.m_u):
             frames[i].dot(T[i], out=frames[i + 1])
         frames.setflags(write=False)
@@ -342,10 +348,8 @@ class DhChain(KinematicModel):
         return Pose._trusted(T[:3, 3].copy(), T[:3, :3].copy())
 
     def forward(self, q) -> np.ndarray:
-        pose = self.forward_pose(q)
-        return np.concatenate(
-            [pose.position, euler_zyx_from_rotation(pose.rotation)]
-        )
+        T = self._frames(q)[-1]  # read in place: concatenate copies
+        return np.concatenate([T[:3, 3], euler_zyx_from_rotation(T[:3, :3])])
 
     def jacobian(self, q) -> np.ndarray:
         """Geometric Jacobian: linear rows z_i x (p_e - p_i), angular rows z_i."""
@@ -354,9 +358,8 @@ class DhChain(KinematicModel):
         d = frames[-1, :3, 3] - frames[:-1, :3, 3]  # p_e - p_i
         J = np.empty((6, self.m_u))
         # the component products np.cross forms, without its dispatch cost
-        J[0] = z[:, 1] * d[:, 2] - z[:, 2] * d[:, 1]
-        J[1] = z[:, 2] * d[:, 0] - z[:, 0] * d[:, 2]
-        J[2] = z[:, 0] * d[:, 1] - z[:, 1] * d[:, 0]
+        zc, dc = z.T.take(_CROSS, axis=0), d.T.take(_CROSS, axis=0)
+        J[:3] = zc[:3] * dc[1:] - zc[1:] * dc[:3]
         J[3:] = z.T
         return J
 
@@ -440,4 +443,5 @@ def default_dh_chain() -> DhChain:
 def pose_from_task(task) -> Pose:
     """Interpret a 6-vector (x, y, z, alpha, beta, gamma) as a Pose."""
     task = _as_vector(task, 6, "task")
-    return Pose(task[:3], rotation_from_euler_zyx(task[3:]))
+    # three elementary rotations of finite angles: a product within ulps of a rotation
+    return Pose._trusted(task[:3], rotation_from_euler_zyx(task[3:]))

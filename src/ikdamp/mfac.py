@@ -6,7 +6,9 @@ stacked waypoint errors against the frozen horizon stack T (x) J from
 one thin SVD of J. Its damping factor may be a number or a function of
 those singular values, so a damping schedule observes the step's own.
 `solve_ik_predictive` iterates that step with an adaptive damping schedule
-until the error norm drops below a tolerance, on the frozen stack or, in
+until the error norm drops below a tolerance (`converged`), the committed
+step stops moving q (`stalled`), the error is not finite (`diverged`) or
+the iteration cap is reached (`max_iterations`), on the frozen stack or, in
 `SolverConfig.mode` PROPAGATED, on the dense stack `build_psi` of Jacobians
 at provisional states, where the schedule observes each block's singular values.
 `solve_ik` is that loop with n = 1, so the one-step solver is the
@@ -17,6 +19,7 @@ Jacobian.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -32,6 +35,15 @@ from .kinematics import KinematicModel, _as_vector, jacobian
 class SolveStatus(Enum):
     CONVERGED = "converged"
     MAX_ITERATIONS = "max_iterations"
+    STALLED = "stalled"      # the committed step met the step-size test below
+    DIVERGED = "diverged"    # the stacked error is not finite
+
+
+# The step-size test of Levenberg-Marquardt codes, ||h|| <= eps2 * (||x|| + eps2)
+# (Madsen, Nielsen & Tingleff 2004, Methods for Non-Linear Least Squares Problems,
+# sec. 3.2), as ||dq_0|| <= STALL_TOL * (1 + ||q||): the receding-horizon loop
+# commits only the first increment dq_0, so its fixed point is dq_0 = 0.
+STALL_TOL = 1e-12
 
 
 class HorizonMode(Enum):
@@ -153,22 +165,27 @@ def solve_ik_predictive(
 ) -> SolveReport:
     """Iterative predictive IK over a fixed window of n targets.
 
-    Per iteration: evaluate the stacked error, stop if its norm is
-    <= config.delta, else solve the coupled damped system against the
-    current Jacobian (config.mode FROZEN) or the Jacobians at provisional
-    future states (PROPAGATED, each taken with that state's error, so on the
-    iterate that stops too) and commit the first increment. The
-    schedule updates the damping factor inside that solve, observing the
-    singular values of the solve's own SVD of J (FROZEN) or those of each
-    block (PROPAGATED). Provisional states advance by the
-    cumulative increment blocks. Stops after config.n_up iterations
-    otherwise. The window must hold config.horizon targets.
+    Per iteration: evaluate the stacked error, stop `converged` if its norm
+    is <= config.delta or `diverged` if it is not finite, else solve the
+    coupled damped system against the current Jacobian (config.mode FROZEN)
+    or the Jacobians at provisional future states (PROPAGATED, each taken
+    with that state's error, so on the iterate that stops too), commit the
+    first increment dq_0, and stop `stalled` if ||dq_0|| <= STALL_TOL *
+    (1 + ||q||) at the q it moved. The schedule updates the damping factor
+    inside that solve, observing the singular values of the solve's own SVD
+    of J (FROZEN) or those of each block (PROPAGATED). Provisional states
+    advance by the cumulative increment blocks. Stops after config.n_up
+    iterations otherwise (`max_iterations`). Every iteration, the one that
+    stops included, records its error, lambda and q. The window must hold
+    config.horizon targets.
     """
     targets = model._targets(targets)
     n = len(targets)
     if n != config.horizon:
         raise ValueError(f"{n} targets given for config.horizon = {config.horizon}")
-    q = _as_vector(q0, model.m_u, "q0").copy()
+    m_y, m_u = model.m_y, model.m_u
+    size = max(m_y, m_u)
+    q = _as_vector(q0, m_u, "q0").copy()
     schedule = config.schedule
     frozen = config.mode is HorizonMode.FROZEN
 
@@ -184,17 +201,17 @@ def solve_ik_predictive(
         stacked_err = resid
         if not frozen:  # provisional[0] is q, whose error heads resid; each state's Jacobian
             # is taken right after its error, so a chain walks its rows once per state
-            errs, jac_blocks = [resid[: model.m_y]], [jacobian(model, q)]
+            errs, jac_blocks = [resid[:m_y]], [jacobian(model, q)]
             for t, p in zip(targets[1:], provisional[1:]):
                 errs.append(task_error(model, [t], p))
                 jac_blocks.append(jacobian(model, p))
             stacked_err = np.concatenate(errs)
-        err = float(np.linalg.norm(stacked_err))
+        err = math.sqrt(stacked_err.dot(stacked_err))  # the bits of np.linalg.norm
         error_trace.append(err)
-        if err <= config.delta:
+        if not err < math.inf or err <= config.delta:  # a NaN fails both comparisons
+            status = SolveStatus.CONVERGED if err <= config.delta else SolveStatus.DIVERGED
             lambda_trace.append(schedule.peek())
             q_trace.append(q.copy())
-            status = SolveStatus.CONVERGED
             break
 
         if frozen:  # the schedule observes the singular values of the step's own SVD of J
@@ -203,13 +220,19 @@ def solve_ik_predictive(
             stack = build_psi(jac_blocks)
             sigma = np.linalg.svd(np.array(jac_blocks), compute_uv=False)
         dQ = mfac_step(stack, resid, lambda s: schedule.next_lambda(DampingObservation(
-            err, prev_norm, s if frozen else sigma, max(model.m_y, model.m_u)
+            err, prev_norm, s if frozen else sigma, size
         )))
         lambda_trace.append(schedule.peek())
         if not frozen:
-            provisional = q + np.cumsum(dQ.reshape(n, model.m_u), axis=0)
-        q = q + dQ[: model.m_u]
+            provisional = q + np.cumsum(dQ.reshape(n, m_u), axis=0)
+        dq0 = dQ[:m_u]
+        # in Python floats: two np.linalg.norm calls cost several times more
+        stalled = math.hypot(*dq0.tolist()) <= STALL_TOL * (1.0 + math.hypot(*q.tolist()))
+        q = q + dq0
         q_trace.append(q.copy())
+        if stalled:
+            status = SolveStatus.STALLED
+            break
         prev_norm = err
 
     return SolveReport(

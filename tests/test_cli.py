@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -131,6 +132,24 @@ class TestIk:
         )
         assert rc == 1
         assert len((tmp_path / "trace.csv").read_text().splitlines()) == 51
+
+    def test_stalled_solve_exits_1(self, tmp_path, capsys):
+        # a tolerance below the error's rounding floor: the steps vanish before it is met
+        cfg = write_config(tmp_path, tolerances={"delta": 1e-16, "n_up": 500})
+        rc = main(["ik", "--config", str(cfg), "--target", "3,1,14", "--q", "0.1,0.5,0.2"])
+        assert rc == 1
+        assert capsys.readouterr().out.startswith("status=stalled ")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_error_exits_1_not_2(self, tmp_path, capsys):
+        # two links of 1e308 m: the pose, so the error, is past the largest float
+        model = tmp_path / "huge.json"
+        model.write_text(json.dumps({"rows": [{"alpha": 0, "a": 1e308, "d": 0}] * 2}))
+        rc = main(["ik", "--model", str(model), "--target", "0,0,0,0,0,0", "--q", "0,0"])
+        assert rc == 1
+        out = capsys.readouterr()
+        assert out.out.startswith("status=diverged iterations=1 error=inf q=0,0")
+        assert out.err == ""
 
     def test_invalid_n_up_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, tolerances={"delta": 1e-10, "n_up": 0})
@@ -354,6 +373,31 @@ class TestTrack:
         inner = [int(r.split(",")[15]) for r in rows]
         assert max(inner) <= 10
 
+    def test_example2_inner_loop_stalls(self, tmp_path, monkeypatch):
+        # n = 2 stacks the next waypoint's error, which no q nulls while the two differ:
+        # each inner solve stops when its committed step stops moving q, not at the cap
+        statuses = []
+        solve = mfapc.solve_ik_predictive
+
+        def recording_solve(*args):
+            report = solve(*args)
+            statuses.append(report.status)
+            return report
+
+        monkeypatch.setattr(mfapc, "solve_ik_predictive", recording_solve)
+        out = tmp_path / "track2.csv"
+        assert main(["track", "--config", str(CONFIG_DIR / "example2.json"),
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        rows = list(csv.DictReader(lines[:-1]))
+        assert len(statuses) == len(rows) == 200
+        assert SolveStatus.MAX_ITERATIONS not in statuses
+        assert statuses.count(SolveStatus.STALLED) >= 199
+        assert sum(int(r["inner_iterations"]) for r in rows) <= 850  # 796; 1993 at the cap
+        assert max(float(r["error_norm"]) for r in rows) <= 1e-8
+        assert lines[-1].startswith("# settling_step=1 ")
+        assert {r["lambda"] for r in rows} == {"0"}  # the constant schedule's 0, as before
+
 
 @pytest.mark.parametrize("command", ["ik", "track"])
 @pytest.mark.parametrize(
@@ -497,7 +541,7 @@ def test_shipped_config_loads(path):
     cfg = json.loads(path.read_text())
     if "rows" in cfg:
         chain = load_dh_chain(cfg)
-        assert [vars(row) for row in chain.rows] == cfg["rows"]
+        assert [dataclasses.asdict(row) for row in chain.rows] == cfg["rows"]
         return
     model = parse_model(cfg["model"])
     if isinstance(cfg["model"], dict):

@@ -76,6 +76,21 @@ class TestObservation:
         with pytest.raises(DampingError, match="sigma"):
             DampingObservation(1.0, sigma=[2.0, 1.0])
 
+    @pytest.mark.parametrize("error_norm, prev_error_norm, name", [
+        (float("nan"), None, "error_norm"), (-1.0, None, "error_norm"),
+        (1.0, float("nan"), "prev_error_norm"), (1.0, -1.0, "prev_error_norm"),
+    ], ids=["nan", "negative", "nan-prev", "negative-prev"])
+    def test_error_norms_must_be_non_negative(self, error_norm, prev_error_norm, name):
+        with pytest.raises(DampingError, match=f"^{name} must be non-negative"):
+            DampingObservation(error_norm, prev_error_norm)
+
+    def test_nan_errors_reach_no_schedule(self):
+        # a NaN ratio compares False, so RatioRule would take its divide branch without a word
+        s = RatioRule(0.1, 2.0, 2.0)
+        with pytest.raises(DampingError, match="error_norm"):
+            s.next_lambda(DampingObservation(float("nan"), prev_error_norm=float("nan")))
+        assert s.peek() == 0.1
+
 
 class TestConstant:
     def test_always_lambda0(self):

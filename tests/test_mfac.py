@@ -19,11 +19,13 @@ from ikdamp.kinematics import (
     DhChain,
     DhRow,
     KinematicModel,
+    Pose,
     ThreeLink,
     default_dh_chain,
     forward,
     jacobian,
     pose_error,
+    rot_z,
 )
 from ikdamp.mfac import (
     HorizonMode,
@@ -331,6 +333,102 @@ class TestSolveIk:
         assert observed == expected == [math.inf] * len(observed)
 
 
+class TestStopStatus:
+    """Each solve ends with a named status, and its traces hold one entry per iterate."""
+
+    @staticmethod
+    def committed_steps(report, q0):
+        """(||q_k - q_(k-1)||, ||q_(k-1)||) for each iterate that committed a step."""
+        qs = [np.asarray(q0, dtype=float)] + report.q_trace
+        steps = report.iterations - (report.status in (SolveStatus.CONVERGED,
+                                                       SolveStatus.DIVERGED))
+        return [(np.linalg.norm(qs[k + 1] - qs[k]), np.linalg.norm(qs[k])) for k in range(steps)]
+
+    @given(rows=dh_rows, data=st.data(), reachable=st.booleans(),
+           delta=st.sampled_from([1e-9, 1e-16]), lam=st.sampled_from([0.0, 1e-3, 0.1]),
+           horizon_mode=st.sampled_from(TestSolveIk.MODES))
+    @settings(max_examples=80, deadline=None)
+    def test_statuses_on_random_chains(self, rows, data, reachable, delta, lam, horizon_mode):
+        chain = DhChain(tuple(rows))
+        draw_q = lambda: np.array(data.draw(st.lists(angles, min_size=len(rows),
+                                                     max_size=len(rows))))
+        goal = chain.forward_pose(draw_q())
+        if not reachable:  # ten times as far from the base as any pose of a chain of rows <= 1
+            direction = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=3,
+                                                    max_size=3)))
+            assume(np.linalg.norm(direction) > 0.1)
+            goal = Pose(100.0 * direction / np.linalg.norm(direction), goal.rotation)
+        q0, (horizon, mode) = draw_q(), horizon_mode
+        cfg = SolverConfig(delta=delta, n_up=60, schedule=Constant(lam), horizon=horizon,
+                           mode=mode)
+        report = solve_ik_predictive(chain, [goal] * horizon, q0, cfg)
+
+        k = report.iterations
+        assert 1 <= k <= cfg.n_up
+        assert len(report.error_trace) == len(report.lambda_trace) == len(report.q_trace) == k
+        assert report.q_final.tobytes() == report.q_trace[-1].tobytes()
+        assert all(math.isfinite(e) for e in report.error_trace[:-1])
+        last = report.error_trace[-1]
+        assert (report.status is SolveStatus.CONVERGED) == (last <= delta)
+        assert (report.status is SolveStatus.DIVERGED) == (not math.isfinite(last))
+        if report.status is SolveStatus.MAX_ITERATIONS:
+            assert k == cfg.n_up
+        # the rule, read off the trace up to the rounding of q + dq_0 - q
+        steps = self.committed_steps(report, q0)
+        slack = 1e-15
+        if report.status is SolveStatus.STALLED:
+            step, q_norm = steps[-1]
+            assert step <= (mfac.STALL_TOL + slack) * (1 + q_norm)
+            steps = steps[:-1]
+        assert all(step > (mfac.STALL_TOL - slack) * (1 + q_norm) for step, q_norm in steps)
+
+    def test_stalled_short_of_a_far_goal(self):
+        # a one-link arm of length 1 points at a goal 3 sqrt(2) away, which it cannot reach
+        chain = DhChain(((0.0, 1.0, 0.0, 0.0),))
+        goal = Pose([3.0, 3.0, 0.0], rot_z(math.pi / 4))
+        report = solve_ik(chain, goal, [0.1], SolverConfig(n_up=200, schedule=Constant(1.0)))
+        assert report.status is SolveStatus.STALLED
+        assert report.iterations < 200
+        assert report.error_trace[-1] == pytest.approx(3 * math.sqrt(2) - 1, abs=1e-9)
+        assert report.q_final[0] == pytest.approx(math.pi / 4, abs=1e-9)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_diverged_before_any_observation_or_svd(self, monkeypatch):
+        # two links of 1e308 m: the pose, so the error, is not finite
+        chain = DhChain(((0.0, 1e308, 0.0, 0.0), (0.0, 1e308, 0.0, 0.0)))
+        goal = Pose([0.0, 0.0, 0.0], np.eye(3))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("built after a non-finite error")
+
+        monkeypatch.setattr(mfac, "DampingObservation", fail)
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        q0 = np.zeros(2)
+        report = solve_ik(chain, goal, q0, SolverConfig(schedule=Constant(0.5)))
+        assert report.status is SolveStatus.DIVERGED
+        assert not report.converged
+        assert report.iterations == 1
+        assert report.error_trace == [math.inf]
+        assert report.lambda_trace == [0.5]
+        assert report.q_final.tobytes() == report.q_trace[0].tobytes() == q0.tobytes()
+
+    def test_diverged_on_a_nan_error_after_a_step(self):
+        class HalfLine(KinematicModel):  # defined for q >= 0 only
+            m_y = m_u = 1
+
+            def forward(self, q):
+                return np.array([q[0] if q[0] >= 0 else math.nan])
+
+            def jacobian(self, q):
+                return np.eye(1)
+
+        report = solve_ik(HalfLine(), [-1.0], [1.0], SolverConfig(schedule=Constant(0.0)))
+        assert report.status is SolveStatus.DIVERGED
+        assert report.iterations == 2
+        assert report.error_trace[0] == 2.0 and math.isnan(report.error_trace[1])
+        assert [q.tolist() for q in report.q_trace] == [[-1.0], [-1.0]]
+
+
 class TestTaskError:
     """The model turns samples into targets and measures the stacked error."""
 
@@ -404,17 +502,20 @@ class TestEvaluationCounts:
 
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
     @pytest.mark.parametrize(
-        "target, status",
+        "target, delta, status",
         [
-            (forward(ARM, [0.3, 0.7, -0.5]), SolveStatus.CONVERGED),
-            (np.array([20.0, 0.0, 5.0]), SolveStatus.MAX_ITERATIONS),
+            (forward(ARM, [0.3, 0.7, -0.5]), 1e-10, SolveStatus.CONVERGED),
+            (np.array([20.0, 0.0, 5.0]), 1e-10, SolveStatus.MAX_ITERATIONS),
+            # below the rounding floor of the error, so the steps vanish first
+            (forward(ARM, [0.3, 0.7, -0.5]), 1e-16, SolveStatus.STALLED),
         ],
-        ids=["reachable", "unreachable"],
+        ids=["reachable", "unreachable", "stalled"],
     )
-    def test_one_evaluation_per_step(self, calls, solver, target, status):
+    def test_one_evaluation_per_step(self, calls, solver, target, delta, status):
         model = CountingArm()
         solve, horizon, mode, per_iterate = self.SOLVERS[solver]
-        cfg = SolverConfig(n_up=30, schedule=Constant(0.01), horizon=horizon, mode=mode)
+        cfg = SolverConfig(delta=delta, n_up=30, schedule=Constant(0.01), horizon=horizon,
+                           mode=mode)
         report = solve(model, target, [0.2, 0.6, -0.4], cfg)
         assert report.status is status
         steps = report.iterations - report.converged
