@@ -53,10 +53,11 @@ def _frozen_loop(J, n: int, lam: float) -> PoleReport:
     J = np.asarray(J, dtype=float)
     U, sigma, _ = np.linalg.svd(J)
     mu, root_mu_max, W, WtTt = _horizon_spectrum(n)
-    s2 = mu * sigma**2
+    mu = np.array(mu)
+    s2 = mu[:, None] * sigma**2
     cutoff = _rank_cutoff(root_mu_max * sigma[0], n * max(J.shape))  # mfac_step's rule
     p = np.ones(J.shape[0])
-    p[: sigma.size] = (W[0] * WtTt.sum(axis=1) / mu.ravel()) @ np.divide(
+    p[: sigma.size] = (W[0] * WtTt.sum(axis=1) / mu) @ np.divide(
         lam, lam + s2, out=np.ones(s2.shape), where=s2 > cutoff**2)
     return _pole_report(U @ np.diag(p) @ U.T, p)
 

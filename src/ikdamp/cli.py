@@ -3,7 +3,8 @@
 Configs are JSON, outputs are CSV with fixed 17-significant-digit float
 formatting so identical configs reproduce byte-identical files.
 Exit codes: 0 success/converged; 1 the solver did not converge, so `ik`
-printed status=max_iterations, stalled or diverged; 2 usage/config error.
+printed status=max_iterations, stalled or diverged, or a `track` error norm
+is not finite (after its CSV is written); 2 usage/config error.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -188,7 +190,7 @@ def cmd_track(args) -> int:
     if out:
         write_track_csv(out, report, model)
     print(_settling(report))
-    return 0
+    return 0 if all(math.isfinite(s.error_norm) for s in report.steps) else 1
 
 
 def _settling(report: mfapc.TrackReport) -> str:

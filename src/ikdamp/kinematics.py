@@ -4,6 +4,15 @@ Two model families are provided: a closed-form three-link arm (3 joint
 angles -> Cartesian position) and a generic serial chain described by
 classic Denavit-Hartenberg rows (joint angles -> full 6-DOF pose).
 All operations are pure functions over immutable model objects.
+
+Elementwise work on a handful of scalars (pose errors, the log map, the
+three-link trigonometry) runs on Python floats: they round as numpy's
+elementwise ufuncs do, neither fuses a multiply-add, and numpy's per-call
+cost on a 3-vector is several times the arithmetic. Products stay in
+numpy (the walk's `dot` chain, R_d R^T), as BLAS fixes their bits. The
+square numpy takes of an array is a product, so its float form is x * x,
+never x ** 2: Python's ** 2, like numpy's on a scalar, is libm pow, which
+need not round as the product does.
 """
 from __future__ import annotations
 
@@ -127,18 +136,21 @@ def axis_angle_to_rotation(axis, angle: float) -> np.ndarray:
     return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
 
 
-def _angle_axis(D) -> np.ndarray:
-    """Angle-axis vector of the relative rotation D = desired @ current.T.
+def _log_map(D) -> tuple:
+    """The angle-axis vector of a 3x3 relative rotation D as three floats.
 
     The equivalent angle is theta = arccos((trace(D) - 1)/2). Near
     theta = 0 the error is taken as zero; near theta = pi the axis is
     recovered from the diagonal of D (the off-diagonal numerator vanishes).
+    The generic case runs on the Python floats of D: they round as numpy's
+    elementwise ufuncs do, and a 3-vector's ufunc calls cost several times more.
     """
+    (d00, d01, d02), (d10, d11, d12), (d20, d21, d22) = D.tolist()
     # the value goes first in max and min, so a NaN is passed on, not clamped
-    cos_theta = min(max((D[0, 0] + D[1, 1] + D[2, 2] - 1.0) / 2.0, -1.0), 1.0)
+    cos_theta = min(max((d00 + d11 + d22 - 1.0) / 2.0, -1.0), 1.0)
     theta = math.acos(cos_theta)
     if theta < 1e-9:
-        return np.zeros(3)
+        return 0.0, 0.0, 0.0
     if abs(theta - math.pi) < 1e-6:
         # D ~ 2*k k^T - I: largest diagonal picks the dominant axis component
         diag = np.clip((np.diag(D) + 1.0) / 2.0, 0.0, None)
@@ -149,20 +161,40 @@ def _angle_axis(D) -> np.ndarray:
             if j != i:
                 k[j] = D[i, j] / (2.0 * k[i])
         k /= np.linalg.norm(k)
-        return k * theta
-    k = np.array([D[2, 1] - D[1, 2], D[0, 2] - D[2, 0], D[1, 0] - D[0, 1]])
-    return k / (2.0 * math.sin(theta)) * theta
+        return tuple((k * theta).tolist())
+    c = 2.0 * math.sin(theta)
+    return (d21 - d12) / c * theta, (d02 - d20) / c * theta, (d10 - d01) / c * theta
+
+
+def _angle_axis(D) -> np.ndarray:
+    """Angle-axis vector of the relative rotation D = desired @ current.T; see `_log_map`."""
+    return np.array(_log_map(D))
 
 
 def orientation_error(desired, current) -> np.ndarray:
-    """Angle-axis error between two rotation matrices, both validated; see `_angle_axis`."""
+    """Angle-axis error between two rotation matrices, both validated; see `_log_map`."""
     return _angle_axis(check_rotation(desired) @ check_rotation(current).T)
+
+
+def _pose_errors(targets, position, rotation) -> list:
+    """The 6 error floats of each target Pose from the pose (position, rotation), in one list.
+
+    Each is the position difference, then `_log_map` of target.rotation @ rotation.T,
+    whose product stays in numpy: BLAS fixes its bits.
+    """
+    px, py, pz = position.tolist()
+    rotation_t = rotation.T
+    out = []
+    for t in targets:
+        tx, ty, tz = t.position.tolist()
+        out += (tx - px, ty - py, tz - pz)
+        out += _log_map(t.rotation.dot(rotation_t))
+    return out
 
 
 def _pose_error(out, desired: Pose, position, rotation) -> np.ndarray:
     """Write the error of the pose (position, rotation) from `desired` into the 6-vector out."""
-    np.subtract(desired.position, position, out=out[:3])
-    out[3:] = _angle_axis(desired.rotation.dot(rotation.T))
+    out[:] = _pose_errors([desired], position, rotation)
     return out
 
 
@@ -200,6 +232,32 @@ class KinematicModel:
         """Stacked errors of `_target`s from the output y, by default forward(q)."""
         return np.subtract(targets, self.forward(q) if y is None else y).ravel()
 
+    def _kept(self, q, compute):
+        """compute(q) of the checked m_u-vector q, kept for the last q only.
+
+        The key is the bytes of a q that passed `_as_vector`, so a float64 array
+        with the kept bytes needs no check, and forward and jacobian at one q
+        compute once. The (key, value) tuple is replaced whole, so concurrent
+        callers on one model can miss but never read a key with another q's
+        value. Callers read the value in place and hand out only new arrays.
+        """
+        last_key, last = self._last
+        if type(q) is np.ndarray and q.dtype == np.float64 and q.tobytes() == last_key:
+            return last
+        q = _as_vector(q, self.m_u)
+        key = q.tobytes()
+        if key != last_key:
+            last = compute(q)
+            object.__setattr__(self, "_last", (key, last))
+        return last
+
+
+def _three_link_trig(q) -> tuple:
+    """(cos q1, sin q1, sin q2, cos q2, sin(q2 + q3), cos(q2 + q3)) of a checked q."""
+    q1, q2, q3 = q.tolist()
+    return (math.cos(q1), math.sin(q1), math.sin(q2), math.cos(q2),
+            math.sin(q2 + q3), math.cos(q2 + q3))
+
 
 @dataclass(frozen=True)
 class ThreeLink(KinematicModel):
@@ -219,20 +277,18 @@ class ThreeLink(KinematicModel):
     def __post_init__(self):
         if not all(0 < v < np.inf for v in (self.l1, self.l2, self.l3)):
             raise KinematicsError("link lengths must be finite and strictly positive")
+        object.__setattr__(self, "_last", (None, None))  # see `_kept`
 
     def forward(self, q) -> np.ndarray:
-        q1, q2, q3 = _as_vector(q, 3)
-        r = self.l2 * math.sin(q2) + self.l3 * math.sin(q2 + q3)
-        z = self.l1 + self.l2 * math.cos(q2) + self.l3 * math.cos(q2 + q3)
-        return np.array([r * math.cos(q1), r * math.sin(q1), z])
+        c1, s1, s2, c2, s23, c23 = self._kept(q, _three_link_trig)
+        r = self.l2 * s2 + self.l3 * s23
+        z = self.l1 + self.l2 * c2 + self.l3 * c23
+        return np.array([r * c1, r * s1, z])
 
     def jacobian(self, q) -> np.ndarray:
-        q1, q2, q3 = _as_vector(q, 3)
-        s23 = math.sin(q2 + q3)
-        c23 = math.cos(q2 + q3)
-        r = self.l2 * math.sin(q2) + self.l3 * s23
-        dr = self.l2 * math.cos(q2) + self.l3 * c23
-        c1, s1 = math.cos(q1), math.sin(q1)
+        c1, s1, s2, c2, s23, c23 = self._kept(q, _three_link_trig)
+        r = self.l2 * s2 + self.l3 * s23
+        dr = self.l2 * c2 + self.l3 * c23
         return np.array(
             [
                 [-r * s1, dr * c1, self.l3 * c23 * c1],
@@ -291,27 +347,19 @@ class DhChain(KinematicModel):
             raise KinematicsError("DH chain needs at least one row")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "m_u", len(rows))  # an attribute: the loop reads it per iterate
-        object.__setattr__(self, "_last_walk", (None, None))
+        object.__setattr__(self, "_last", (None, None))  # see `_kept`
 
     def _frames(self, q) -> np.ndarray:
         """The base frame and the frame after each row: (m_u + 1) x 4 x 4, read-only.
 
-        One array holds every row's `_entries`, and each frame is the previous
-        one `dot` its row's transform, in place: the bits of `DhRow.transform`
-        under `@`. The last walk is kept, keyed by the bytes of q, so the pose,
-        its error and the Jacobian at one q walk the rows once. The (key,
-        frames) tuple is replaced whole, so concurrent callers on one chain can
-        miss but never read a key with another walk's frames. Callers read the
-        frames in place and hand out only new arrays.
+        The last walk is kept (`_kept`), so the pose, its error and the
+        Jacobian at one q walk the rows once.
         """
-        last_key, last = self._last_walk
-        # a kept key is the bytes of a q that passed `_as_vector`, so a hit needs no check
-        if type(q) is np.ndarray and q.dtype == np.float64 and q.tobytes() == last_key:
-            return last
-        q = _as_vector(q, self.m_u)
-        key = q.tobytes()
-        if key == last_key:
-            return last
+        return self._kept(q, self._walk)
+
+    def _walk(self, q) -> np.ndarray:
+        """One array holds every row's `_entries`, and each frame is the previous
+        one `dot` its row's transform, in place: the bits of `DhRow.transform` under `@`."""
         entries = []
         for row, qi in zip(self.rows, q.tolist()):
             entries += row._entries(qi)
@@ -321,7 +369,6 @@ class DhChain(KinematicModel):
         for i in range(self.m_u):
             frames[i].dot(T[i], out=frames[i + 1])
         frames.setflags(write=False)
-        object.__setattr__(self, "_last_walk", (key, frames))
         return frames
 
     def _target(self, sample) -> Pose:
@@ -336,11 +383,7 @@ class DhChain(KinematicModel):
     def _errors(self, targets, q, y=None) -> np.ndarray:
         # y is not read: the pose at q is the last frame of the walk already kept
         T = self._frames(q)[-1]
-        position, rotation = T[:3, 3], T[:3, :3]
-        out = np.empty((len(targets), 6))
-        for e, t in zip(out, targets):
-            _pose_error(e, t, position, rotation)
-        return out.ravel()
+        return np.array(_pose_errors(targets, T[:3, 3], T[:3, :3]))
 
     def forward_pose(self, q) -> Pose:
         T = self._frames(q)[-1]

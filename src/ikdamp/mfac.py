@@ -7,15 +7,18 @@ one thin SVD of J. Its damping factor may be a number or a function of
 those singular values, so a damping schedule observes the step's own.
 `solve_ik_predictive` iterates that step with an adaptive damping schedule
 until the error norm drops below a tolerance (`converged`), the committed
-step stops moving q (`stalled`), the error is not finite (`diverged`) or
-the iteration cap is reached (`max_iterations`), on the frozen stack or, in
-`SolverConfig.mode` PROPAGATED, on the dense stack `build_psi` of Jacobians
-at provisional states, where the schedule observes each block's singular values.
+step stops moving q (`stalled`), the error or the step is not finite
+(`diverged`) or the iteration cap is reached (`max_iterations`), on the
+frozen stack or, in `SolverConfig.mode` PROPAGATED, on the dense stack
+`build_psi` of Jacobians at provisional states, where the schedule
+observes each block's singular values.
 `solve_ik` is that loop with n = 1, so the one-step solver is the
 predictive one by construction. The loop never asks which kind of model
 it drives: the model turns each sample into its target and measures the
 stacked error (`task_error`), as the law needs only that error and the
-Jacobian.
+Jacobian. As in `kinematics`, elementwise work on a few scalars (the
+filter factors, the norms) runs on Python floats, which round as numpy's
+ufuncs do, and products stay in numpy, where BLAS and LAPACK fix the bits.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ class SolveStatus(Enum):
     CONVERGED = "converged"
     MAX_ITERATIONS = "max_iterations"
     STALLED = "stalled"      # the committed step met the step-size test below
-    DIVERGED = "diverged"    # the stacked error is not finite
+    DIVERGED = "diverged"    # the stacked error or the committed step is not finite
 
 
 # The step-size test of Levenberg-Marquardt codes, ||h|| <= eps2 * (||x|| + eps2)
@@ -92,13 +95,14 @@ class SolveReport:
 
 @lru_cache(maxsize=64)
 def _horizon_spectrum(n: int):
-    """(mu as a column, sqrt(max mu), W, W^T T^T) for T = tril(ones(n, n)), T^T T = W diag(mu) W^T."""
+    """(mu as a tuple of floats, sqrt(max mu), W, W^T T^T) for T = tril(ones(n, n)),
+    T^T T = W diag(mu) W^T."""
     T = np.tril(np.ones((n, n)))
     mu, W = np.linalg.eigh(T.T @ T)
     WtTt = W.T @ T.T
-    for a in (mu, W, WtTt):
+    for a in (W, WtTt):
         a.setflags(write=False)
-    return mu[:, None], float(np.sqrt(mu[-1])), W, WtTt
+    return tuple(mu.tolist()), float(np.sqrt(mu[-1])), W, WtTt
 
 
 def mfac_step(J, e, lam: float | Callable[[np.ndarray], float]) -> np.ndarray:
@@ -129,11 +133,15 @@ def mfac_step(J, e, lam: float | Callable[[np.ndarray], float]) -> np.ndarray:
         lam = lam(sigma)
     if not 0 <= lam < np.inf:
         raise ValueError("lam must be finite and non-negative")
+    lam = float(lam)  # a float32 lam would otherwise round the float sums below to float32
     mu, root_mu_max, W, WtTt = _horizon_spectrum(n)
-    s2 = mu * sigma**2
-    cutoff = _rank_cutoff(root_mu_max * sigma[0], n * max(m_y, m_u))
+    s = sigma.tolist()
+    # x * x is numpy's array sigma**2; the cutoff's ** 2 is libm pow, as numpy's scalar
+    # cutoff**2 was, and pow need not round as c * c does (kinematics module docstring)
+    cutoff2 = _rank_cutoff(root_mu_max * s[0], n * max(m_y, m_u)) ** 2
     # s / (s^2 + lam), divided by the sqrt(mu_i) that T's left singular vectors carry
-    gain = np.divide(sigma, s2 + lam, out=np.zeros(s2.shape), where=s2 > cutoff**2)
+    gain = np.array([[x / (m * (x * x) + lam) if m * (x * x) > cutoff2 else 0.0 for x in s]
+                     for m in mu])
     # one n x m_y error matrix per column: a stack of them runs the same matmuls per column
     dQ = W @ (gain * (WtTt @ e.T.reshape(e.shape[1:] + (n, m_y)) @ U)) @ Vt
     return dQ.reshape(e.shape[1:] + (n * m_u,)).T
@@ -171,9 +179,10 @@ def solve_ik_predictive(
     or the Jacobians at provisional future states (PROPAGATED, each taken
     with that state's error, so on the iterate that stops too), commit the
     first increment dq_0, and stop `stalled` if ||dq_0|| <= STALL_TOL *
-    (1 + ||q||) at the q it moved. The schedule updates the damping factor
-    inside that solve, observing the singular values of the solve's own SVD
-    of J (FROZEN) or those of each block (PROPAGATED). Provisional states
+    (1 + ||q||) at the q it moved, or `diverged`, with q unmoved, if ||dq_0||
+    is not finite. The schedule updates the damping factor inside that
+    solve, observing the singular values of the solve's own SVD of J
+    (FROZEN) or those of each block (PROPAGATED). Provisional states
     advance by the cumulative increment blocks. Stops after config.n_up
     iterations otherwise (`max_iterations`). Every iteration, the one that
     stops included, records its error, lambda and q. The window must hold
@@ -227,11 +236,15 @@ def solve_ik_predictive(
             provisional = q + np.cumsum(dQ.reshape(n, m_u), axis=0)
         dq0 = dQ[:m_u]
         # in Python floats: two np.linalg.norm calls cost several times more
-        stalled = math.hypot(*dq0.tolist()) <= STALL_TOL * (1.0 + math.hypot(*q.tolist()))
-        q = q + dq0
+        step = math.hypot(*dq0.tolist())
+        if not step < math.inf:  # a NaN fails it too: the step is not taken, so q stays finite
+            status = SolveStatus.DIVERGED
+        else:
+            if step <= STALL_TOL * (1.0 + math.hypot(*q.tolist())):
+                status = SolveStatus.STALLED
+            q = q + dq0
         q_trace.append(q.copy())
-        if stalled:
-            status = SolveStatus.STALLED
+        if status is not SolveStatus.MAX_ITERATIONS:
             break
         prev_norm = err
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ikdamp import mfapc
+from ikdamp import mfac, mfapc
 from ikdamp.cli import (
     _fmt,
     _settling,
@@ -151,6 +151,17 @@ class TestIk:
         assert out.out.startswith("status=diverged iterations=1 error=inf q=0,0")
         assert out.err == ""
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_step_exits_1_with_q_unmoved(self, monkeypatch, capsys, bad):
+        step = mfac.mfac_step
+        monkeypatch.setattr(mfac, "mfac_step", lambda J, e, lam: np.full_like(step(J, e, lam), bad))
+        rc = main(["ik", "--model", "three-link", "--target", "3,1,14", "--q", "0.1,0.5,0.2"])
+        assert rc == 1
+        out = capsys.readouterr()
+        assert out.out.startswith("status=diverged iterations=1 ")
+        assert out.out.rstrip().endswith(f"q={_fmt(0.1)},{_fmt(0.5)},{_fmt(0.2)}")
+        assert out.err == ""
+
     def test_invalid_n_up_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, tolerances={"delta": 1e-10, "n_up": 0})
         rc = main(["ik", "--config", str(cfg), "--target", "3,1,14", "--q", "0,0.5,0"])
@@ -217,6 +228,25 @@ class TestTrack:
         assert lines[-1].startswith("# settling_step=")
         settle = int(lines[-1].split("settling_step=")[1].split()[0])
         assert 1 <= settle <= 100
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_tracked_error_exits_1_after_the_csv(self, tmp_path, capsys):
+        # two links of 1e308 m: every pose, so every tracked error, is past the largest float
+        model = tmp_path / "huge.json"
+        model.write_text(json.dumps({"rows": [{"alpha": 0, "a": 1e308, "d": 0}] * 2}))
+        out = tmp_path / "track.csv"
+        cfg = write_config(
+            tmp_path, model=str(model), tolerances={"delta": 1e-10, "n_up": 5},
+            trajectory={"type": "lspb", "start": [0, 0, 0, 0, 0, 0],
+                        "goal": [1, 0, 0, 0, 0, 0], "steps": 5},
+            initial_q=[0, 0], output=str(out),
+        )
+        assert main(["track", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().out == "settling_step=none max_post_settling_error=none\n"
+        lines = out.read_text().splitlines()
+        rows = list(csv.DictReader(lines[:-1]))
+        assert [r["error_norm"] for r in rows] == ["inf"] * 5
+        assert lines[-1] == "# settling_step=none max_post_settling_error=none"
 
     def test_constant_trajectory_zero_error(self, tmp_path):
         from ikdamp.kinematics import ThreeLink, forward

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -500,3 +501,154 @@ class TestDhLoading:
         # min() of a list holding NaN depends on where the NaN sits
         with pytest.raises(KinematicsError):
             ThreeLink(5.0, math.nan, 7.0)
+
+
+# The numpy forms that the float forms replaced, kept as their oracles: each float form
+# must give the same bytes, signs of zero included.
+
+def angle_axis_numpy(D):
+    cos_theta = min(max((D[0, 0] + D[1, 1] + D[2, 2] - 1.0) / 2.0, -1.0), 1.0)
+    theta = math.acos(cos_theta)
+    if theta < 1e-9:
+        return np.zeros(3)
+    if abs(theta - math.pi) < 1e-6:
+        diag = np.clip((np.diag(D) + 1.0) / 2.0, 0.0, None)
+        i = int(np.argmax(diag))
+        k = np.zeros(3)
+        k[i] = math.sqrt(diag[i])
+        for j in range(3):
+            if j != i:
+                k[j] = D[i, j] / (2.0 * k[i])
+        k /= np.linalg.norm(k)
+        return k * theta
+    k = np.array([D[2, 1] - D[1, 2], D[0, 2] - D[2, 0], D[1, 0] - D[0, 1]])
+    return k / (2.0 * math.sin(theta)) * theta
+
+
+def errors_numpy(chain, targets, q):
+    """`DhChain._errors` as one (n, 6) buffer: a subtract into each row, then its angle-axis."""
+    T = chain._frames(q)[-1]
+    position, rotation = T[:3, 3], T[:3, :3]
+    out = np.empty((len(targets), 6))
+    for e, t in zip(out, targets):
+        np.subtract(t.position, position, out=e[:3])
+        e[3:] = angle_axis_numpy(t.rotation.dot(rotation.T))
+    return out.ravel()
+
+
+def three_link_numpy(arm, q):
+    """`ThreeLink.forward` and `jacobian`, each checking q and taking its own trigonometry."""
+    q1, q2, q3 = np.asarray(q, dtype=float).ravel()
+    r = arm.l2 * math.sin(q2) + arm.l3 * math.sin(q2 + q3)
+    z = arm.l1 + arm.l2 * math.cos(q2) + arm.l3 * math.cos(q2 + q3)
+    y = np.array([r * math.cos(q1), r * math.sin(q1), z])
+    s23, c23 = math.sin(q2 + q3), math.cos(q2 + q3)
+    dr = arm.l2 * math.cos(q2) + arm.l3 * c23
+    c1, s1 = math.cos(q1), math.sin(q1)
+    J = np.array([[-r * s1, dr * c1, arm.l3 * c23 * c1],
+                  [r * c1, dr * s1, arm.l3 * c23 * s1],
+                  [0.0, -r, -arm.l3 * s23]])
+    return y, J
+
+
+# relative rotation angles: below the 1e-9 cutoff once the trace rounds to 3, within 1e-6
+# of pi (the diagonal branch), and exact angles whose matrices hold exact signed zeros
+log_map_angles = st.one_of(
+    st.floats(0.0, 2e-8), st.floats(math.pi - 1e-6, math.pi), exact_angles, angles
+)
+
+
+def same_bytes(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestFloatForms:
+    @given(rows=dh_rows, data=st.data(), n=st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_log_map_and_errors_on_random_chains(self, rows, data, n):
+        chain = DhChain(tuple(rows))
+        q = data.draw(st.lists(exact_angles, min_size=len(rows), max_size=len(rows)))
+        current = chain.forward_pose(q)
+        targets = [
+            Pose(data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.5]) | st.floats(-2.0, 2.0),
+                                    min_size=3, max_size=3)),
+                 axis_angle_to_rotation(data.draw(unit_axes), data.draw(log_map_angles))
+                 @ current.rotation)
+            for _ in range(n)
+        ]
+        for t in targets:
+            D = t.rotation.dot(current.rotation.T)
+            assert same_bytes(_angle_axis(D), angle_axis_numpy(D))
+            assert same_bytes(orientation_error(t.rotation, current.rotation),
+                              angle_axis_numpy(t.rotation @ current.rotation.T))
+        expected = errors_numpy(chain, targets, q)
+        assert same_bytes(task_error(chain, targets, q), expected)
+        assert same_bytes(np.concatenate([pose_error(t, current) for t in targets]), expected)
+
+    @pytest.mark.parametrize("D", [
+        np.eye(3), -np.eye(3), rot_z(0.0), rot_z(-0.0), rot_z(math.pi), rot_z(-math.pi / 2),
+        np.full((3, 3), math.nan), np.diag([1.0, 1.0, math.inf]), np.diag([1.0, 1.0, -math.inf]),
+    ], ids=["eye", "minus-eye", "zero", "minus-zero", "pi", "minus-half-pi", "nan", "inf",
+            "minus-inf"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # -eye divides 0 by 0, as before
+    def test_log_map_at_the_edges(self, D):
+        assert same_bytes(_angle_axis(D), angle_axis_numpy(D))
+
+    @given(lengths=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
+           qs=st.lists(st.lists(exact_angles, min_size=3, max_size=3), min_size=2, max_size=2))
+    @settings(max_examples=100, deadline=None)
+    def test_three_link_shares_one_pass(self, lengths, qs):
+        arm = ThreeLink(*lengths)
+        qa, qb = qs
+        q = np.array(qa)
+        for make in (list, tuple, np.array):  # a memo miss, then a hit, then again as a list
+            y, J = arm.forward(make(qa)), arm.jacobian(make(qa))
+            assert same_bytes(y, three_link_numpy(arm, qa)[0])
+            assert same_bytes(J, three_link_numpy(arm, qa)[1])
+        arm.forward(q)
+        q[:] = qb  # the same array, changed in place: its bytes, not its identity, are the key
+        assert same_bytes(arm.jacobian(q), three_link_numpy(arm, qb)[1])
+        assert same_bytes(arm.forward(q), three_link_numpy(arm, qb)[0])
+
+
+class TestKeptEntry:
+    """A model keeps its last q's walk or trigonometry; the check on q does not lean on it."""
+
+    MODELS = {"three-link": lambda: ThreeLink(5.0, 7.0, 7.0), "dh-chain": default_dh_chain}
+    QA = TestLastWalk.QA
+    QB = TestLastWalk.QB
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_bad_q_raises_after_a_hit_on_another_q(self, model, bad):
+        model = self.MODELS[model]()
+        qa, qb = self.QA[:model.m_u], self.QB[:model.m_u].copy()
+        model.forward(qa)
+        model.jacobian(qa)  # a hit
+        qb[-1] = bad
+        for method in (model.forward, model.jacobian):
+            with pytest.raises(KinematicsError, match="non-finite"):
+                method(qb)
+            for wrong in (qa[:-1], np.append(qa, 0.0)):
+                with pytest.raises(KinematicsError, match="length"):
+                    method(wrong)
+
+    @pytest.mark.parametrize("pair", [
+        (ThreeLink(5.0, 7.0, 7.0), ThreeLink(1.0, 2.0, 3.0)),
+        (default_dh_chain(), DhChain(tuple(reversed(kinematics.DEFAULT_DH_ROWS)))),
+    ], ids=["three-link", "dh-chain"])
+    def test_models_never_share_a_kept_entry(self, monkeypatch, pair):
+        computed = []
+        trig, walk = kinematics._three_link_trig, DhChain._walk
+        monkeypatch.setattr(kinematics, "_three_link_trig", lambda q: computed.append(1) or trig(q))
+        monkeypatch.setattr(DhChain, "_walk", lambda chain, q: computed.append(1) or walk(chain, q))
+        a, b = pair
+        qa, qb = self.QA[:a.m_u], self.QB[:a.m_u]
+        a.jacobian(qa)
+        b.jacobian(qb)
+        assert len(computed) == 2
+        # each model still holds its own q: both forwards are hits
+        for model, q in ((a, qa), (b, qb)):
+            fresh = dataclasses.replace(model)
+            assert same_bytes(model.forward(q), fresh.forward(q))
+        assert len(computed) == 4  # the two fresh copies computed; a and b did not

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import CountingArm, angles, dh_rows
 import ikdamp
 from ikdamp import mfac
-from ikdamp.damping import Constant, CondRule, RatioRule, cond
+from ikdamp.damping import Constant, CondRule, RatioRule, _rank_cutoff, cond
 from ikdamp.kinematics import (
     DhChain,
     DhRow,
@@ -172,6 +172,37 @@ class TestMfacStep:
             with pytest.raises(ValueError) as by_function:
                 mfac_step(J, e, lambda s: bad)
             assert str(by_function.value) == str(by_number.value)
+
+
+def mfac_step_numpy(J, e, lam):
+    """`mfac_step` with its filter factors in numpy, as they were: the float filter's oracle."""
+    J, e = np.asarray(J, dtype=float), np.asarray(e, dtype=float)
+    m_y, m_u = J.shape
+    n = e.shape[0] // m_y
+    U, sigma, Vt = np.linalg.svd(J, full_matrices=False)
+    mu, root_mu_max, W, WtTt = mfac._horizon_spectrum(n)
+    s2 = np.array(mu)[:, None] * sigma**2
+    cutoff = _rank_cutoff(root_mu_max * sigma[0], n * max(m_y, m_u))
+    gain = np.divide(sigma, s2 + lam, out=np.zeros(s2.shape), where=s2 > cutoff**2)
+    dQ = W @ (gain * (WtTt @ e.T.reshape(e.shape[1:] + (n, m_y)) @ U)) @ Vt
+    return dQ.reshape(e.shape[1:] + (n * m_u,)).T
+
+
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    n=st.integers(1, 5),
+    columns=st.sampled_from([None, 1, 3]),
+    zero_columns=st.sets(st.integers(0, 5)),
+    lam=st.sampled_from([0.0, 1e-300, 1e-3, 2.0, np.float32(1e-3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_float_filter_matches_the_numpy_filter(shape, n, columns, zero_columns, lam, seed):
+    rng = np.random.default_rng(seed)
+    J = rng.standard_normal(shape)
+    J[:, [c for c in zero_columns if c < shape[1]]] = 0.0  # exact zero singular values
+    e = rng.standard_normal((n * shape[0],) if columns is None else (n * shape[0], columns))
+    assert mfac_step(J, e, lam).tobytes() == mfac_step_numpy(J, e, lam).tobytes()
 
 
 def test_import_loads_no_scipy():

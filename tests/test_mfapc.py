@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CountingArm
 from ikdamp import kinematics, mfac, mfapc
@@ -308,6 +310,16 @@ class TestRecedingHorizonTrack:
         # after the first commit the plant output is the FK of q again
         assert np.array_equal(first.output, forward(ARM, first.q))
         assert first.error_norm == np.linalg.norm(traj.samples[0] - first.output)
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-200, 1e200, 1e308, -math.inf, math.nan])
+                    | st.floats(), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_tracked_norms_are_numpys(self, values):
+        # the tracker's error and predicted-error norms are sqrt(r.dot(r)), numpy's own formula
+        r = np.array(values)
+        norm = math.sqrt(r.dot(r))
+        assert np.float64(norm).tobytes() == np.linalg.norm(r).tobytes()
 
     def test_one_fk_and_jacobian_per_single_step(self):
         model = CountingArm()
