@@ -8,9 +8,11 @@ weighted by w_i = W[0,i] (W^T T^T 1)_i / mu_i. The weights sum to
 e_0^T T^{-1} 1 = 1 and are positive (checked up to n = 24), so each pole lies
 in [0, 1]; at n = 1, w = [1]. A term at or below `mfac_step`'s rank cutoff,
 and each direction outside the range of J, counts as 1. `_frozen_loop` gives
-p and U diag(p) U^T from one SVD of J; distinct blocks take the dense stack's
-first-increment gain from `mfac_step` and its poles from `eigvals`, and the
-simulator takes its gain from one `mfac_step` call on an identity error block.
+p and U diag(p) U^T from one SVD of J (`_poles` reads p off its sigma, so
+`ikdamp analyze` takes one SVD for its whole lambda sweep); distinct blocks
+take the dense stack's first-increment gain from `mfac_step` and its poles
+from `eigvals`, and the simulator takes its gain from one `mfac_step` call
+on an identity error block.
 
 The simulator is a linear recurrence y(k+1) = A y(k) + b(k) with a
 constant A = I - sum_j J K_j. A reference maps an integer array of k to
@@ -46,19 +48,26 @@ def _pole_report(M: np.ndarray, eig: np.ndarray) -> PoleReport:
     return PoleReport(M, eig, max_mod, stable=max_mod < 1.0 - 1e-12)
 
 
+def _poles(sigma: np.ndarray, shape: tuple, n: int, lam: float) -> np.ndarray:
+    """The n-step poles p on a frozen J of this shape whose full SVD gave sigma, for a
+    checked lam (module docstring); one SVD serves every lam."""
+    mu, root_mu_max, W, WtTt = _horizon_spectrum(n)
+    mu = np.array(mu)
+    s2 = mu[:, None] * sigma**2
+    cutoff = _rank_cutoff(root_mu_max * sigma[0], n * max(shape))  # mfac_step's rule
+    p = np.ones(shape[0])
+    p[: sigma.size] = (W[0] * WtTt.sum(axis=1) / mu) @ np.divide(
+        lam, lam + s2, out=np.ones(s2.shape), where=s2 > cutoff**2)
+    return p
+
+
 def _frozen_loop(J, n: int, lam: float) -> PoleReport:
     """U diag(p) U^T with eigenvalues p, the n-step poles on a frozen J (module docstring)."""
     if not 0 <= lam < np.inf:
         raise ValueError("lam must be finite and non-negative")
     J = np.asarray(J, dtype=float)
     U, sigma, _ = np.linalg.svd(J)
-    mu, root_mu_max, W, WtTt = _horizon_spectrum(n)
-    mu = np.array(mu)
-    s2 = mu[:, None] * sigma**2
-    cutoff = _rank_cutoff(root_mu_max * sigma[0], n * max(J.shape))  # mfac_step's rule
-    p = np.ones(J.shape[0])
-    p[: sigma.size] = (W[0] * WtTt.sum(axis=1) / mu) @ np.divide(
-        lam, lam + s2, out=np.ones(s2.shape), where=s2 > cutoff**2)
+    p = _poles(sigma, J.shape, n, lam)
     return _pole_report(U @ np.diag(p) @ U.T, p)
 
 

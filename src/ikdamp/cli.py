@@ -228,9 +228,10 @@ def cmd_analyze(args) -> int:
     J = kinematics.jacobian(model, q)
     m_y = J.shape[0]
     sigmas = np.linalg.svd(J, compute_uv=False)
+    full_sigma = np.linalg.svd(J)[1]  # `mfac_pole_matrix`'s SVD, taken once for every lambda
     rows = []
     for lam in lams:  # the pole matrix is the static gain, so its poles are the gains
-        poles = np.sort(analysis.mfac_pole_matrix(J, lam).eigenvalues)[::-1]
+        poles = np.sort(analysis._poles(full_sigma, J.shape, 1, lam))[::-1]
         rows.append((lam, *sigmas, *poles, *poles))
     header = (
         ["lambda"]

@@ -8,6 +8,13 @@ holds its current factor in `lam`, which `peek` reads. That state lasts
 as long as the object: every solve given one `SolverConfig` shares its
 schedule, so a second solve starts from the factor the first left (the
 tracker's inner loop relies on this from one waypoint to the next).
+
+A `DampingObservation` built by its constructor checks sigma (rows of at
+most size values, descending to >= 0). The library's own loops, the
+frozen and propagated ones in `mfac` and the single-step tracker in
+`mfapc`, build theirs with `DampingObservation._trusted`, which skips that
+check: their sigma is the step's own LAPACK SVD, which returns it so or
+raises. The tests rebuild every such observation through the constructor.
 """
 from __future__ import annotations
 
@@ -38,11 +45,7 @@ class DampingObservation:
     size: int = 0
 
     def __post_init__(self):
-        # written so that a NaN, which compares False, fails each check
-        if not self.error_norm >= 0:
-            raise DampingError(f"error_norm must be non-negative, got {self.error_norm}")
-        if not (self.prev_error_norm is None or self.prev_error_norm >= 0):
-            raise DampingError(f"prev_error_norm must be non-negative, got {self.prev_error_norm}")
+        self._check_norms()
         if self.sigma is not None:
             s = self.sigma = np.asarray(self.sigma, dtype=float)
             rows = [s.tolist()] if s.ndim == 1 else s.tolist()
@@ -50,6 +53,24 @@ class DampingObservation:
             if not (s.ndim in (1, 2) and s.shape[-1] <= self.size
                     and all(all(map(ge, [np.inf, *r], [*r, 0.0])) for r in rows)):
                 raise DampingError("sigma must be rows of at most size non-increasing values >= 0")
+
+    def _check_norms(self):
+        # written so that a NaN, which compares False, fails each check
+        if not self.error_norm >= 0:
+            raise DampingError(f"error_norm must be non-negative, got {self.error_norm}")
+        if not (self.prev_error_norm is None or self.prev_error_norm >= 0):
+            raise DampingError(f"prev_error_norm must be non-negative, got {self.prev_error_norm}")
+
+    @classmethod
+    def _trusted(cls, error_norm, prev_error_norm, sigma: np.ndarray, size: int):
+        """An observation of sigma from the library's own SVD of a J whose larger
+        dimension is size: LAPACK returns it as float64, descending and >= 0, or raises
+        LinAlgError. So only the error norms are checked; sigma and size are stored."""
+        obs = object.__new__(cls)
+        obs.error_norm, obs.prev_error_norm, obs.sigma, obs.size = (
+            error_norm, prev_error_norm, sigma, size)
+        obs._check_norms()
+        return obs
 
     @property
     def cond(self) -> float:

@@ -224,7 +224,13 @@ class KinematicModel:
 
     def _targets(self, samples, n: int = 1):
         """The samples' targets, the last repeated n - 1 more times so that each horizon
-        window of n is a slice: one array for a position model, so each window is a view."""
+        window of n is a slice: one array for a position model, so each window is a view.
+        An (N, m_y) float64 array, such as `Trajectory.samples`, is checked in one pass."""
+        if (type(samples) is np.ndarray and samples.dtype == np.float64
+                and samples.ndim == 2 and samples.shape[1] == self.m_y and len(samples)):
+            if not np.isfinite(samples).all():
+                raise KinematicsError("target contains non-finite entries")
+            return np.concatenate([samples] + [samples[-1:]] * (n - 1))
         targets = [self._target(s) for s in samples]
         return np.array(targets + targets[-1:] * (n - 1))
 

@@ -228,7 +228,7 @@ def solve_ik_predictive(
         else:  # ... or those of every block, one row each, from one call
             stack = build_psi(jac_blocks)
             sigma = np.linalg.svd(np.array(jac_blocks), compute_uv=False)
-        dQ = mfac_step(stack, resid, lambda s: schedule.next_lambda(DampingObservation(
+        dQ = mfac_step(stack, resid, lambda s: schedule.next_lambda(DampingObservation._trusted(
             err, prev_norm, s if frozen else sigma, size
         )))
         lambda_trace.append(schedule.peek())

@@ -6,7 +6,11 @@ first joint increment is committed (receding horizon). Its iteration
 loop, `solve_ik_predictive`, lives in `mfac` next to the one-step law it
 reduces to at n = 1, and is re-exported here with `build_psi` and
 `HorizonMode`; the horizon mode is `SolverConfig.mode`. The single-step
-tracker's schedule observes the singular values of its step's SVD of J.
+tracker's schedule observes the singular values of its step's SVD of J,
+through `DampingObservation._trusted`: that SVD returns them descending
+and non-negative, so the observation does not check them again (the
+`damping` module docstring). The tracker's targets are checked once per
+run, in one pass over the trajectory's already finite samples.
 """
 from __future__ import annotations
 
@@ -152,13 +156,14 @@ def receding_horizon_track(
             sigma = []  # the step applies lam and keeps its singular values of J for the update
             dQ = mfac_step(J, resid, lambda s: sigma.append(s) or lam)
             q = q + dQ[: model.m_u]
-            # frozen-model prediction: block r of (T (x) J) dQ is J (dQ_0 + .. + dQ_r)
-            moved = np.cumsum(dQ.reshape(n, model.m_u), axis=0) @ J.T
+            # frozen-model prediction: block r of (T (x) J) dQ is J (dQ_0 + .. + dQ_r); the
+            # method forms skip np.cumsum's dispatcher and form the products @ does, but for
+            # the sign of a zero at 1 x 1, which the squares of the norm below drop
+            moved = dQ.reshape(n, model.m_u).cumsum(axis=0).dot(J.T)
             r = resid - moved.ravel()
             predicted_err = math.sqrt(r.dot(r))  # the bits of np.linalg.norm, at a third of its cost
-            schedule.next_lambda(
-                DampingObservation(predicted_err, prev_predicted, sigma[0], max(J.shape))
-            )
+            schedule.next_lambda(DampingObservation._trusted(
+                predicted_err, prev_predicted, sigma[0], max(J.shape)))
             prev_predicted = predicted_err
             inner = 1
         else:

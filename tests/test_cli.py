@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ikdamp import mfac, mfapc
+from ikdamp import kinematics, mfac, mfapc
+from ikdamp.analysis import mfac_pole_matrix
 from ikdamp.cli import (
     _fmt,
     _settling,
@@ -25,7 +26,7 @@ from ikdamp.cli import (
     solver_config_from,
     write_track_csv,
 )
-from ikdamp.kinematics import ThreeLink, load_dh_chain
+from ikdamp.kinematics import ThreeLink, default_dh_chain, load_dh_chain
 from ikdamp.mfac import SolveReport, SolveStatus
 from ikdamp.mfapc import TrackReport, TrackStep
 
@@ -697,6 +698,29 @@ class TestAnalyze:
         assert capsysbinary.readouterr().out == b""
         assert (tmp_path / "a.csv").read_bytes() == printed
         assert printed.count(b"\n") == 5
+
+    def test_two_svds_per_sweep(self, monkeypatch, capsys):
+        # one for the sigma columns, one full SVD whose sigma gives every lambda's poles
+        calls = {"svd": 0, "eigvals": 0, "eigvalsh": 0}
+
+        def counted(name, f):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        args = ["analyze", "--model", "default-dh", "--q", "0.3,-0.4,0.5,0.2,-0.6,0.1",
+                "--lambda-sweep", "0,1e-6,0.01,1,10"]
+        assert main(args) == 0
+        assert calls == {"svd": 2, "eigvals": 0, "eigvalsh": 0}
+        rows = capsys.readouterr().out.splitlines()[1:]
+        monkeypatch.undo()
+        J = kinematics.jacobian(default_dh_chain(), [0.3, -0.4, 0.5, 0.2, -0.6, 0.1])
+        for row, lam in zip(rows, (0.0, 1e-6, 0.01, 1.0, 10.0)):  # each row is lambda's own
+            poles = np.sort(mfac_pole_matrix(J, lam).eigenvalues)[::-1]
+            assert row.split(",")[7:] == ["%.17g" % p for p in (*poles, *poles)]
 
     @pytest.mark.parametrize("sweep", ["0,abc", "0,,1", "", "0.1,"])
     def test_bad_lambda_sweep_names_the_option(self, capsys, sweep):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -18,9 +19,12 @@ from ikdamp.damping import (
     cond,
     schedule_from_config,
 )
+from conftest import angles, dh_rows
 from ikdamp.cli import ConfigError, parse_model
-from ikdamp.kinematics import KinematicsError, load_dh_chain
-from ikdamp.mfac import mfac_step
+from ikdamp.kinematics import DhChain, KinematicsError, Pose, ThreeLink, load_dh_chain
+from ikdamp.mfac import SolverConfig, mfac_step, solve_ik_predictive
+from ikdamp.mfapc import receding_horizon_track
+from ikdamp.trajectory import helix
 
 
 def obs(err, prev=None, c=None):
@@ -90,6 +94,79 @@ class TestObservation:
         with pytest.raises(DampingError, match="error_norm"):
             s.next_lambda(DampingObservation(float("nan"), prev_error_norm=float("nan")))
         assert s.peek() == 0.1
+
+
+class RecordingRatioRule(RatioRule):
+    """A RatioRule that keeps every observation it is fed; lambda0 = 0 stays 0."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.seen = []
+
+    def next_lambda(self, obs):
+        self.seen.append(obs)
+        return super().next_lambda(obs)
+
+
+def assert_public_checks_pass(seen):
+    """Each observation the library built unchecked passes the constructor's checks."""
+    assert seen
+    for o in seen:
+        assert type(o.sigma) is np.ndarray and o.sigma.dtype == np.float64
+        rebuilt = DampingObservation(o.error_norm, o.prev_error_norm, o.sigma, o.size)
+        assert rebuilt.sigma.tobytes() == o.sigma.tobytes()
+        assert (rebuilt.error_norm, rebuilt.prev_error_norm, rebuilt.size) == (
+            o.error_norm, o.prev_error_norm, o.size)
+
+
+class TestTrustedObservations:
+    """The loops and the tracker skip the sigma check: their sigma is their own SVD's.
+    Every observation they build would pass it."""
+
+    @given(rows=dh_rows, data=st.data(), lam=st.sampled_from([0.0, 1e-3, 1.0]),
+           mode=st.sampled_from(["frozen", "propagated"]))
+    @settings(max_examples=80, deadline=None)
+    def test_loops_on_random_chains(self, rows, data, lam, mode):
+        chain = DhChain(tuple(rows))
+        joint_lists = st.lists(angles, min_size=len(rows), max_size=len(rows))
+        q0 = np.array(data.draw(joint_lists | st.just([0.0] * len(rows)), label="q0"))
+        reached = chain.forward_pose(data.draw(joint_lists, label="q_goal"))
+        # a position off the reached one, so that no solve stops before its first step
+        goal = Pose(reached.position + [0.3, -0.2, 0.1], reached.rotation)
+        schedule = RecordingRatioRule(lam, 2.0, 1.5)
+        config = SolverConfig(n_up=6, schedule=schedule, horizon=2, mode=mode)
+        solve_ik_predictive(chain, [goal, goal], q0, config)
+        assert_public_checks_pass(schedule.seen)
+        if mode == "propagated":
+            assert all(o.sigma.shape == (2, min(6, len(rows))) for o in schedule.seen)
+
+    @pytest.mark.parametrize("lam, q0", [
+        (0.0, [0.0, 0.0, 0.0]), (0.0, [0.2, 0.6, -0.4]), (0.1, [0.0, 0.0, 0.0]),
+        (0.1, [0.3, math.pi, 0.0]),
+    ], ids=["lam0-singular", "lam0", "damped-singular", "damped-folded"])
+    def test_single_step_tracker(self, lam, q0):
+        schedule = RecordingRatioRule(lam, 2.0, 1.5)
+        config = SolverConfig(n_up=1, schedule=schedule, horizon=5)
+        receding_horizon_track(ThreeLink(5.0, 7.0, 7.0), helix(40), q0, config)
+        assert len(schedule.seen) == 40
+        assert_public_checks_pass(schedule.seen)
+        if q0 == [0.0, 0.0, 0.0]:  # q2 = q3 = 0 stretches the arm: J has a zero sigma
+            assert schedule.seen[0].cond == np.inf
+
+    @pytest.mark.parametrize("error_norm, prev_error_norm, name", [
+        (math.nan, None, "error_norm"), (-1.0, None, "error_norm"),
+        (1.0, math.nan, "prev_error_norm"), (1.0, -0.5, "prev_error_norm"),
+    ], ids=["nan", "negative", "nan-prev", "negative-prev"])
+    def test_error_norms_are_still_checked(self, error_norm, prev_error_norm, name):
+        with pytest.raises(DampingError, match=f"^{name} must be non-negative"):
+            DampingObservation._trusted(error_norm, prev_error_norm, np.array([1.0]), 1)
+
+    def test_trusted_stores_what_it_is_given(self):
+        sigma = np.array([[3.0, 1.0], [2.0, 0.0]])
+        o = DampingObservation._trusted(0.5, 0.25, sigma, 3)
+        assert (o.error_norm, o.prev_error_norm, o.sigma, o.size) == (0.5, 0.25, sigma, 3)
+        assert o.cond == np.inf
+        assert o == DampingObservation(0.5, 0.25, sigma, 3)
 
 
 class TestConstant:

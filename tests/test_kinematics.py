@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import angles, dh_rows, random_rotation
+from conftest import CountingArm, angles, dh_rows, random_rotation
 from ikdamp import kinematics
 from ikdamp.kinematics import (
     DhChain,
@@ -652,3 +652,63 @@ class TestKeptEntry:
             fresh = dataclasses.replace(model)
             assert same_bytes(model.forward(q), fresh.forward(q))
         assert len(computed) == 4  # the two fresh copies computed; a and b did not
+
+
+def targets_per_sample(model, samples, n):
+    """`KinematicModel._targets` as it was for every input: `_target` on each sample."""
+    targets = [model._target(s) for s in samples]
+    return np.array(targets + targets[-1:] * (n - 1))
+
+
+def outcome(make):
+    """The bytes, shape and dtype make() returns, or the type and message it raises."""
+    try:
+        a = make()
+    except Exception as exc:  # noqa: BLE001  the exception is the outcome compared
+        return type(exc), str(exc)
+    return a.tobytes(), a.shape, a.dtype
+
+
+class TestTargetsInOnePass:
+    """A position model checks an (N, m_y) float64 array of samples in one pass; it returns
+    the bytes, and raises the exception and message, of the per-sample path."""
+
+    MODELS = {"three-link": ARM, "counting-arm": CountingArm()}
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @given(rows=st.lists(st.lists(st.floats(width=64) | st.sampled_from([0.0, -0.0]),
+                                  min_size=3, max_size=3), min_size=1, max_size=12),
+           n=st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_array_and_per_sample_paths_agree(self, name, rows, n):
+        model = self.MODELS[name]
+        samples = np.array(rows)
+        one_pass = outcome(lambda: model._targets(samples, n))
+        assert one_pass == outcome(lambda: targets_per_sample(model, samples, n))
+        # a plain list of samples, which takes the per-sample path, agrees too
+        assert one_pass == outcome(lambda: model._targets(rows, n))
+
+    @pytest.mark.parametrize("samples", [
+        np.zeros((4, 2)), np.zeros((4, 4)), np.zeros((0, 3)),
+        np.array([[1.0, 2.0, 3.0], [0.0, math.nan, 0.0]]),
+        np.array([[1.0, math.inf, 3.0]]), np.array([[-math.inf, 2.0, 3.0]]),
+        [[1.0, 2.0, 3.0], [1.0, 2.0]], [[1.0, 2.0, 3.0], "abc"],
+        [default_dh_chain().forward_pose(np.full(6, 0.2))],
+        [[1.0, 2.0, 3.0], (4, 5, 6), np.array([7.0, 8.0, 9.0])],
+        np.array([[1.0, 2.0, 3.0]], dtype=np.float32), np.array([1.0, 2.0, 3.0]),
+    ], ids=["narrow", "wide", "empty", "nan", "inf", "minus-inf", "ragged", "string", "pose",
+            "plain-list", "float32", "one-vector"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_each_input_has_the_per_sample_outcome(self, samples, n):
+        expected = outcome(lambda: targets_per_sample(ARM, samples, n))
+        assert outcome(lambda: ARM._targets(samples, n)) == expected
+
+    def test_a_trajectory_is_checked_once_and_copied(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kinematics, "_as_vector",
+                            lambda *a: calls.append(a) or pytest.fail("checked per sample"))
+        samples = np.arange(12.0).reshape(4, 3)
+        targets = ARM._targets(samples, 3)
+        assert calls == [] and targets.shape == (6, 3)
+        targets[0, 0] = -1.0
+        assert samples[0, 0] == 0.0

@@ -419,3 +419,60 @@ class TestSingleStepFactorizations:
         expected = [cond(jacobian(model, q)) for q in qs]
         np.testing.assert_allclose(schedule.seen, expected, rtol=1e-12)
 
+
+
+def predicted_moves_oracle(dQ, n, J):
+    """The tracker's frozen-model prediction as it was written before its method forms."""
+    return np.cumsum(dQ.reshape(n, J.shape[1]), axis=0) @ J.T
+
+
+class TestFrozenPrediction:
+    """The tracker forms its prediction with ndarray.cumsum and .dot: the bits of the oracle."""
+
+    @given(n=st.integers(1, 8), m_y=st.integers(1, 7), m_u=st.integers(1, 7),
+           scales=st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+           zeros=st.sampled_from([0.0, -0.0, None]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_method_forms_make_the_oracles_bits(self, n, m_y, m_u, scales, zeros, seed):
+        rng = np.random.default_rng(seed)
+        dQ = rng.standard_normal(n * m_u) * 10.0 ** scales[0]
+        J = rng.standard_normal((m_y, m_u)) * 10.0 ** scales[1]
+        if zeros is not None:  # signed zeros in a few entries of each
+            dQ[rng.random(dQ.shape) < 0.3] = zeros
+            J[rng.random(J.shape) < 0.3] = zeros
+        new = dQ.reshape(n, m_u).cumsum(axis=0).dot(J.T)
+        old = predicted_moves_oracle(dQ, n, J)
+        # one exception, a 1 x 1 by 1 x 1 product: matmul adds it to +0.0, so a -0.0
+        # product comes out +0.0 there, and dot keeps it -0.0
+        if (n, m_y, m_u) != (1, 1, 1):
+            assert new.tobytes() == old.tobytes()
+        assert np.array_equal(new, old)
+        # the tracker reads the prediction only through the norm of resid minus it, whose
+        # squares drop the sign of a zero: that norm has the oracle's bits in every case
+        resid = rng.standard_normal(n * m_y) * 10.0 ** scales[1]
+        if zeros is not None:
+            resid[rng.random(resid.shape) < 0.3] = zeros
+        r_new, r_old = resid - new.ravel(), resid - old.ravel()
+        assert math.sqrt(r_new.dot(r_new)).hex() == math.sqrt(r_old.dot(r_old)).hex()
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_tracker_observes_the_oracles_prediction(self, n):
+        seen = []
+
+        class Recording(RatioRule):
+            def next_lambda(self, obs):
+                seen.append(obs.error_norm)
+                return super().next_lambda(obs)
+
+        traj, q0 = helix(30), np.array([0.2, 0.6, -0.4])
+        cfg = SolverConfig(n_up=1, schedule=Recording(0.05, 1.5, 1.5), horizon=n)
+        report = receding_horizon_track(ARM, traj, q0, cfg)
+        targets = ARM._targets(traj.samples, n)
+        q, y = q0, forward(ARM, q0)
+        for t, step in enumerate(report.steps):  # each step again, predicted the old way
+            J = jacobian(ARM, q)
+            resid = mfac.task_error(ARM, targets[t:t + n], q, y)
+            dQ = mfac_step(J, resid, step.lam)
+            r = resid - predicted_moves_oracle(dQ, n, J).ravel()
+            assert seen[t] == math.sqrt(r.dot(r))
+            q, y = step.q, step.output
