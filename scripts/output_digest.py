@@ -4,9 +4,9 @@
 The outputs are the `ikdamp track` CSVs of configs/example1.json and
 configs/example2.json, of example2 in propagated mode and with the
 single-step law (n_up = 1), and of example1 with the inner loop
-(n_up = 10) and no initial_y, of example1 from another q0 with an
-initial_y away from its output, and of example1 with a schedule that
-reads the condition number; every SolveReport field of `solve_ik` on
+(n_up = 10) and no initial_y, with and without reset_on_cross, of
+example1 from another q0 with an initial_y away from its output, and of
+example1 with a schedule that reads the condition number; every SolveReport field of `solve_ik` on
 seeds 501-502 x --goals random 6-DOF goals x two damping schedules;
 `ikdamp ik` in propagated mode with n = 2 on --goals seeded 6-DOF goals;
 `DhChain.forward_pose` and `jacobian` on 500 seeded configurations of
@@ -76,6 +76,8 @@ TRACK_RUNS = (
     ("example2-propagated", "example2", {"solver": {"mode": "propagated"}}),
     ("example2-single-step", "example2", {"tolerances": {"n_up": 1}}),
     ("example1-inner-loop", "example1", {"tolerances": {"n_up": 10}, "initial_y": None}),
+    ("example1-inner-reset", "example1", {"tolerances": {"n_up": 10}, "initial_y": None,
+                                          "schedule": {"reset_on_cross": True}}),
     # y0 apart from forward(q0) along directions the first Jacobian sees
     ("example1-initial-y", "example1", {"initial_q": [0.3, 0.8, -0.5],
                                         "initial_y": [4.0, 1.0, 12.0]}),

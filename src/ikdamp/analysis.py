@@ -57,7 +57,7 @@ def _poles(sigma: np.ndarray, shape: tuple, n: int, lam: float) -> np.ndarray:
     cutoff = _rank_cutoff(root_mu_max * sigma[0], n * max(shape))  # mfac_step's rule
     p = np.ones(shape[0])
     p[: sigma.size] = (W[0] * WtTt.sum(axis=1) / mu) @ np.divide(
-        lam, lam + s2, out=np.ones(s2.shape), where=s2 > cutoff**2)
+        lam, lam + s2, out=np.ones(s2.shape), where=s2 > cutoff * cutoff)
     return p
 
 

@@ -1,13 +1,11 @@
 """Adaptive damping-factor schedules.
 
-Each schedule is a small state machine producing the scalar damping
-factor (applied as lam * I) for the next damped solve, driven by the
-tracking-error norm and/or the singular values of the step's SVD of J
-(only `DampingObservation.cond` turns them into a condition number). It
-holds its current factor in `lam`, which `peek` reads. That state lasts
-as long as the object: every solve given one `SolverConfig` shares its
-schedule, so a second solve starts from the factor the first left (the
-tracker's inner loop relies on this from one waypoint to the next).
+Each schedule is a pure rule: `next_lambda(lam, obs)` maps the scalar
+damping factor a loop holds (applied as lam * I) to the one its next
+damped step applies, driven by the tracking-error norm and/or the
+singular values of the step's SVD of J (only `DampingObservation.cond`
+turns them into a condition number). Schedules are frozen and hold no
+state: the loop holds lam, and starts it from the schedule's `lambda0`.
 
 A `DampingObservation` built by its constructor checks sigma (rows of at
 most size values, descending to >= 0). The library's own loops, the
@@ -18,7 +16,7 @@ raises. The tests rebuild every such observation through the constructor.
 """
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from operator import ge
 from typing import Optional, Sequence
 
@@ -102,15 +100,12 @@ def cond(J) -> float:
 
 
 class DampingSchedule:
-    """Base class: next_lambda advances the state and stores its result in lam; peek reads lam."""
+    """Base class: next_lambda(lam, obs) is the damping factor that follows lam after obs."""
 
-    lam: float
+    lambda0: float  # the factor a loop starts from
 
-    def next_lambda(self, obs: DampingObservation) -> float:
+    def next_lambda(self, lam: float, obs: DampingObservation) -> float:
         raise NotImplementedError
-
-    def peek(self) -> float:
-        return self.lam
 
 
 def _check_rates(lambda0: float, a1: float = 1.0, a2: float = 1.0) -> None:
@@ -129,48 +124,42 @@ def _ascending(bins: Sequence[float], name: str) -> list:
     return bins
 
 
-@dataclass
+@dataclass(frozen=True)
 class Constant(DampingSchedule):
     lambda0: float = 0.0
-    lam: float = field(init=False)
 
     def __post_init__(self):
         _check_rates(self.lambda0)
-        self.lam = self.lambda0
 
-    def next_lambda(self, obs: DampingObservation) -> float:
-        return self.lam
+    def next_lambda(self, lam: float, obs: DampingObservation) -> float:
+        return self.lambda0
 
 
-@dataclass
+@dataclass(frozen=True)
 class RatioRule(DampingSchedule):
     """Multiply by a1 when the error ratio exceeds 1, else divide by a2."""
 
     lambda0: float
     a1: float
     a2: float
-    lam: float = field(init=False)
 
     def __post_init__(self):
         _check_rates(self.lambda0, self.a1, self.a2)
-        self.lam = self.lambda0
 
-    def next_lambda(self, obs: DampingObservation) -> float:
+    def next_lambda(self, lam: float, obs: DampingObservation) -> float:
         prev = obs.prev_error_norm
         # missing/zero previous error: ratio treated as <= 1 (divide branch)
         if prev is not None and prev > 0 and obs.error_norm / prev > 1:
-            self.lam *= self.a1
-        else:
-            self.lam /= self.a2
-        return self.lam
+            return lam * self.a1
+        return lam / self.a2
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThresholdRule(DampingSchedule):
     """Multiply by a1 while the error exceeds t1, else divide by a2.
 
-    With reset_on_cross, crossing from below t1 back above it resets the
-    state to lambda0 before the multiplicative update.
+    With reset_on_cross, an error above t1 after a previous error at or
+    below it restarts from lambda0 before the multiplicative update.
     """
 
     lambda0: float
@@ -178,25 +167,19 @@ class ThresholdRule(DampingSchedule):
     a2: float
     t1: float
     reset_on_cross: bool = False
-    lam: float = field(init=False)
-    _prev_above: Optional[bool] = field(init=False, default=None)
 
     def __post_init__(self):
         _check_rates(self.lambda0, self.a1, self.a2)
         if not self.t1 >= 0:
             raise DampingError("t1 must be non-negative")
-        self.lam = self.lambda0
 
-    def next_lambda(self, obs: DampingObservation) -> float:
-        above = obs.error_norm > self.t1
-        if self.reset_on_cross and above and self._prev_above is False:
-            self.lam = self.lambda0
-        if above:
-            self.lam *= self.a1
-        else:
-            self.lam /= self.a2
-        self._prev_above = above
-        return self.lam
+    def next_lambda(self, lam: float, obs: DampingObservation) -> float:
+        if obs.error_norm <= self.t1:
+            return lam / self.a2
+        prev = obs.prev_error_norm
+        if self.reset_on_cross and prev is not None and prev <= self.t1:
+            lam = self.lambda0
+        return lam * self.a1
 
 
 def _bin_index(thresholds: Sequence[float], value: float) -> int:
@@ -205,55 +188,55 @@ def _bin_index(thresholds: Sequence[float], value: float) -> int:
     return min(idx, len(thresholds) - 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LookupTable(DampingSchedule):
-    """Two-way lookup over (error bin, condition-number bin)."""
+    """Two-way lookup over (error bin, condition-number bin); starts from table[0][0]."""
 
     error_bins: Sequence[float]
     cond_bins: Sequence[float]
     table: Sequence[Sequence[float]]
-    lam: float = field(init=False)
 
     def __post_init__(self):
-        self.error_bins = _ascending(self.error_bins, "error_bins")
-        self.cond_bins = _ascending(self.cond_bins, "cond_bins")
+        object.__setattr__(self, "error_bins", _ascending(self.error_bins, "error_bins"))
+        object.__setattr__(self, "cond_bins", _ascending(self.cond_bins, "cond_bins"))
         shape = (len(self.error_bins), len(self.cond_bins))
         # rows checked one by one first: numpy would reject a ragged table without naming it
         if len(self.table) != shape[0] or any(np.shape(row) != shape[1:] for row in self.table):
             raise DampingError(f"table shape must be (error bins) x (cond bins) = {shape}")
-        self.table = np.asarray(self.table, dtype=float)
+        object.__setattr__(self, "table", np.asarray(self.table, dtype=float))
         if not np.all((self.table >= 0) & (self.table < np.inf)):
             raise DampingError("table entries must be finite and non-negative")
-        self.lam = float(self.table[0, 0])
 
-    def next_lambda(self, obs: DampingObservation) -> float:
+    @property
+    def lambda0(self) -> float:
+        return float(self.table[0, 0])
+
+    def next_lambda(self, lam: float, obs: DampingObservation) -> float:
         row = _bin_index(self.error_bins, obs.error_norm)
         col = _bin_index(self.cond_bins, obs.cond)
-        self.lam = float(self.table[row, col])
-        return self.lam
+        return float(self.table[row, col])
 
 
-@dataclass
+@dataclass(frozen=True)
 class CondRule(DampingSchedule):
-    """Piecewise-constant in the condition number; 0 below the first bin."""
+    """Piecewise-constant in the condition number; 0 below the first bin, where it starts."""
 
     cond_bins: Sequence[float]
     lambdas: Sequence[float]
-    lam: float = field(init=False, default=0.0)
+    lambda0 = 0.0  # a class constant, not a field: no config key sets it
 
     def __post_init__(self):
-        self.cond_bins = _ascending(self.cond_bins, "cond_bins")
-        self.lambdas = [float(v) for v in self.lambdas]
+        object.__setattr__(self, "cond_bins", _ascending(self.cond_bins, "cond_bins"))
+        object.__setattr__(self, "lambdas", [float(v) for v in self.lambdas])
         if len(self.lambdas) != len(self.cond_bins):
             raise DampingError("need one lambda per condition threshold")
         if not all(0 <= v < np.inf for v in self.lambdas):
             raise DampingError("lambdas must be finite and non-negative")
 
-    def next_lambda(self, obs: DampingObservation) -> float:
+    def next_lambda(self, lam: float, obs: DampingObservation) -> float:
         # number of thresholds <= cond; 0 means below the first bin
         idx = int(np.searchsorted(self.cond_bins, obs.cond, side="right"))
-        self.lam = 0.0 if idx == 0 else self.lambdas[min(idx, len(self.lambdas)) - 1]
-        return self.lam
+        return 0.0 if idx == 0 else self.lambdas[min(idx, len(self.lambdas)) - 1]
 
 
 def _check_object(spec, what: str, error: type = ValueError) -> None:

@@ -60,7 +60,6 @@ class HorizonMode(Enum):
 class SolverConfig:
     delta: float = 1e-10        # final error tolerance
     n_up: int = 500             # iteration cap
-    # one object, its damping state included, shared by every solve given this config
     schedule: DampingSchedule = field(default_factory=Constant)
     horizon: int = 1
     mode: HorizonMode = HorizonMode.FROZEN  # a HorizonMode or its value
@@ -136,9 +135,9 @@ def mfac_step(J, e, lam: float | Callable[[np.ndarray], float]) -> np.ndarray:
     lam = float(lam)  # a float32 lam would otherwise round the float sums below to float32
     mu, root_mu_max, W, WtTt = _horizon_spectrum(n)
     s = sigma.tolist()
-    # x * x is numpy's array sigma**2; the cutoff's ** 2 is libm pow, as numpy's scalar
-    # cutoff**2 was, and pow need not round as c * c does (kinematics module docstring)
-    cutoff2 = _rank_cutoff(root_mu_max * s[0], n * max(m_y, m_u)) ** 2
+    # squares as products, correctly rounded: libm pow, which ** calls, may miss by an ulp
+    cutoff = _rank_cutoff(root_mu_max * s[0], n * max(m_y, m_u))
+    cutoff2 = cutoff * cutoff
     # s / (s^2 + lam), divided by the sqrt(mu_i) that T's left singular vectors carry
     gain = np.array([[x / (m * (x * x) + lam) if m * (x * x) > cutoff2 else 0.0 for x in s]
                      for m in mu])
@@ -169,7 +168,7 @@ def build_psi(jacobians: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def solve_ik_predictive(
-    model: KinematicModel, targets: Sequence, q0, config: SolverConfig
+    model: KinematicModel, targets: Sequence, q0, config: SolverConfig, lam: Optional[float] = None
 ) -> SolveReport:
     """Iterative predictive IK over a fixed window of n targets.
 
@@ -180,12 +179,13 @@ def solve_ik_predictive(
     with that state's error, so on the iterate that stops too), commit the
     first increment dq_0, and stop `stalled` if ||dq_0|| <= STALL_TOL *
     (1 + ||q||) at the q it moved, or `diverged`, with q unmoved, if ||dq_0||
-    is not finite. The schedule updates the damping factor inside that
-    solve, observing the singular values of the solve's own SVD of J
-    (FROZEN) or those of each block (PROPAGATED). Provisional states
-    advance by the cumulative increment blocks. Stops after config.n_up
-    iterations otherwise (`max_iterations`). Every iteration, the one that
-    stops included, records its error, lambda and q. The window must hold
+    is not finite. The loop holds the damping factor, from lam (by default
+    the schedule's lambda0), and the schedule updates it inside each step,
+    observing the singular values of the step's own SVD of J (FROZEN) or
+    those of each block (PROPAGATED). Provisional states advance by the
+    cumulative increment blocks. Stops after config.n_up iterations
+    otherwise (`max_iterations`). Every iteration, the one that stops
+    included, records its error, lambda and q. The window must hold
     config.horizon targets.
     """
     targets = model._targets(targets)
@@ -196,6 +196,9 @@ def solve_ik_predictive(
     size = max(m_y, m_u)
     q = _as_vector(q0, m_u, "q0").copy()
     schedule = config.schedule
+    lam = schedule.lambda0 if lam is None else lam
+    if not 0 <= lam < math.inf:  # a NaN fails it too
+        raise ValueError("lam must be finite and non-negative")
     frozen = config.mode is HorizonMode.FROZEN
 
     provisional = [q] * n
@@ -204,6 +207,12 @@ def solve_ik_predictive(
     q_trace: List[np.ndarray] = []
     prev_norm: Optional[float] = None
     status = SolveStatus.MAX_ITERATIONS
+
+    def damping(s):  # s is the step's own sigma of J; sigma has a row per block (PROPAGATED)
+        nonlocal lam
+        lam = schedule.next_lambda(lam, DampingObservation._trusted(
+            err, prev_norm, s if frozen else sigma, size))
+        return lam
 
     for _ in range(config.n_up):
         resid = task_error(model, targets, q)
@@ -219,19 +228,17 @@ def solve_ik_predictive(
         error_trace.append(err)
         if not err < math.inf or err <= config.delta:  # a NaN fails both comparisons
             status = SolveStatus.CONVERGED if err <= config.delta else SolveStatus.DIVERGED
-            lambda_trace.append(schedule.peek())
+            lambda_trace.append(lam)
             q_trace.append(q.copy())
             break
 
-        if frozen:  # the schedule observes the singular values of the step's own SVD of J
+        if frozen:
             stack = jacobian(model, q)
-        else:  # ... or those of every block, one row each, from one call
+        else:
             stack = build_psi(jac_blocks)
             sigma = np.linalg.svd(np.array(jac_blocks), compute_uv=False)
-        dQ = mfac_step(stack, resid, lambda s: schedule.next_lambda(DampingObservation._trusted(
-            err, prev_norm, s if frozen else sigma, size
-        )))
-        lambda_trace.append(schedule.peek())
+        dQ = mfac_step(stack, resid, damping)
+        lambda_trace.append(lam)
         if not frozen:
             provisional = q + np.cumsum(dQ.reshape(n, m_u), axis=0)
         dq0 = dQ[:m_u]
@@ -248,14 +255,8 @@ def solve_ik_predictive(
             break
         prev_norm = err
 
-    return SolveReport(
-        q_final=q,
-        status=status,
-        iterations=len(error_trace),
-        error_trace=error_trace,
-        lambda_trace=lambda_trace,
-        q_trace=q_trace,
-    )
+    return SolveReport(q_final=q, status=status, iterations=len(error_trace),
+                       error_trace=error_trace, lambda_trace=lambda_trace, q_trace=q_trace)
 
 
 def solve_ik(model: KinematicModel, target, q0, config: SolverConfig) -> SolveReport:

@@ -120,7 +120,7 @@ def receding_horizon_track(
     of them. At each step the window is stacked, one predictive increment
     is committed, and the plant advances by one true FK, against which the
     first target is scored. With config.n_up == 1 this is the pure
-    one-increment-per-step controller: the step applies the schedule's
+    one-increment-per-step controller: the step applies the loop's
     current lambda, and the schedule is then fed the frozen-model
     predicted stacked error, with the previous step's as the previous
     error, and the singular values of the step's own SVD of J. With
@@ -143,6 +143,7 @@ def receding_horizon_track(
     targets = model._targets(trajectory.samples, n)
     q = _as_vector(q0, model.m_u, "q0").copy()
     schedule = config.schedule
+    lam = schedule.lambda0  # the factor the next step applies
     y = forward(model, q) if y0 is None else _as_vector(y0, model.m_y, "y0")
 
     steps: List[TrackStep] = []
@@ -150,7 +151,6 @@ def receding_horizon_track(
     for t in range(len(trajectory)):
         window = targets[t:t + n]
         if single_step:
-            lam = schedule.peek()
             J = jacobian(model, q)
             resid = task_error(model, window, q, y)
             sigma = []  # the step applies lam and keeps its singular values of J for the update
@@ -162,14 +162,14 @@ def receding_horizon_track(
             moved = dQ.reshape(n, model.m_u).cumsum(axis=0).dot(J.T)
             r = resid - moved.ravel()
             predicted_err = math.sqrt(r.dot(r))  # the bits of np.linalg.norm, at a third of its cost
-            schedule.next_lambda(DampingObservation._trusted(
+            applied, lam = lam, schedule.next_lambda(lam, DampingObservation._trusted(
                 predicted_err, prev_predicted, sigma[0], max(J.shape)))
             prev_predicted = predicted_err
             inner = 1
-        else:
-            report = solve_ik_predictive(model, window, q, config)
+        else:  # each solve starts from the last lambda of the one before
+            report = solve_ik_predictive(model, window, q, config, lam)
             q = report.q_final
-            lam = report.lambda_trace[-1]
+            applied = lam = report.lambda_trace[-1]
             inner = report.iterations
         y = forward(model, q)
         r = task_error(model, window[:1], q, y)
@@ -179,7 +179,7 @@ def receding_horizon_track(
                 target=trajectory[t],
                 output=y,
                 error_norm=math.sqrt(r.dot(r)),
-                lam=lam,
+                lam=applied,
                 inner_iterations=inner,
                 q=q.copy(),
             )

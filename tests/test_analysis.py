@@ -155,6 +155,18 @@ class TestRankCutoff:
         assert not mfac_pole_matrix(J, lam).stable
 
 
+def test_a_sigma_at_the_rank_cutoff_is_dropped():
+    # J = diag(s0, c), c the rank cutoff eps * 2 * s0 of its own 2 x 2 SVD: mu sigma^2 = c * c
+    # is at the cutoff, so the step drops it and its pole is 1, while pow(c, 2) rounds one ulp
+    # below c * c (glibc), so a cutoff squared with ** kept it at an undamped gain of 1 / c
+    s0 = 6.049948499013176e-10
+    c = _rank_cutoff(s0, 2)
+    J = np.diag([s0, c])
+    assert np.linalg.svd(J, compute_uv=False).tolist() == [s0, c]
+    assert mfac_step(J, [1.0, 1.0], 0.0)[1] == 0.0
+    assert mfac_pole_matrix(J, 0.0).eigenvalues.tolist() == [0.0, 1.0]
+
+
 class TestFrozenLoop:
     """The closed-form frozen poles of `_frozen_loop`, against the dense stack's own gain."""
 

@@ -33,6 +33,22 @@ def obs(err, prev=None, c=None):
     return DampingObservation(err, prev_error_norm=prev, sigma=sigma, size=2)
 
 
+def fold(schedule, observations, lam=None):
+    """The lambdas a loop holds as it feeds the schedule each observation, from lam or lambda0."""
+    lam = schedule.lambda0 if lam is None else lam
+    lams = []
+    for o in observations:
+        lam = schedule.next_lambda(lam, o)
+        lams.append(lam)
+    return lams
+
+
+def chained(errors, conds=None):
+    """Observations as one solve makes them: each one's previous error is the one before."""
+    conds = [None] * len(errors) if conds is None else conds
+    return [obs(e, prev, c) for e, prev, c in zip(errors, [None, *errors], conds)]
+
+
 class TestCond:
     def test_identity(self):
         assert cond(np.eye(3)) == 1.0
@@ -92,8 +108,7 @@ class TestObservation:
         # a NaN ratio compares False, so RatioRule would take its divide branch without a word
         s = RatioRule(0.1, 2.0, 2.0)
         with pytest.raises(DampingError, match="error_norm"):
-            s.next_lambda(DampingObservation(float("nan"), prev_error_norm=float("nan")))
-        assert s.peek() == 0.1
+            s.next_lambda(0.1, DampingObservation(float("nan"), prev_error_norm=float("nan")))
 
 
 class RecordingRatioRule(RatioRule):
@@ -103,9 +118,9 @@ class RecordingRatioRule(RatioRule):
         super().__post_init__()
         self.seen = []
 
-    def next_lambda(self, obs):
+    def next_lambda(self, lam, obs):
         self.seen.append(obs)
-        return super().next_lambda(obs)
+        return super().next_lambda(lam, obs)
 
 
 def assert_public_checks_pass(seen):
@@ -172,8 +187,8 @@ class TestTrustedObservations:
 class TestConstant:
     def test_always_lambda0(self):
         s = Constant(0.0)
-        assert s.next_lambda(obs(5.0)) == 0.0
-        assert s.next_lambda(obs(0.1)) == 0.0
+        assert fold(s, chained([5.0, 0.1])) == [0.0, 0.0]
+        assert s.next_lambda(3.0, obs(5.0)) == 0.0  # whatever lambda it is given
 
     def test_rejects_negative(self):
         with pytest.raises(DampingError):
@@ -183,18 +198,16 @@ class TestConstant:
 class TestRatioRule:
     def test_two_step_trace(self):
         s = RatioRule(1.0, a1=2.0, a2=4.0)
-        # error grew (3 vs prev 2): multiply
-        assert s.next_lambda(obs(3.0, prev=2.0)) == 2.0
-        # error shrank (1 vs prev 3): divide
-        assert s.next_lambda(obs(1.0, prev=3.0)) == 0.5
+        # error grew (3 vs prev 2): multiply; then shrank (1 vs prev 3): divide
+        assert fold(s, [obs(3.0, prev=2.0), obs(1.0, prev=3.0)]) == [2.0, 0.5]
 
     def test_tie_takes_divide_branch(self):
         s = RatioRule(1.0, a1=2.0, a2=2.0)
-        assert s.next_lambda(obs(2.0, prev=2.0)) == 0.5
+        assert s.next_lambda(1.0, obs(2.0, prev=2.0)) == 0.5
 
     def test_zero_previous_error_divides(self):
         s = RatioRule(1.0, a1=2.0, a2=2.0)
-        assert s.next_lambda(obs(1.0, prev=0.0)) == 0.5
+        assert s.next_lambda(1.0, obs(1.0, prev=0.0)) == 0.5
 
     def test_coefficient_constraint(self):
         with pytest.raises(DampingError):
@@ -204,32 +217,30 @@ class TestRatioRule:
 class TestThresholdRule:
     def test_above_threshold_multiplies(self):
         s = ThresholdRule(2.0, a1=1.1, a2=1.02, t1=10.0)
-        assert s.next_lambda(obs(12.0)) == pytest.approx(2.2)
+        assert s.next_lambda(2.0, obs(12.0)) == pytest.approx(2.2)
 
     def test_below_threshold_divides(self):
         s = ThresholdRule(2.0, a1=1.1, a2=1.02, t1=10.0)
-        assert s.next_lambda(obs(5.0)) == pytest.approx(2.0 / 1.02)
+        assert s.next_lambda(2.0, obs(5.0)) == pytest.approx(2.0 / 1.02)
 
     def test_reset_on_cross(self):
         s = ThresholdRule(2.0, a1=1.1, a2=1.02, t1=10.0, reset_on_cross=True)
-        s.next_lambda(obs(12.0))  # above
-        s.next_lambda(obs(5.0))   # below
-        # crossing back above resets to lambda0 before multiplying
-        assert s.next_lambda(obs(15.0)) == pytest.approx(2.0 * 1.1)
+        # above, below, then back above: that crossing restarts from lambda0 before multiplying
+        assert fold(s, chained([12.0, 5.0, 15.0]))[-1] == pytest.approx(2.0 * 1.1)
+        # a previous error at t1 counts as below it; one above it, or none, does not reset
+        assert s.next_lambda(7.0, obs(15.0, prev=10.0)) == pytest.approx(2.0 * 1.1)
+        assert s.next_lambda(7.0, obs(15.0, prev=12.0)) == pytest.approx(7.0 * 1.1)
+        assert s.next_lambda(7.0, obs(15.0)) == pytest.approx(7.0 * 1.1)
 
     def test_no_reset_by_default(self):
         s = ThresholdRule(2.0, a1=1.1, a2=1.02, t1=10.0)
-        s.next_lambda(obs(12.0))
-        s.next_lambda(obs(5.0))
-        assert s.next_lambda(obs(15.0)) == pytest.approx(2.2 / 1.02 * 1.1)
+        assert fold(s, chained([12.0, 5.0, 15.0]))[-1] == pytest.approx(2.2 / 1.02 * 1.1)
 
     def test_reproducible(self):
-        seq = [12.0, 5.0, 15.0, 3.0, 3.0]
+        seq = chained([12.0, 5.0, 15.0, 3.0, 3.0])
         a = ThresholdRule(2.0, 1.1, 1.02, 10.0)
         b = ThresholdRule(2.0, 1.1, 1.02, 10.0)
-        assert [a.next_lambda(obs(e)) for e in seq] == [
-            b.next_lambda(obs(e)) for e in seq
-        ]
+        assert fold(a, seq) == fold(b, seq) == fold(a, seq)
 
 
 class TestLookupTable:
@@ -240,19 +251,19 @@ class TestLookupTable:
     )
 
     def test_zero_corner(self):
-        assert self.TABLE.next_lambda(obs(0.5, c=10.0)) == 0.0
+        assert self.TABLE.next_lambda(0.0, obs(0.5, c=10.0)) == 0.0
 
     def test_bin_selection(self):
-        assert self.TABLE.next_lambda(obs(5.0, c=10.0)) == 1.0
-        assert self.TABLE.next_lambda(obs(0.5, c=1e4)) == 0.5
-        assert self.TABLE.next_lambda(obs(5.0, c=1e4)) == 5.0
+        assert self.TABLE.next_lambda(0.0, obs(5.0, c=10.0)) == 1.0
+        assert self.TABLE.next_lambda(0.0, obs(0.5, c=1e4)) == 0.5
+        assert self.TABLE.next_lambda(0.0, obs(5.0, c=1e4)) == 5.0
 
     def test_out_of_range_clamps(self):
-        assert self.TABLE.next_lambda(obs(1e9, c=float("inf"))) == 5.0
+        assert self.TABLE.next_lambda(0.0, obs(1e9, c=float("inf"))) == 5.0
 
     def test_requires_cond(self):
         with pytest.raises(DampingError):
-            self.TABLE.next_lambda(obs(1.0))
+            self.TABLE.next_lambda(0.0, obs(1.0))
 
     def test_bins_must_ascend(self):
         with pytest.raises(DampingError):
@@ -263,13 +274,13 @@ class TestCondRule:
     RULE = CondRule(cond_bins=[10.0, 100.0], lambdas=[0.5, 2.0])
 
     def test_below_first_bin_is_zero(self):
-        assert self.RULE.next_lambda(obs(1.0, c=5.0)) == 0.0
+        assert self.RULE.next_lambda(0.0, obs(1.0, c=5.0)) == 0.0
 
     def test_piecewise_selection(self):
-        assert self.RULE.next_lambda(obs(1.0, c=10.0)) == 0.5
-        assert self.RULE.next_lambda(obs(1.0, c=50.0)) == 0.5
-        assert self.RULE.next_lambda(obs(1.0, c=100.0)) == 2.0
-        assert self.RULE.next_lambda(obs(1.0, c=float("inf"))) == 2.0
+        assert self.RULE.next_lambda(0.0, obs(1.0, c=10.0)) == 0.5
+        assert self.RULE.next_lambda(0.0, obs(1.0, c=50.0)) == 0.5
+        assert self.RULE.next_lambda(0.0, obs(1.0, c=100.0)) == 2.0
+        assert self.RULE.next_lambda(0.0, obs(1.0, c=float("inf"))) == 2.0
 
 
 class TestProperties:
@@ -280,11 +291,7 @@ class TestProperties:
     def test_lambda_never_negative(self, errors):
         s = ThresholdRule(2.0, 1.1, 1.02, 10.0)
         r = RatioRule(1.0, 1.5, 1.5)
-        prev = None
-        for e in errors:
-            assert s.next_lambda(obs(e)) >= 0.0
-            assert r.next_lambda(obs(e, prev=prev)) >= 0.0
-            prev = e
+        assert min(fold(s, chained(errors)) + fold(r, chained(errors))) >= 0.0
 
     def test_recommended_initialization_window(self):
         # with a typical 1 m link, lambda0 between 1e-3*l^2 and 0.1*l^2
@@ -303,7 +310,7 @@ class TestConfigFactory:
             {"type": "threshold", "lambda0": 2, "a1": 1.1, "a2": 1.02, "t1": 10}
         )
         assert isinstance(s, ThresholdRule)
-        assert s.peek() == 2.0
+        assert s.lambda0 == 2.0
 
     def test_all_variants(self):
         assert isinstance(
@@ -336,41 +343,6 @@ class TestConfigFactory:
     def test_unknown_type(self):
         with pytest.raises(DampingError):
             schedule_from_config({"type": "nope"})
-
-
-# each schedule type, fresh, with the lambda it holds before any update
-SCHEDULES = {
-    "constant": (lambda: Constant(0.3), 0.3),
-    "ratio": (lambda: RatioRule(0.3, 1.5, 2.0), 0.3),
-    "threshold": (lambda: ThresholdRule(0.3, 1.1, 1.02, 1.0, reset_on_cross=True), 0.3),
-    "lookup": (lambda: LookupTable([1.0, 10.0], [100.0, 1e6], [[0.2, 0.5], [1.0, 5.0]]), 0.2),
-    "cond": (lambda: CondRule([10.0, 100.0], [0.5, 2.0]), 0.0),
-}
-
-
-class TestPeek:
-    def test_every_schedule_type_is_covered(self):
-        made = {type(make()) for make, _ in SCHEDULES.values()}
-        assert made == set(DampingSchedule.__subclasses__())
-        # the config reader's type table names the same classes, under the same names
-        assert {k: type(SCHEDULES[k][0]()) for k in SCHEDULES} == _SCHEDULE_TYPES
-
-    @pytest.mark.parametrize("kind", sorted(SCHEDULES))
-    @given(
-        observed=st.lists(
-            st.tuples(st.floats(0.0, 100.0), st.floats(1.0, 1e8)), max_size=20
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_peek_reads_the_last_lambda(self, kind, observed):
-        make, lambda0 = SCHEDULES[kind]
-        s = make()
-        assert s.peek() == lambda0
-        prev = None
-        for err, c in observed:
-            lam = s.next_lambda(obs(err, prev, c))
-            assert s.peek() == lam
-            prev = err
 
 
 NAN = float("nan")
@@ -410,6 +382,43 @@ def test_ragged_table_rejected_by_name(table):
         schedule_from_config({**spec, "table": table})
 
 
+class StatefulReference:
+    """The five schedules as they were before they became pure rules: each held its lambda
+    and updated it in place, and the threshold rule also held whether its last error was above
+    t1. Reads only the rule's parameters."""
+
+    def __init__(self, rule):
+        self.rule, self.prev_above = rule, None
+        self.lam = (float(rule.table[0][0]) if isinstance(rule, LookupTable)
+                    else 0.0 if isinstance(rule, CondRule) else rule.lambda0)
+
+    def next_lambda(self, obs):
+        r = self.rule
+        if isinstance(r, RatioRule):
+            prev = obs.prev_error_norm
+            if prev is not None and prev > 0 and obs.error_norm / prev > 1:
+                self.lam *= r.a1
+            else:
+                self.lam /= r.a2
+        elif isinstance(r, ThresholdRule):
+            above = obs.error_norm > r.t1
+            if r.reset_on_cross and above and self.prev_above is False:
+                self.lam = r.lambda0
+            if above:
+                self.lam *= r.a1
+            else:
+                self.lam /= r.a2
+            self.prev_above = above
+        elif isinstance(r, LookupTable):
+            row = min(int(np.searchsorted(r.error_bins, obs.error_norm)), len(r.error_bins) - 1)
+            col = min(int(np.searchsorted(r.cond_bins, obs.cond)), len(r.cond_bins) - 1)
+            self.lam = float(r.table[row][col])
+        elif isinstance(r, CondRule):
+            idx = int(np.searchsorted(r.cond_bins, obs.cond, side="right"))
+            self.lam = 0.0 if idx == 0 else r.lambdas[min(idx, len(r.lambdas)) - 1]
+        return self.lam
+
+
 # each schedule type's parameters drawn for a config, some of them ints, which the reader
 # turns to floats (the rates are floats so a direct build also multiplies in floats)
 number = st.one_of(st.integers(0, 100), st.floats(0.0, 100.0))
@@ -425,6 +434,38 @@ CONFIG_PARAMS = {
     ),
     "cond": st.just({"cond_bins": [10.0, 100], "lambdas": [0.5, 2]}),
 }
+# error norms that sometimes equal an integer t1 exactly, and condition numbers up to inf
+ERRORS = st.one_of(st.floats(0.0, 100.0), st.integers(0, 100).map(float))
+CONDS = st.one_of(st.floats(1.0, 1e8), st.just(np.inf))
+
+
+class TestPureRules:
+    def test_every_schedule_type_is_covered(self):
+        assert set(CONFIG_PARAMS) == set(_SCHEDULE_TYPES)
+        assert set(_SCHEDULE_TYPES.values()) == set(DampingSchedule.__subclasses__())
+
+    @pytest.mark.parametrize("kind", sorted(CONFIG_PARAMS))
+    @given(data=st.data(), steps=st.lists(st.tuples(ERRORS, CONDS), max_size=30))
+    @settings(max_examples=80, deadline=None)
+    def test_fold_matches_the_stateful_reference(self, kind, data, steps):
+        # one solve's observations, fed to the rule from lambda0 and to the old stateful form
+        rule = _SCHEDULE_TYPES[kind](**data.draw(CONFIG_PARAMS[kind]))
+        errors, conds = [e for e, _ in steps], [c for _, c in steps]
+        reference = StatefulReference(rule)
+        assert rule.lambda0 == reference.lam
+        observations = chained(errors, conds)
+        assert fold(rule, observations) == [reference.next_lambda(o) for o in observations]
+
+    @pytest.mark.parametrize("kind", sorted(CONFIG_PARAMS))
+    @given(data=st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_frozen(self, kind, data):
+        rule = _SCHEDULE_TYPES[kind](**data.draw(CONFIG_PARAMS[kind]))
+        for f in dataclasses.fields(rule):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rule, f.name, getattr(rule, f.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rule.lam = 1.0
 
 
 class TestFromConfig:
@@ -445,18 +486,15 @@ class TestFromConfig:
         read = schedule_from_config({"type": kind, **params})
         made = _SCHEDULE_TYPES[kind](**params)
         assert type(read) is type(made)
-        assert read.peek() == made.peek()
+        assert read.lambda0 == made.lambda0
         observed = data.draw(
             st.lists(st.tuples(st.floats(0.0, 100.0), st.floats(1.0, 1e8)), max_size=20)
         )
-        prev = None
-        for err, c in observed:
-            assert read.next_lambda(obs(err, prev, c)) == made.next_lambda(obs(err, prev, c))
-            assert read.peek() == made.peek()
-            prev = err
+        observations = chained([e for e, _ in observed], [c for _, c in observed])
+        assert fold(read, observations) == fold(made, observations)
 
     def test_defaulted_parameter_may_be_left_out(self):
-        assert schedule_from_config({"type": "constant"}).peek() == 0.0
+        assert schedule_from_config({"type": "constant"}).lambda0 == 0.0
         rule = schedule_from_config({"type": "threshold", "lambda0": 2, "a1": 1.1, "a2": 1.02,
                                      "t1": 10})
         assert rule.reset_on_cross is False

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -183,7 +184,7 @@ def mfac_step_numpy(J, e, lam):
     mu, root_mu_max, W, WtTt = mfac._horizon_spectrum(n)
     s2 = np.array(mu)[:, None] * sigma**2
     cutoff = _rank_cutoff(root_mu_max * sigma[0], n * max(m_y, m_u))
-    gain = np.divide(sigma, s2 + lam, out=np.zeros(s2.shape), where=s2 > cutoff**2)
+    gain = np.divide(sigma, s2 + lam, out=np.zeros(s2.shape), where=s2 > cutoff * cutoff)
     dQ = W @ (gain * (WtTt @ e.T.reshape(e.shape[1:] + (n, m_y)) @ U)) @ Vt
     return dQ.reshape(e.shape[1:] + (n * m_u,)).T
 
@@ -203,6 +204,12 @@ def test_float_filter_matches_the_numpy_filter(shape, n, columns, zero_columns, 
     J[:, [c for c in zero_columns if c < shape[1]]] = 0.0  # exact zero singular values
     e = rng.standard_normal((n * shape[0],) if columns is None else (n * shape[0], columns))
     assert mfac_step(J, e, lam).tobytes() == mfac_step_numpy(J, e, lam).tobytes()
+
+
+def test_all_is_the_api_without_submodules():
+    assert len(set(ikdamp.__all__)) == len(ikdamp.__all__) == 45
+    for name in ikdamp.__all__:
+        assert not isinstance(getattr(ikdamp, name), types.ModuleType), name
 
 
 def test_import_loads_no_scipy():
@@ -286,9 +293,9 @@ class TestSolveIk:
         observed = []
         next_lambda = CondRule.next_lambda
 
-        def recording(self, obs):
+        def recording(self, lam, obs):
             observed.append(obs.cond)
-            return next_lambda(self, obs)
+            return next_lambda(self, lam, obs)
 
         monkeypatch.setattr(CondRule, "next_lambda", recording)
         chain = default_dh_chain()
@@ -311,11 +318,16 @@ class TestSolveIk:
     def observed_cond(model, goal, q0, horizon, mode):
         """The cond a CondRule records at each damped iterate, and what each should be:
         cond(J) at the iterate (frozen) or the largest cond(J_i) over the blocks (propagated)."""
-        rule, observed, stacked = CondRule([10.0, 1e3], [1e-4, 1e-2]), [], []
-        next_lambda = rule.next_lambda
-        rule.next_lambda = lambda obs: observed.append(obs.cond) or next_lambda(obs)
-        cfg = SolverConfig(n_up=20, schedule=rule, horizon=horizon, mode=mode)
-        with mock.patch.object(mfac, "build_psi", lambda Js: stacked.append(Js) or build_psi(Js)):
+        observed, stacked, next_lambda = [], [], CondRule.next_lambda
+
+        def recording(rule, lam, obs):
+            observed.append(obs.cond)
+            return next_lambda(rule, lam, obs)
+
+        cfg = SolverConfig(n_up=20, schedule=CondRule([10.0, 1e3], [1e-4, 1e-2]),
+                           horizon=horizon, mode=mode)
+        with mock.patch.object(mfac, "build_psi", lambda Js: stacked.append(Js) or build_psi(Js)), \
+                mock.patch.object(CondRule, "next_lambda", recording):
             report = solve_ik_predictive(model, [goal] * horizon, q0, cfg)
         steps = report.iterations - report.converged
         if mode == "frozen":
@@ -583,6 +595,12 @@ class TestEvaluationCounts:
         assert len(walks) == chain.m_u * (horizon * report.iterations - horizon + 1)
 
 
+def report_bytes(report):
+    """A SolveReport's fields, its q fields as bytes, to compare two reports exactly."""
+    return [np.asarray(v).tobytes() if f.name.startswith("q_") else v
+            for f in dataclasses.fields(report) for v in [getattr(report, f.name)]]
+
+
 class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -594,26 +612,30 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="delta"):
             SolverConfig(delta=math.nan)
 
-    def test_schedule_state_lasts_across_solves(self):
-        # one config holds one schedule object: a second solve starts from
-        # the lambda the first left, not from lambda0
+    def test_every_solve_starts_from_lambda0(self):
+        # the loop holds lambda and the schedule is a frozen rule: one config gives equal
+        # solves, and a solve starts from another lambda only when it is passed one
         chain = default_dh_chain()
         goal = chain.forward_pose([0.3, -0.4, 0.5, 0.2, -0.6, 0.1])
         q0 = np.full(chain.m_u, 0.1)
-
-        def config():
-            return SolverConfig(delta=1e-9, n_up=200, schedule=RatioRule(0.1, 1.5, 1.5))
-
-        cfg = config()
+        cfg = SolverConfig(delta=1e-9, n_up=200, schedule=RatioRule(0.1, 1.5, 1.5))
         first = solve_ik(chain, goal, q0, cfg)
         second = solve_ik(chain, goal, q0, cfg)
-        fresh = solve_ik(chain, goal, q0, config())
-        assert first.converged and second.converged
-        assert first.lambda_trace[0] == 0.1 / 1.5
-        assert second.lambda_trace[0] == first.lambda_trace[-1] / 1.5
-        assert second.iterations < first.iterations
-        assert fresh.lambda_trace == first.lambda_trace
-        assert cfg.schedule.peek() == second.lambda_trace[-1]
+        assert first.converged
+        assert report_bytes(second) == report_bytes(first)
+        assert second.lambda_trace[0] == cfg.schedule.lambda0 / 1.5 == 0.1 / 1.5
+        assert cfg.schedule == RatioRule(0.1, 1.5, 1.5)
+        # the lambda the first solve left, passed on, as the tracker's inner loop does
+        carried = solve_ik_predictive(chain, [goal], q0, cfg, lam=first.lambda_trace[-1])
+        assert carried.converged
+        assert carried.lambda_trace[0] == first.lambda_trace[-1] / 1.5
+        assert carried.iterations < first.iterations
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.schedule.lambda0 = 1.0
+        # a lam given with a goal already met would be recorded unused: it is checked first
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lam must be finite"):
+                solve_ik_predictive(chain, [chain.forward_pose(q0)], q0, cfg, lam=bad)
 
     def test_mode_from_string(self):
         cfg = SolverConfig(horizon=2, n_up=2, mode="propagated")

@@ -262,6 +262,36 @@ class TestRecedingHorizonTrack:
         assert report.steps[5].error_norm > 9.0
         assert lams[6] == pytest.approx(2.0 * lams[5])
 
+    def test_inner_solves_carry_lambda_and_reset_only_within_a_solve(self, monkeypatch):
+        # ThresholdRule(lambda0 1, a1 2, a2 4, t1 5) with reset_on_cross, n_up = 2: the second
+        # solve starts from the first one's last lambda with no previous error, so its first
+        # error, above t1, multiplies that lambda. A schedule that kept its own state across
+        # solves saw the first solve's last error (0.30, below t1) as the previous one and
+        # restarted from lambda0 there, at 2.0; this is the one behaviour pure rules moved
+        solves = []
+        solve = mfapc.solve_ik_predictive
+
+        def recording_solve(*args):
+            report = solve(*args)
+            solves.append((args[4], report))
+            return report
+
+        monkeypatch.setattr(mfapc, "solve_ik_predictive", recording_solve)
+        q0 = np.array([0.1, 0.5, 0.5])
+        y0 = forward(ARM, q0)
+        samples = np.array([y0 + [1.0, 0.0, 0.0], y0 + [7.0, 0.0, 0.0]])
+        cfg = SolverConfig(n_up=2, horizon=1,
+                           schedule=ThresholdRule(1.0, 2.0, 4.0, 5.0, reset_on_cross=True))
+        report = receding_horizon_track(ARM, Trajectory(samples), q0, cfg)
+        (lam1, first), (lam2, second) = solves
+        assert [e > 5.0 for e in first.error_trace + second.error_trace] == [
+            False, False, True, True]
+        assert first.status is second.status is SolveStatus.MAX_ITERATIONS
+        # below, below: 1 / 4, / 4; then above with no previous error, above after above
+        assert (lam1, first.lambda_trace) == (1.0, [0.25, 0.0625])
+        assert (lam2, second.lambda_trace) == (0.0625, [0.125, 0.25])
+        assert [s.lam for s in report.steps] == [0.0625, 0.25]
+
     @pytest.mark.parametrize(
         "model, n_up",
         [(ARM, 2), (default_dh_chain(), 1), (default_dh_chain(), 2)],
@@ -368,9 +398,9 @@ class RecordingCondRule(CondRule):
         super().__post_init__()
         self.seen = []
 
-    def next_lambda(self, obs):
+    def next_lambda(self, lam, obs):
         self.seen.append(obs.cond)
-        return super().next_lambda(obs)
+        return super().next_lambda(lam, obs)
 
 
 class TestSingleStepFactorizations:
@@ -460,9 +490,9 @@ class TestFrozenPrediction:
         seen = []
 
         class Recording(RatioRule):
-            def next_lambda(self, obs):
+            def next_lambda(self, lam, obs):
                 seen.append(obs.error_norm)
-                return super().next_lambda(obs)
+                return super().next_lambda(lam, obs)
 
         traj, q0 = helix(30), np.array([0.2, 0.6, -0.4])
         cfg = SolverConfig(n_up=1, schedule=Recording(0.05, 1.5, 1.5), horizon=n)

@@ -34,7 +34,8 @@ def test_output_digest(capsys):
     assert labels == (
         [f"track/{label}.csv" for label in ("example1", "example2", "example2-propagated",
                                              "example2-single-step", "example1-inner-loop",
-                                             "example1-initial-y", "example1-cond-schedule")]
+                                             "example1-inner-reset", "example1-initial-y",
+                                             "example1-cond-schedule")]
         + [f"solve_ik/{schedule}/seed{seed}/{name}"
            for schedule in ("constant", "ratio") for seed in (501, 502) for name in fields]
         + ["ik/propagated_n2", "dh/forward_pose", "dh/jacobian"]
