@@ -14,6 +14,14 @@ take the dense stack's first-increment gain from `mfac_step` and its poles
 from `eigvals`, and the simulator takes its gain from one `mfac_step` call
 on an identity error block.
 
+What the horizon buys: since sum w_i / mu_i = 1 and sum w_i mu_i = n, each
+n-step pole lies between the one-step poles at lam / n and at lam, so the
+horizon damps like the one-step law, weakened by at most a factor n. When
+tracking configs/example1.json the median error from step 100 on is 3.88e-3
+at horizon 5 and 3.91e-3 at horizon 1, but 2.48e-6 at horizon 5 with n_up = 2:
+the accuracy comes from a second linearisation per sample, not from the
+look-ahead (README, "What the horizon buys", gives the commands).
+
 The simulator is a linear recurrence y(k+1) = A y(k) + b(k) with a
 constant A = I - sum_j J K_j. A reference maps an integer array of k to
 one row r(k) per k, so the simulator samples it in one call, forms every

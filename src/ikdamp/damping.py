@@ -4,8 +4,9 @@ Each schedule is a pure rule: `next_lambda(lam, obs)` maps the scalar
 damping factor a loop holds (applied as lam * I) to the one its next
 damped step applies, driven by the tracking-error norm and/or the
 singular values of the step's SVD of J (only `DampingObservation.cond`
-turns them into a condition number). Schedules are frozen and hold no
-state: the loop holds lam, and starts it from the schedule's `lambda0`.
+turns them into a condition number). Schedules are frozen values that hold
+no state: the loop holds lam, and starts it from the schedule's `lambda0`.
+Their sequences are tuples of floats, so every schedule compares and hashes.
 
 A `DampingObservation` built by its constructor checks sigma (rows of at
 most size values, descending to >= 0). The library's own loops, the
@@ -116,9 +117,9 @@ def _check_rates(lambda0: float, a1: float = 1.0, a2: float = 1.0) -> None:
         raise DampingError("a1 and a2 must be finite and >= 1")
 
 
-def _ascending(bins: Sequence[float], name: str) -> list:
-    """The thresholds as floats, checked strictly ascending and free of NaN."""
-    bins = [float(b) for b in bins]
+def _ascending(bins: Sequence[float], name: str) -> tuple:
+    """The thresholds as a tuple of floats, checked strictly ascending and free of NaN."""
+    bins = tuple(float(b) for b in bins)
     if np.isnan(bins).any() or not np.all(np.diff(bins) > 0):
         raise DampingError(f"{name} must be strictly ascending numbers, got {bins}")
     return bins
@@ -200,21 +201,21 @@ class LookupTable(DampingSchedule):
         object.__setattr__(self, "error_bins", _ascending(self.error_bins, "error_bins"))
         object.__setattr__(self, "cond_bins", _ascending(self.cond_bins, "cond_bins"))
         shape = (len(self.error_bins), len(self.cond_bins))
-        # rows checked one by one first: numpy would reject a ragged table without naming it
         if len(self.table) != shape[0] or any(np.shape(row) != shape[1:] for row in self.table):
             raise DampingError(f"table shape must be (error bins) x (cond bins) = {shape}")
-        object.__setattr__(self, "table", np.asarray(self.table, dtype=float))
-        if not np.all((self.table >= 0) & (self.table < np.inf)):
+        table = tuple(tuple(float(v) for v in row) for row in self.table)
+        if not all(0 <= v < np.inf for row in table for v in row):
             raise DampingError("table entries must be finite and non-negative")
+        object.__setattr__(self, "table", table)
 
     @property
     def lambda0(self) -> float:
-        return float(self.table[0, 0])
+        return self.table[0][0]
 
     def next_lambda(self, lam: float, obs: DampingObservation) -> float:
         row = _bin_index(self.error_bins, obs.error_norm)
         col = _bin_index(self.cond_bins, obs.cond)
-        return float(self.table[row, col])
+        return self.table[row][col]
 
 
 @dataclass(frozen=True)
@@ -227,7 +228,7 @@ class CondRule(DampingSchedule):
 
     def __post_init__(self):
         object.__setattr__(self, "cond_bins", _ascending(self.cond_bins, "cond_bins"))
-        object.__setattr__(self, "lambdas", [float(v) for v in self.lambdas])
+        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
         if len(self.lambdas) != len(self.cond_bins):
             raise DampingError("need one lambda per condition threshold")
         if not all(0 <= v < np.inf for v in self.lambdas):

@@ -3,7 +3,11 @@
 Two model families are provided: a closed-form three-link arm (3 joint
 angles -> Cartesian position) and a generic serial chain described by
 classic Denavit-Hartenberg rows (joint angles -> full 6-DOF pose).
-All operations are pure functions over immutable model objects.
+Models are frozen values that compare and hash by their parameters. Only a
+`DhChain` holds hidden state, its last walk of the rows (`_frames`): one
+solver iterate's error and Jacobian read the same frames, so it walks once,
+not twice. The three-link arm takes its trigonometry afresh on each call;
+keeping it bought no measured speed.
 
 Elementwise work on a handful of scalars (pose errors, the log map, the
 three-link trigonometry) runs on Python floats: they round as numpy's
@@ -192,16 +196,10 @@ def _pose_errors(targets, position, rotation) -> list:
     return out
 
 
-def _pose_error(out, desired: Pose, position, rotation) -> np.ndarray:
-    """Write the error of the pose (position, rotation) from `desired` into the 6-vector out."""
-    out[:] = _pose_errors([desired], position, rotation)
-    return out
-
-
 def pose_error(desired: Pose, current: Pose) -> np.ndarray:
     """6-vector task error: position difference, then angle-axis error."""
     # each Pose validated its rotation when it was built
-    return _pose_error(np.empty(6), desired, current.position, current.rotation)
+    return np.array(_pose_errors([desired], current.position, current.rotation))
 
 
 class KinematicModel:
@@ -238,25 +236,6 @@ class KinematicModel:
         """Stacked errors of `_target`s from the output y, by default forward(q)."""
         return np.subtract(targets, self.forward(q) if y is None else y).ravel()
 
-    def _kept(self, q, compute):
-        """compute(q) of the checked m_u-vector q, kept for the last q only.
-
-        The key is the bytes of a q that passed `_as_vector`, so a float64 array
-        with the kept bytes needs no check, and forward and jacobian at one q
-        compute once. The (key, value) tuple is replaced whole, so concurrent
-        callers on one model can miss but never read a key with another q's
-        value. Callers read the value in place and hand out only new arrays.
-        """
-        last_key, last = self._last
-        if type(q) is np.ndarray and q.dtype == np.float64 and q.tobytes() == last_key:
-            return last
-        q = _as_vector(q, self.m_u)
-        key = q.tobytes()
-        if key != last_key:
-            last = compute(q)
-            object.__setattr__(self, "_last", (key, last))
-        return last
-
 
 def _three_link_trig(q) -> tuple:
     """(cos q1, sin q1, sin q2, cos q2, sin(q2 + q3), cos(q2 + q3)) of a checked q."""
@@ -283,16 +262,15 @@ class ThreeLink(KinematicModel):
     def __post_init__(self):
         if not all(0 < v < np.inf for v in (self.l1, self.l2, self.l3)):
             raise KinematicsError("link lengths must be finite and strictly positive")
-        object.__setattr__(self, "_last", (None, None))  # see `_kept`
 
     def forward(self, q) -> np.ndarray:
-        c1, s1, s2, c2, s23, c23 = self._kept(q, _three_link_trig)
+        c1, s1, s2, c2, s23, c23 = _three_link_trig(_as_vector(q, 3))
         r = self.l2 * s2 + self.l3 * s23
         z = self.l1 + self.l2 * c2 + self.l3 * c23
         return np.array([r * c1, r * s1, z])
 
     def jacobian(self, q) -> np.ndarray:
-        c1, s1, s2, c2, s23, c23 = self._kept(q, _three_link_trig)
+        c1, s1, s2, c2, s23, c23 = _three_link_trig(_as_vector(q, 3))
         r = self.l2 * s2 + self.l3 * s23
         dr = self.l2 * c2 + self.l3 * c23
         return np.array(
@@ -327,10 +305,6 @@ class DhRow:
                 0.0, sa, ca, self.d,
                 0.0, 0.0, 0.0, 1.0]
 
-    def transform(self, q: float) -> np.ndarray:
-        """Classic DH transform Rz(theta) Tz(d) Tx(a) Rx(alpha)."""
-        return np.array(self._entries(q)).reshape(4, 4)
-
 
 @dataclass(frozen=True)
 class DhChain(KinematicModel):
@@ -353,19 +327,31 @@ class DhChain(KinematicModel):
             raise KinematicsError("DH chain needs at least one row")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "m_u", len(rows))  # an attribute: the loop reads it per iterate
-        object.__setattr__(self, "_last", (None, None))  # see `_kept`
+        object.__setattr__(self, "_last", (None, None))  # see `_frames`
 
     def _frames(self, q) -> np.ndarray:
         """The base frame and the frame after each row: (m_u + 1) x 4 x 4, read-only.
 
-        The last walk is kept (`_kept`), so the pose, its error and the
-        Jacobian at one q walk the rows once.
+        The last walk is kept, so the pose, its error and the Jacobian at one q
+        walk the rows once. The key is the bytes of a q that passed `_as_vector`,
+        so a float64 array with the kept bytes needs no check. The (key, frames)
+        tuple is replaced whole, so concurrent callers on one chain can miss but
+        never read a key with another q's frames. Callers read the frames in
+        place and hand out only new arrays.
         """
-        return self._kept(q, self._walk)
+        last_key, last = self._last
+        if type(q) is np.ndarray and q.dtype == np.float64 and q.tobytes() == last_key:
+            return last
+        q = _as_vector(q, self.m_u)
+        key = q.tobytes()
+        if key != last_key:
+            last = self._walk(q)
+            object.__setattr__(self, "_last", (key, last))
+        return last
 
     def _walk(self, q) -> np.ndarray:
         """One array holds every row's `_entries`, and each frame is the previous
-        one `dot` its row's transform, in place: the bits of `DhRow.transform` under `@`."""
+        one `dot` its row's transform, in place: the bits of the row transforms under `@`."""
         entries = []
         for row, qi in zip(self.rows, q.tolist()):
             entries += row._entries(qi)

@@ -1,11 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ikdamp import analysis
+from ikdamp import analysis, cli
 from ikdamp.analysis import (
     ConstantReference,
     MfapcController,
@@ -18,6 +20,9 @@ from ikdamp.analysis import (
 from ikdamp.damping import _rank_cutoff, cond
 from ikdamp.kinematics import ThreeLink, default_dh_chain
 from ikdamp.mfac import _horizon_spectrum, build_psi, mfac_step
+from ikdamp.mfapc import receding_horizon_track
+
+EXAMPLE1 = Path(__file__).resolve().parent.parent / "configs" / "example1.json"
 
 
 def full_rank(rng, n=3):
@@ -249,6 +254,27 @@ class TestHorizonClosedForm:
             return x / (x + sigma2)
 
         assert one_step(lam / n) - 1e-14 <= p_n <= one_step(lam) + 1e-14
+
+
+class TestHorizonOnExample1:
+    """What the horizon buys when tracking configs/example1.json, whose run draws nothing at
+    random: the median error from step 100 on reads 3.88e-3 at horizon 5, 3.91e-3 at horizon 1
+    and 2.48e-6 at horizon 5 with a second linearisation per sample (n_up = 2)."""
+
+    @staticmethod
+    def steady_error(horizon, n_up):
+        cfg = json.loads(EXAMPLE1.read_text())
+        cfg["solver"]["horizon"], cfg["tolerances"]["n_up"] = horizon, n_up
+        model = cli.parse_model(cfg["model"])
+        report = receding_horizon_track(
+            model, cli.parse_trajectory(cfg["trajectory"], model), cfg["initial_q"],
+            cli.solver_config_from(cfg), y0=cfg["initial_y"] if n_up == 1 else None)
+        return float(np.median([s.error_norm for s in report.steps if s.k >= 100]))
+
+    def test_accuracy_comes_from_relinearising_not_from_the_look_ahead(self):
+        one_step, five_step = self.steady_error(1, 1), self.steady_error(5, 1)
+        assert abs(five_step - one_step) <= 0.1 * one_step
+        assert self.steady_error(5, 2) < 1e-4
 
 
 class TestMfapcPoleMatrix:

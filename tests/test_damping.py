@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -467,6 +468,22 @@ class TestPureRules:
         with pytest.raises(dataclasses.FrozenInstanceError):
             rule.lam = 1.0
 
+    @pytest.mark.parametrize("kind", sorted(CONFIG_PARAMS))
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_equal_rules_are_equal_values(self, kind, data):
+        params = data.draw(CONFIG_PARAMS[kind])
+        a = _SCHEDULE_TYPES[kind](**params)
+        b = _SCHEDULE_TYPES[kind](**copy.deepcopy(params))
+        assert a == b and hash(a) == hash(b)
+        assert SolverConfig(schedule=a) == SolverConfig(schedule=b)
+        assert hash(SolverConfig(schedule=a)) == hash(SolverConfig(schedule=b))
+
+    def test_a_sequence_entry_tells_rules_apart(self):
+        assert LookupTable([1.0], [10.0], [[0.5]]) != LookupTable([1.0], [10.0], [[0.25]])
+        assert CondRule([10.0], [0.5]) != CondRule([10.0], [0.25])
+        assert CondRule([10.0], [0.5]) != CondRule([20.0], [0.5])
+
 
 class TestFromConfig:
     @pytest.mark.parametrize("kind", sorted(_SCHEDULE_TYPES))
@@ -485,7 +502,7 @@ class TestFromConfig:
         assert set(params) == {f.name for f in dataclasses.fields(_SCHEDULE_TYPES[kind]) if f.init}
         read = schedule_from_config({"type": kind, **params})
         made = _SCHEDULE_TYPES[kind](**params)
-        assert type(read) is type(made)
+        assert read == made
         assert read.lambda0 == made.lambda0
         observed = data.draw(
             st.lists(st.tuples(st.floats(0.0, 100.0), st.floats(1.0, 1e8)), max_size=20)

@@ -16,6 +16,7 @@ from ikdamp import kinematics
 from ikdamp.kinematics import (
     DhChain,
     DhRow,
+    KinematicModel,
     KinematicsError,
     Pose,
     ThreeLink,
@@ -51,6 +52,17 @@ poses = st.builds(
     lambda axis, angle, position: Pose(position, axis_angle_to_rotation(axis, angle)),
     unit_axes, exact_angles, st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
 )
+
+
+def dh_transform(row, q):
+    """The classic DH transform Rz(theta) Tz(d) Tx(a) Rx(alpha) of one row at q: the oracle
+    each frame of a walk is compared against."""
+    ct, st = math.cos(q + row.theta_offset), math.sin(q + row.theta_offset)
+    ca, sa = math.cos(row.alpha), math.sin(row.alpha)
+    return np.array([[ct, -st * ca, st * sa, row.a * ct],
+                     [st, ct * ca, -ct * sa, row.a * st],
+                     [0.0, sa, ca, row.d],
+                     [0.0, 0.0, 0.0, 1.0]])
 
 
 class TestForward:
@@ -108,7 +120,7 @@ class TestForwardPose:
         rows = (DhRow(alpha=math.pi / 2, a=1.0, d=0.5, theta_offset=0.2),
                 DhRow(alpha=0.0, a=0.7, d=0.3, theta_offset=-0.1))
         chain = DhChain(rows)
-        T = rows[0].transform(0.0) @ rows[1].transform(0.0)
+        T = dh_transform(rows[0], 0.0) @ dh_transform(rows[1], 0.0)
         pose = forward_pose(chain, [0.0, 0.0])
         np.testing.assert_allclose(pose.position, T[:3, 3], atol=1e-15)
         np.testing.assert_allclose(pose.rotation, T[:3, :3], atol=1e-15)
@@ -198,7 +210,7 @@ class TestJacobian:
         err = np.max(np.abs(J - jacobian_fd(chain, q, 1e-6)))
         assert err <= 1e-6 * np.max(np.abs(J))
         frames = list(itertools.accumulate(
-            [row.transform(qi) for row, qi in zip(chain.rows, q)], np.matmul, initial=np.eye(4)
+            [dh_transform(row, qi) for row, qi in zip(chain.rows, q)], np.matmul, initial=np.eye(4)
         ))
         # the flat walk forms the same products; forward's atan2 tells a -0.0 from a 0.0
         np.testing.assert_array_equal(chain._frames(q), frames)
@@ -211,8 +223,6 @@ class TestJacobian:
         np.testing.assert_array_equal(pose.rotation, frames[-1][:3, :3])
 
     def test_fd_linear_stub(self):
-        from ikdamp.kinematics import KinematicModel
-
         class Linear(KinematicModel):
             m_u = 2
             m_y = 2
@@ -597,22 +607,22 @@ class TestFloatForms:
     @given(lengths=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
            qs=st.lists(st.lists(exact_angles, min_size=3, max_size=3), min_size=2, max_size=2))
     @settings(max_examples=100, deadline=None)
-    def test_three_link_shares_one_pass(self, lengths, qs):
+    def test_three_link_matches_its_numpy_form(self, lengths, qs):
         arm = ThreeLink(*lengths)
         qa, qb = qs
         q = np.array(qa)
-        for make in (list, tuple, np.array):  # a memo miss, then a hit, then again as a list
+        for make in (list, tuple, np.array):
             y, J = arm.forward(make(qa)), arm.jacobian(make(qa))
             assert same_bytes(y, three_link_numpy(arm, qa)[0])
             assert same_bytes(J, three_link_numpy(arm, qa)[1])
         arm.forward(q)
-        q[:] = qb  # the same array, changed in place: its bytes, not its identity, are the key
+        q[:] = qb  # the same array, changed in place: each call reads the q it is given
         assert same_bytes(arm.jacobian(q), three_link_numpy(arm, qb)[1])
         assert same_bytes(arm.forward(q), three_link_numpy(arm, qb)[0])
 
 
 class TestKeptEntry:
-    """A model keeps its last q's walk or trigonometry; the check on q does not lean on it."""
+    """Only a DhChain keeps its last q's walk; no model's check on q leans on it."""
 
     MODELS = {"three-link": lambda: ThreeLink(5.0, 7.0, 7.0), "dh-chain": default_dh_chain}
     QA = TestLastWalk.QA
@@ -634,9 +644,8 @@ class TestKeptEntry:
                     method(wrong)
 
     @pytest.mark.parametrize("pair", [
-        (ThreeLink(5.0, 7.0, 7.0), ThreeLink(1.0, 2.0, 3.0)),
         (default_dh_chain(), DhChain(tuple(reversed(kinematics.DEFAULT_DH_ROWS)))),
-    ], ids=["three-link", "dh-chain"])
+    ], ids=["dh-chain"])
     def test_models_never_share_a_kept_entry(self, monkeypatch, pair):
         computed = []
         trig, walk = kinematics._three_link_trig, DhChain._walk
@@ -652,6 +661,15 @@ class TestKeptEntry:
             fresh = dataclasses.replace(model)
             assert same_bytes(model.forward(q), fresh.forward(q))
         assert len(computed) == 4  # the two fresh copies computed; a and b did not
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_models_are_plain_values(self, model):
+        a, b = self.MODELS[model](), self.MODELS[model]()
+        a.jacobian(self.QA[:a.m_u])  # a DhChain's kept walk is not part of its value
+        assert a == b and hash(a) == hash(b)
+        assert not hasattr(KinematicModel, "_kept")
+        state = set(vars(a)) - {f.name for f in dataclasses.fields(a)}
+        assert state == ({"_last", "m_u"} if isinstance(a, DhChain) else set())
 
 
 def targets_per_sample(model, samples, n):

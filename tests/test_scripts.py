@@ -44,3 +44,30 @@ def test_output_digest(capsys):
         + ["analyze/three-link.csv", "analyze/default-dh.csv", "analyze/default-dh-home.csv"]
     )
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in runs[0])
+
+
+def test_source_size(capsys):
+    size = load("source_size")
+    source = (
+        '"""Module docstring\n'
+        '\n'
+        'over three lines."""\n'
+        'import math  # a trailing comment leaves a code line\n'
+        '\n'
+        '# a comment line\n'
+        'def f(x):\n'
+        '    """One line."""\n'
+        '    return (x +\n'
+        '            1)\n'
+    )
+    assert size.count_lines(source) == {"wc_l": 10, "code": 4, "docstring": 4, "comment": 1,
+                                        "blank": 1}
+    assert size.main([]) == 0
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["module", *size.COLUMNS]
+    modules = {row[0]: [int(v) for v in row[1:]] for row in rows}
+    total = modules.pop("total")
+    assert "kinematics.py" in modules
+    for name, (wc_l, *split) in modules.items():
+        assert wc_l == sum(split) == (size.DEFAULT_DIR / name).read_text().count("\n")
+    assert total == [sum(column) for column in zip(*modules.values())]
