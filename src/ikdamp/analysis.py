@@ -6,13 +6,14 @@ direction j has the pole p_j = sum_i w_i lam / (lam + mu_i sigma_j^2), the
 one-step poles at the singular values sqrt(mu_i) sigma_j of the stack T (x) J
 weighted by w_i = W[0,i] (W^T T^T 1)_i / mu_i. The weights sum to
 e_0^T T^{-1} 1 = 1 and are positive (checked up to n = 24), so each pole lies
-in [0, 1]; at n = 1, w = [1]. A term at or below `mfac_step`'s rank cutoff,
-and each direction outside the range of J, counts as 1. `_frozen_loop` gives
-p and U diag(p) U^T from one SVD of J (`_poles` reads p off its sigma, so
-`ikdamp analyze` takes one SVD for its whole lambda sweep); distinct blocks
-take the dense stack's first-increment gain from `mfac_step` and its poles
-from `eigvals`, and the simulator takes its gain from one `mfac_step` call
-on an identity error block.
+in [0, 1]; at n = 1, w = [1]. Block r of the first increment's gain is
+J K_r = U diag(g_r) U^T, g_rj = sum_i w_ir mu_i sigma_j^2 / (lam + mu_i sigma_j^2),
+by the shares w_ir = W[0,i] (W^T T^T)_ir / mu_i of w_i. A term at or below
+`mfac_step`'s rank cutoff, and each direction outside the range of J, counts
+as a pole of 1 and a gain of 0. So one SVD of J gives p and U diag(p) U^T
+(`_frozen_loop`; `ikdamp analyze` reads p off one sigma for its lambda sweep),
+or the simulator's gains; distinct blocks take the dense stack's gain from
+`mfac_step` and its poles from `eigvals`.
 
 What the horizon buys: since sum w_i / mu_i = 1 and sum w_i mu_i = n, each
 n-step pole lies between the one-step poles at lam / n and at lam, so the
@@ -23,23 +24,24 @@ the accuracy comes from a second linearisation per sample, not from the
 look-ahead (README, "What the horizon buys", gives the commands).
 
 The simulator is a linear recurrence y(k+1) = A y(k) + b(k) with a
-constant A = I - sum_j J K_j. A reference maps an integer array of k to
-one row r(k) per k, so the simulator samples it in one call, forms every
-step's window term b(k) from one matmul, and runs the recurrence as
-ceil(log2 steps) doubling passes: pass s = 1, 2, 4, ... adds A^s times
-the partial sum s steps back, with A^s built by repeated squaring. Its
-sums run in another order than a step-by-step loop, so it agrees with
-one to rounding, not bit for bit.
+constant A = I - sum_r J K_r. It samples the reference in one call, forms
+every window term b(k) from one matmul and runs the recurrence as doubling
+passes: pass s = 1, 2, 4, ... adds A^s times the partial sum s steps back,
+until s reaches steps or max|A^s| <= eps. What that leaves out is A^s y(k-s),
+at most m_y eps max|y|, and a pole at 1 never ends the scan early. Its sums
+run in another order than a step-by-step loop, so it agrees with one to
+rounding, not bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .damping import _rank_cutoff
+from .damping import _EPS, _rank_cutoff
 from .mfac import _horizon_spectrum, build_psi, mfac_step
 
 
@@ -56,23 +58,43 @@ def _pole_report(M: np.ndarray, eig: np.ndarray) -> PoleReport:
     return PoleReport(M, eig, max_mod, stable=max_mod < 1.0 - 1e-12)
 
 
-def _poles(sigma: np.ndarray, shape: tuple, n: int, lam: float) -> np.ndarray:
-    """The n-step poles p on a frozen J of this shape whose full SVD gave sigma, for a
-    checked lam (module docstring); one SVD serves every lam."""
+@lru_cache(maxsize=64)
+def _weights(n: int):
+    """(mu, sqrt(max mu), w, w_r) of the n-step law (module docstring), read-only."""
     mu, root_mu_max, W, WtTt = _horizon_spectrum(n)
     mu = np.array(mu)
+    w, w_r = W[0] * WtTt.sum(axis=1) / mu, W[0][:, None] * WtTt / mu[:, None]
+    for a in (mu, w, w_r):
+        a.setflags(write=False)
+    return mu, root_mu_max, w, w_r
+
+
+def _terms(sigma: np.ndarray, shape: tuple, n: int, lam: float):
+    """w, w_r, s2 = mu_i sigma_j^2 and s2 > `mfac_step`'s rank cutoff; checks lam."""
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be finite and non-negative")
+    mu, root_mu_max, w, w_r = _weights(n)
     s2 = mu[:, None] * sigma**2
     cutoff = _rank_cutoff(root_mu_max * sigma[0], n * max(shape))  # mfac_step's rule
+    return w, w_r, s2, s2 > cutoff * cutoff
+
+
+def _poles(sigma: np.ndarray, shape: tuple, n: int, lam: float) -> np.ndarray:
+    """The n-step poles p (module docstring) on a J of this shape whose full SVD gave sigma."""
+    w, _, s2, kept = _terms(sigma, shape, n, lam)
     p = np.ones(shape[0])
-    p[: sigma.size] = (W[0] * WtTt.sum(axis=1) / mu) @ np.divide(
-        lam, lam + s2, out=np.ones(s2.shape), where=s2 > cutoff * cutoff)
+    p[: sigma.size] = w @ np.divide(lam, lam + s2, out=np.ones(s2.shape), where=kept)
     return p
+
+
+def _block_gains(sigma: np.ndarray, shape: tuple, n: int, lam: float) -> np.ndarray:
+    """g[r]: J K_r = U diag(g[r]) U^T on the thin U of the SVD giving sigma (module docstring)."""
+    _, w_r, s2, kept = _terms(sigma, shape, n, lam)
+    return w_r.T @ np.divide(s2, lam + s2, out=np.zeros(s2.shape), where=kept)
 
 
 def _frozen_loop(J, n: int, lam: float) -> PoleReport:
     """U diag(p) U^T with eigenvalues p, the n-step poles on a frozen J (module docstring)."""
-    if not 0 <= lam < np.inf:
-        raise ValueError("lam must be finite and non-negative")
     J = np.asarray(J, dtype=float)
     U, sigma, _ = np.linalg.svd(J)
     p = _poles(sigma, J.shape, n, lam)
@@ -110,7 +132,7 @@ def mfapc_pole_matrix(jacobians: Sequence[np.ndarray], lam: float) -> PoleReport
     """
     blocks = [np.asarray(J, dtype=float) for J in jacobians]
     J0, n = blocks[0], len(blocks)
-    if all(np.array_equal(b, J0) for b in blocks[1:]):
+    if all(b is J0 or np.array_equal(b, J0) for b in blocks[1:]):
         return _frozen_loop(J0, n, lam)
     m_y, m_u = J0.shape
     K = mfac_step(build_psi(blocks), np.eye(n * m_y), lam)[:m_u]  # the first-increment gain
@@ -150,10 +172,7 @@ class RampReference:
 
 
 def simulate_linear_closed_loop(
-    J,
-    controller: MfapcController,
-    reference,
-    steps: int,
+    J, controller: MfapcController, reference, steps: int
 ) -> np.ndarray:
     """Simulate y(k+1) = y(k) + J dq(k) under the damped control law.
 
@@ -162,15 +181,16 @@ def simulate_linear_closed_loop(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    J = np.asarray(J, dtype=float)
-    (m_y, m_u), n = J.shape, controller.n
-    JK = J @ mfac_step(J, np.eye(n * m_y), controller.lam)[:m_u]
+    J, n = np.asarray(J, dtype=float), controller.n
+    m_y, (U, sigma, _) = len(J), np.linalg.svd(J, full_matrices=False)
+    JK = (U * _block_gains(sigma, J.shape, n, controller.lam)[:, None]) @ U.T  # J K_r, symmetric
     R = np.asarray(reference(np.arange(steps + n)), dtype=float)
     if R.shape != (steps + n, m_y):
         raise ValueError(f"reference protocol: an array of k gives one row per k, got {R.shape}")
-    Y = sliding_window_view(R[1:], (n, m_y)).reshape(steps, n * m_y) @ JK.T  # row k is b(k)
-    P, s = np.eye(m_y) - JK.reshape(m_y, n, m_y).sum(axis=1), 1  # A, then A^s at pass s
-    while s < steps:  # pass s adds A^s Y[k-s] to each Y[k], until Y[k] = y(k+1)
+    Y = sliding_window_view(R[1:].ravel(), n * m_y)[::m_y] @ JK.reshape(n * m_y, m_y)  # b(k)
+    P, s = np.eye(m_y) - JK.sum(axis=0), 1  # A, then A^s at pass s
+    # pass s adds A^s Y[k-s] to each Y[k], until Y[k] = y(k+1) or A^s is below rounding
+    while s < steps and np.abs(P).max() > _EPS:
         Y[s:] += Y[:-s] @ P.T
         P, s = P @ P, 2 * s
     return R[: steps + 1] - np.vstack([np.zeros(m_y), Y])

@@ -322,6 +322,21 @@ class TestMfapcPoleMatrix:
         b = mfapc_pole_matrix([J0, J0], 1.0).pole_matrix
         assert np.max(np.abs(a - b)) > 1e-6
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 10.0])
+    def test_repeated_block_is_its_copies(self, rng, n, lam):
+        # [J] * n skips the array comparisons that copies of J take, to the same report
+        J = rng.standard_normal((3, 3))
+        same, copies = mfapc_pole_matrix([J] * n, lam), mfapc_pole_matrix(
+            [J.copy() for _ in range(n)], lam)
+        assert same.pole_matrix.tobytes() == copies.pole_matrix.tobytes()
+        assert same.eigenvalues.tobytes() == copies.eigenvalues.tobytes()
+        assert (same.max_modulus, same.stable) == (copies.max_modulus, copies.stable)
+        J[1, 2] = math.nan
+        for blocks in ([J] * n, [J.copy() for _ in range(n)]):
+            with pytest.raises(np.linalg.LinAlgError):
+                mfapc_pole_matrix(blocks, lam)
+
     def test_moduli_shrink_with_lambda(self, rng):
         blocks = [full_rank(rng)] * 3
         mods = [
@@ -460,7 +475,7 @@ class TestClosedLoopSimulation:
             simulate_linear_closed_loop(np.eye(3), MfapcController(2, 0.1), reference, 10)
 
     def test_one_damped_solve_per_gain(self, rng, monkeypatch):
-        # the frozen pole matrix is the closed form from one SVD; the simulator takes one solve
+        # the frozen pole matrix and the simulator's gains each come from one SVD of J
         calls = {"mfac_step": 0, "svd": 0, "eigvals": 0}
 
         def counted(name, f):
@@ -475,8 +490,65 @@ class TestClosedLoopSimulation:
         J = full_rank(rng)
         mfapc_pole_matrix([J] * 5, 0.1)
         assert calls == {"mfac_step": 0, "svd": 1, "eigvals": 0}
+        calls.update(svd=0)
         simulate_linear_closed_loop(J, MfapcController(5, 0.1), RampReference(np.ones(3)), 20)
-        assert calls["mfac_step"] == 1
+        assert calls == {"mfac_step": 0, "svd": 1, "eigvals": 0}
+
+    @given(
+        shape=st.sampled_from([(2, 2), (3, 3), (2, 3), (3, 6), (6, 6), (3, 2)]),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        lam=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_state_matrix_is_the_frozen_pole_matrix(self, shape, seed, n, lam):
+        # on a constant reference e(1) = A r, and A = I - sum_r J K_r is the pole matrix
+        rng = np.random.default_rng(seed)
+        J = rng.standard_normal(shape)
+        r = rng.standard_normal(shape[0])
+        e1 = simulate_linear_closed_loop(J, MfapcController(n, lam), ConstantReference(r), 1)[1]
+        np.testing.assert_allclose(e1, mfapc_pole_matrix([J] * n, lam).pole_matrix @ r,
+                                   rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(r)))
+
+    @staticmethod
+    def exit_case(case):
+        """(J, n, lam, bounds on the largest pole) from a fixed seed: a pole at 1 (to the
+        rounding of the weights' sum) or at 0.999 and above, so the scan runs in full, or
+        poles at most 0.53, so it stops at A^64, below rounding."""
+        rng = np.random.default_rng(2701)
+        if case == "tall":  # the complement of J's range keeps a pole at 1
+            return rng.standard_normal((3, 2)), 3, 0.1, (1.0 - 1e-12, 1.0 + 1e-12)
+        U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        V = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        if case == "rank-deficient":  # sigma_2 = 0 gives a pole at 1 along U[:, 2]
+            return U @ np.diag([2.0, 0.7, 0.0]) @ V.T, 5, 0.01, (1.0 - 1e-12, 1.0 + 1e-12)
+        if case == "slow":  # lam / sigma_2^2 = 1e4
+            return U @ np.diag([2.0, 0.7, 0.01]) @ V.T, 5, 1.0, (0.999, 1.0 - 1e-12)
+        return U @ np.diag([2.0, 0.7, 0.3]) @ V.T, 1, 0.1, (0.5, 0.53)
+
+    @pytest.mark.parametrize("case", ["tall", "rank-deficient", "slow", "fast"])
+    @pytest.mark.parametrize("steps", [1000, 4000])
+    @pytest.mark.parametrize("ramp", [False, True])
+    def test_early_exit_keeps_slow_modes(self, case, steps, ramp):
+        # A^s of a pole at or near 1 never falls below rounding, so the scan runs in full;
+        # fast poles end it early, and what it drops is below rounding
+        J, n, lam, (low, high) = self.exit_case(case)
+        assert low <= mfapc_pole_matrix([J] * n, lam).max_modulus <= high
+        r = np.random.default_rng(2702).standard_normal(3)
+        reference = RampReference(r) if ramp else ConstantReference(r)
+        controller = MfapcController(n, lam)
+        e = simulate_linear_closed_loop(J, controller, reference, steps)
+        expected = self.stepwise_oracle(J, controller, reference, steps)
+        np.testing.assert_allclose(
+            e, expected, rtol=0, atol=1e-9 * max(1.0, np.max(np.abs(expected)))
+        )
+
+    @pytest.mark.parametrize("lam", [-1e-3, math.nan, math.inf])
+    def test_lambda_validated(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite and non-negative"):
+            simulate_linear_closed_loop(
+                np.eye(2), MfapcController(2, lam), ConstantReference(np.ones(2)), 5
+            )
 
     def test_references_are_their_formula(self):
         slope = np.array([0.3, -0.7, 1e-300])
