@@ -9,8 +9,9 @@ e_0^T T^{-1} 1 = 1 and are positive (checked up to n = 24), so each pole lies
 in [0, 1]; at n = 1, w = [1]. Block r of the first increment's gain is
 J K_r = U diag(g_r) U^T, g_rj = sum_i w_ir mu_i sigma_j^2 / (lam + mu_i sigma_j^2),
 by the shares w_ir = W[0,i] (W^T T^T)_ir / mu_i of w_i. A term at or below
-`mfac_step`'s rank cutoff, and each direction outside the range of J, counts
-as a pole of 1 and a gain of 0. So one SVD of J gives p and U diag(p) U^T
+`mfac_step`'s rank cutoff counts as a factor of 1 and a gain of 0; a direction
+whose every term is dropped, or outside the range of J, has a pole of exactly
+1 and a gain of 0. So one SVD of J gives p and U diag(p) U^T
 (`_frozen_loop`; `ikdamp analyze` reads p off one sigma for its lambda sweep),
 or the simulator's gains; distinct blocks take the dense stack's gain from
 `mfac_step` and its poles from `eigvals`.
@@ -42,7 +43,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .damping import _EPS, _rank_cutoff
-from .mfac import _horizon_spectrum, build_psi, mfac_step
+from .mfac import _check_count, _horizon_spectrum, build_psi, mfac_step
 
 
 @dataclass
@@ -83,7 +84,10 @@ def _poles(sigma: np.ndarray, shape: tuple, n: int, lam: float) -> np.ndarray:
     """The n-step poles p (module docstring) on a J of this shape whose full SVD gave sigma."""
     w, _, s2, kept = _terms(sigma, shape, n, lam)
     p = np.ones(shape[0])
-    p[: sigma.size] = w @ np.divide(lam, lam + s2, out=np.ones(s2.shape), where=kept)
+    # mu ascends, so kept[-1] is False only where every term is dropped: there the weights,
+    # which sum to 1 only to rounding, are not summed, and the pole is 1, as off the range
+    p[: sigma.size] = np.where(
+        kept[-1], w @ np.divide(lam, lam + s2, out=np.ones(s2.shape), where=kept), 1.0)
     return p
 
 
@@ -131,6 +135,8 @@ def mfapc_pole_matrix(jacobians: Sequence[np.ndarray], lam: float) -> PoleReport
     `build_psi` of the blocks and the poles are its eigenvalues.
     """
     blocks = [np.asarray(J, dtype=float) for J in jacobians]
+    if not blocks:
+        raise ValueError("need at least one Jacobian block")
     J0, n = blocks[0], len(blocks)
     if all(b is J0 or np.array_equal(b, J0) for b in blocks[1:]):
         return _frozen_loop(J0, n, lam)
@@ -146,6 +152,9 @@ class MfapcController:
 
     n: int
     lam: float
+
+    def __post_init__(self):
+        _check_count(self.n, "n")
 
 
 @dataclass(frozen=True)

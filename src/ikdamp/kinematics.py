@@ -55,15 +55,15 @@ def _as_vector(q, length: int, name: str = "q") -> np.ndarray:
     return q
 
 
-def check_rotation(R, tol: float = ROTATION_TOL) -> np.ndarray:
-    """Validate a 3x3 rotation matrix (orthonormal, det +1)."""
+def check_rotation(R) -> np.ndarray:
+    """Validate a 3x3 rotation matrix (orthonormal, det +1, each to ROTATION_TOL)."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise KinematicsError(f"rotation must be 3x3, got {R.shape}")
     # fail closed: a NaN comparison is False, so NaN entries fail both tests
-    if not (np.max(np.abs(R.T @ R - np.eye(3))) <= tol):
+    if not (np.max(np.abs(R.T @ R - np.eye(3))) <= ROTATION_TOL):
         raise KinematicsError("rotation matrix is not orthonormal")
-    if not (abs(np.linalg.det(R) - 1.0) <= tol):
+    if not (abs(np.linalg.det(R) - 1.0) <= ROTATION_TOL):
         raise KinematicsError("rotation matrix determinant is not +1")
     return R
 
@@ -170,14 +170,9 @@ def _log_map(D) -> tuple:
     return (d21 - d12) / c * theta, (d02 - d20) / c * theta, (d10 - d01) / c * theta
 
 
-def _angle_axis(D) -> np.ndarray:
-    """Angle-axis vector of the relative rotation D = desired @ current.T; see `_log_map`."""
-    return np.array(_log_map(D))
-
-
 def orientation_error(desired, current) -> np.ndarray:
     """Angle-axis error between two rotation matrices, both validated; see `_log_map`."""
-    return _angle_axis(check_rotation(desired) @ check_rotation(current).T)
+    return np.array(_log_map(check_rotation(desired) @ check_rotation(current).T))
 
 
 def _pose_errors(targets, position, rotation) -> list:
@@ -414,30 +409,18 @@ def jacobian(model: KinematicModel, q) -> np.ndarray:
 
 
 def jacobian_fd(model: KinematicModel, q, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian oracle.
+    """Central-difference Jacobian oracle: minus the derivative of the model's own error.
 
-    For DhChain models the orientation rows are differenced through
-    `pose_error` against the pose at q, so the convention matches the
-    geometric Jacobian.
+    Column i is (e(q - h e_i) - e(q + h e_i)) / 2h, where e is the model's stacked error
+    (`_errors`) against its output at q as the target: the error the loop drives to zero.
     """
     if not 0 < h < np.inf:  # so that a NaN, which compares False, fails it
         raise KinematicsError(f"step size h must be finite and positive, got {h}")
     q = np.asarray(q, dtype=float).ravel()
-
-    if isinstance(model, DhChain):
-        base = model.forward_pose(q)
-
-        def output(qq):
-            p = model.forward_pose(qq)
-            return np.concatenate(
-                [p.position,
-                 orientation_error(p.rotation, base.rotation)]
-            )
-    else:
-        output = model.forward
-
+    t = model._targets([model.forward(q)])
     steps = h * np.eye(q.size)  # row i is h e_i; column i of J differences along it
-    return np.column_stack([(output(q + dq) - output(q - dq)) / (2.0 * h) for dq in steps])
+    return np.column_stack(
+        [(model._errors(t, q - dq) - model._errors(t, q + dq)) / (2.0 * h) for dq in steps])
 
 
 def load_dh_chain(source) -> DhChain:

@@ -56,6 +56,12 @@ class HorizonMode(Enum):
     PROPAGATED = "propagated"
 
 
+def _check_count(value, name: str) -> None:
+    """Reject a count that is not an integer >= 1: a bool is an int, but no count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)  # so the checks below hold for its lifetime
 class SolverConfig:
     delta: float = 1e-10        # final error tolerance
@@ -68,10 +74,8 @@ class SolverConfig:
         # written so that a NaN, which compares False, fails each check
         if not 0 < self.delta < np.inf:
             raise ValueError("delta must be finite and positive")
-        if not self.n_up >= 1:
-            raise ValueError("n_up must be >= 1")
-        if not self.horizon >= 1:
-            raise ValueError("horizon must be >= 1")
+        _check_count(self.n_up, "n_up")
+        _check_count(self.horizon, "horizon")
         object.__setattr__(self, "mode", HorizonMode(self.mode))
         # one provisional state is q itself, and the single-step tracker law is frozen
         if self.mode is HorizonMode.PROPAGATED and min(self.horizon, self.n_up) < 2:
@@ -123,6 +127,8 @@ def mfac_step(J, e, lam: float | Callable[[np.ndarray], float]) -> np.ndarray:
     """
     J = np.asarray(J, dtype=float)
     e = np.asarray(e, dtype=float)
+    if J.ndim != 2 or 0 in J.shape:
+        raise ValueError(f"J must be a matrix with rows and columns, got shape {J.shape}")
     m_y, m_u = J.shape
     n, rest = divmod(e.shape[0] if e.ndim in (1, 2) else 0, m_y)
     if n < 1 or rest:

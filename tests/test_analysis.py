@@ -172,6 +172,18 @@ def test_a_sigma_at_the_rank_cutoff_is_dropped():
     assert mfac_pole_matrix(J, 0.0).eigenvalues.tolist() == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_direction_with_every_term_dropped_has_a_pole_of_exactly_one(n):
+    # sigma_2 = 0: every term mu_i sigma_2^2 is dropped, so its pole is 1, not the sum of the
+    # weights, which reads 1.000000000000002 at n = 5 and 0.9999999999999993 at n = 8
+    rng = np.random.default_rng(2701)
+    U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    V = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    report = mfapc_pole_matrix([U @ np.diag([2.0, 0.7, 0.0]) @ V.T] * n, 0.01)
+    assert report.max_modulus == 1.0
+    assert report.eigenvalues[2] == 1.0 and np.all(report.eigenvalues[:2] < 1.0)
+
+
 class TestFrozenLoop:
     """The closed-form frozen poles of `_frozen_loop`, against the dense stack's own gain."""
 
@@ -336,6 +348,10 @@ class TestMfapcPoleMatrix:
         for blocks in ([J] * n, [J.copy() for _ in range(n)]):
             with pytest.raises(np.linalg.LinAlgError):
                 mfapc_pole_matrix(blocks, lam)
+
+    def test_no_blocks_rejected(self):
+        with pytest.raises(ValueError, match="need at least one Jacobian block"):
+            mfapc_pole_matrix([], 0.1)
 
     def test_moduli_shrink_with_lambda(self, rng):
         blocks = [full_rank(rng)] * 3
@@ -512,16 +528,16 @@ class TestClosedLoopSimulation:
 
     @staticmethod
     def exit_case(case):
-        """(J, n, lam, bounds on the largest pole) from a fixed seed: a pole at 1 (to the
-        rounding of the weights' sum) or at 0.999 and above, so the scan runs in full, or
-        poles at most 0.53, so it stops at A^64, below rounding."""
+        """(J, n, lam, bounds on the largest pole) from a fixed seed: a pole of exactly 1
+        or at 0.999 and above, so the scan runs in full, or poles at most 0.53, so it
+        stops at A^64, below rounding."""
         rng = np.random.default_rng(2701)
         if case == "tall":  # the complement of J's range keeps a pole at 1
-            return rng.standard_normal((3, 2)), 3, 0.1, (1.0 - 1e-12, 1.0 + 1e-12)
+            return rng.standard_normal((3, 2)), 3, 0.1, (1.0, 1.0)
         U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         V = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         if case == "rank-deficient":  # sigma_2 = 0 gives a pole at 1 along U[:, 2]
-            return U @ np.diag([2.0, 0.7, 0.0]) @ V.T, 5, 0.01, (1.0 - 1e-12, 1.0 + 1e-12)
+            return U @ np.diag([2.0, 0.7, 0.0]) @ V.T, 5, 0.01, (1.0, 1.0)
         if case == "slow":  # lam / sigma_2^2 = 1e4
             return U @ np.diag([2.0, 0.7, 0.01]) @ V.T, 5, 1.0, (0.999, 1.0 - 1e-12)
         return U @ np.diag([2.0, 0.7, 0.3]) @ V.T, 1, 0.1, (0.5, 0.53)
@@ -580,6 +596,12 @@ class TestClosedLoopSimulation:
         slope[:] = value[:] = 9.0  # the caller's arrays were copied, not kept
         np.testing.assert_array_equal(ramp(1), [1.0, 1.0])
         np.testing.assert_array_equal(const(2), [1.0, 1.0])
+
+    @pytest.mark.parametrize("n", [0, -1, 1.5, 2.0, True, math.nan])
+    def test_controller_horizon_validated(self, n):
+        # 0 indexed past an empty window and 1.5 reached the weights as a TypeError
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            MfapcController(n, 0.1)
 
     def test_steps_validated(self):
         with pytest.raises(ValueError):

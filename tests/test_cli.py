@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 from ikdamp import kinematics, mfac, mfapc
 from ikdamp.analysis import mfac_pole_matrix
 from ikdamp.cli import (
+    ConfigError,
     _fmt,
     _settling,
+    load_config,
     main,
     parse_model,
     parse_trajectory,
@@ -564,6 +566,22 @@ def test_path_that_is_no_file_name_exits_2(tmp_path, capsys, section, key, value
     assert main(["track", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"{key} must be a" in err and f"path string, got {value!r}" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config .*No such file"),
+    ("{", "cannot read config .*Expecting property name"),
+    (json.dumps({"solver": {"method": "mfac", "horizon": 2}}), "mfac requires horizon n = 1"),
+    (json.dumps({"model": {"type": "five-link"}}), "unrecognized model spec"),
+], ids=["missing-file", "bad-json", "mfac-horizon", "model-spec"])
+def test_input_checks_name_the_fault(tmp_path, content, message):
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(ConfigError, match=message):
+        cfg = load_config(path)
+        solver_config_from(cfg)
+        parse_model(cfg["model"])
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)

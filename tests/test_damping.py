@@ -284,6 +284,16 @@ class TestCondRule:
         assert self.RULE.next_lambda(0.0, obs(1.0, c=float("inf"))) == 2.0
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: CondRule([10.0, 100.0], [0.5]), "need one lambda per condition threshold"),
+    (lambda: CondRule([10.0], [0.5, 2.0]), "need one lambda per condition threshold"),
+    (lambda: CondRule([10.0], [-0.5]), "lambdas must be finite and non-negative"),
+], ids=["fewer-lambdas", "more-lambdas", "negative-lambda"])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(DampingError, match=message):
+        call()
+
+
 class TestProperties:
     @given(
         errors=st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=1, max_size=20)

@@ -20,7 +20,7 @@ from ikdamp.kinematics import (
     KinematicsError,
     Pose,
     ThreeLink,
-    _angle_axis,
+    _log_map,
     axis_angle_to_rotation,
     check_rotation,
     default_dh_chain,
@@ -382,7 +382,20 @@ class TestOrientationError:
             Pose([0.0, 0.0, 0.0], R)
 
     def test_nan_passes_through_the_angle(self):
-        assert np.all(np.isnan(_angle_axis(np.full((3, 3), math.nan))))
+        assert np.all(np.isnan(np.array(_log_map(np.full((3, 3), math.nan)))))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_rotation(np.eye(2)), r"rotation must be 3x3, got \(2, 2\)"),
+    (lambda: check_rotation(np.diag([1.0, 1.0, -1.0])), r"determinant is not \+1"),
+    (lambda: axis_angle_to_rotation([1.0, 0.0], 0.1), "axis must be a 3-vector"),
+    (lambda: DhChain(()), "DH chain needs at least one row"),
+    (lambda: load_dh_chain({}), "malformed DH document: 'rows'"),
+    (lambda: load_dh_chain({"rows": 5}), "malformed DH document: 'int' object is not iterable"),
+], ids=["rotation-shape", "reflection", "axis-shape", "no-rows", "no-rows-key", "rows-not-a-list"])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(KinematicsError, match=message):
+        call()
 
 
 class TestPoseError:
@@ -588,7 +601,7 @@ class TestFloatForms:
         ]
         for t in targets:
             D = t.rotation.dot(current.rotation.T)
-            assert same_bytes(_angle_axis(D), angle_axis_numpy(D))
+            assert same_bytes(np.array(_log_map(D)), angle_axis_numpy(D))
             assert same_bytes(orientation_error(t.rotation, current.rotation),
                               angle_axis_numpy(t.rotation @ current.rotation.T))
         expected = errors_numpy(chain, targets, q)
@@ -602,7 +615,7 @@ class TestFloatForms:
             "minus-inf"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # -eye divides 0 by 0, as before
     def test_log_map_at_the_edges(self, D):
-        assert same_bytes(_angle_axis(D), angle_axis_numpy(D))
+        assert same_bytes(np.array(_log_map(D)), angle_axis_numpy(D))
 
     @given(lengths=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
            qs=st.lists(st.lists(exact_angles, min_size=3, max_size=3), min_size=2, max_size=2))

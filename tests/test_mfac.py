@@ -139,6 +139,12 @@ class TestMfacStep:
         J = rng.standard_normal((3, 3))
         assert mfac_step(J, rng.standard_normal(6), 0.1).shape == (6,)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (3,)])
+    def test_jacobian_without_rows_or_columns_rejected(self, shape):
+        # zero rows divided by zero, zero columns indexed an empty sigma
+        with pytest.raises(ValueError, match="J must be a matrix with rows and columns"):
+            mfac_step(np.zeros(shape), np.zeros(shape[0]), 0.1)
+
     def test_three_axis_error_rejected(self):
         with pytest.raises(ValueError):
             mfac_step(np.eye(2), np.zeros((2, 1, 1)), 0.1)
@@ -601,6 +607,16 @@ def report_bytes(report):
             for f in dataclasses.fields(report) for v in [getattr(report, f.name)]]
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_psi([]), "need at least one Jacobian block"),
+    (lambda: build_psi([np.eye(3), np.eye(2)]), "all Jacobian blocks must share one shape"),
+    (lambda: build_psi([np.eye(3), np.ones((3, 2))]), "all Jacobian blocks must share one shape"),
+], ids=["no-blocks", "square-shapes", "column-count"])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -611,6 +627,17 @@ class TestSolverConfig:
             SolverConfig(horizon=0)
         with pytest.raises(ValueError, match="delta"):
             SolverConfig(delta=math.nan)
+
+    @pytest.mark.parametrize("field", ["n_up", "horizon"])
+    @pytest.mark.parametrize("value", [2.5, 1.0, True, math.nan, "2"])
+    def test_counts_are_integers(self, field, value):
+        # a fraction would reach range() as a TypeError, and True would count as 1
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            SolverConfig(**{field: value})
+
+    def test_numpy_integer_counts_are_counts(self):
+        cfg = SolverConfig(n_up=np.int64(3), horizon=np.int32(2))
+        assert (cfg.n_up, cfg.horizon) == (3, 2)
 
     def test_every_solve_starts_from_lambda0(self):
         # the loop holds lambda and the schedule is a frozen rule: one config gives equal

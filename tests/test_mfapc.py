@@ -127,6 +127,16 @@ class TestPsiRightInverse:
         assert err.value.index == 0
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: psi_right_inverse([]), "need at least one Jacobian block"),
+    (lambda: psi_right_inverse([np.eye(2), np.zeros((2, 2))]),
+     "rank-deficient Jacobian block at horizon index 1"),
+], ids=["no-blocks", "singular-block"])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestSolveIkPredictive:
     def test_n1_bitwise_matches_solve_ik(self):
         target = forward(ARM, [0.3, 0.7, -0.5])

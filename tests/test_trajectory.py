@@ -155,3 +155,18 @@ class TestCsv:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{path} line {line}: "):
             load_csv(path)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: helix(0), "k_max must be >= 1"),
+    (lambda: lspb([0.0, 0.0], [1.0], 10), "start and goal must have the same dimension"),
+    (lambda: lspb([0.0], [1.0], 3), "need at least 4 samples"),
+    (lambda: lspb([0.0], [1.0], 4, 0.2), "blend region must cover at least one sample"),
+    (lambda: horizon_window([1, 2], 2, 1), "k out of range"),
+    (lambda: horizon_window([1, 2], -1, 1), "k out of range"),
+    (lambda: horizon_window([1, 2], 0, 0), "horizon must be >= 1"),
+], ids=["helix-length", "end-dimensions", "lspb-length", "blend-region", "k-past-the-end",
+        "k-negative", "horizon"])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
