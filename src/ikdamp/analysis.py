@@ -43,7 +43,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .damping import _EPS, _rank_cutoff
-from .mfac import _check_count, _horizon_spectrum, build_psi, mfac_step
+from .mfac import _blocks, _check_count, _horizon_spectrum, build_psi, mfac_step
 
 
 @dataclass
@@ -134,13 +134,12 @@ def mfapc_pole_matrix(jacobians: Sequence[np.ndarray], lam: float) -> PoleReport
     the closed form of `_frozen_loop`; otherwise Psi is the dense stack
     `build_psi` of the blocks and the poles are its eigenvalues.
     """
-    blocks = [np.asarray(J, dtype=float) for J in jacobians]
-    if not blocks:
-        raise ValueError("need at least one Jacobian block")
-    J0, n = blocks[0], len(blocks)
-    if all(b is J0 or np.array_equal(b, J0) for b in blocks[1:]):
+    jacobians = list(jacobians)
+    same = all(J is jacobians[0] for J in jacobians)  # [J] * n: stack and check J once
+    blocks = _blocks(jacobians[:1] if same else jacobians)
+    J0, n, (_, m_y, m_u) = blocks[0], len(jacobians), blocks.shape
+    if same or (blocks == J0).all():
         return _frozen_loop(J0, n, lam)
-    m_y, m_u = J0.shape
     K = mfac_step(build_psi(blocks), np.eye(n * m_y), lam)[:m_u]  # the first-increment gain
     M = np.eye(m_y) - J0 @ K.reshape(m_u, n, m_y).sum(axis=1)
     return _pole_report(M, np.linalg.eigvals(M))

@@ -235,9 +235,9 @@ class CondRule(DampingSchedule):
             raise DampingError("lambdas must be finite and non-negative")
 
     def next_lambda(self, lam: float, obs: DampingObservation) -> float:
-        # number of thresholds <= cond; 0 means below the first bin
+        # number of thresholds <= cond, at most len(cond_bins) == len(lambdas); 0 is below the first
         idx = int(np.searchsorted(self.cond_bins, obs.cond, side="right"))
-        return 0.0 if idx == 0 else self.lambdas[min(idx, len(self.lambdas)) - 1]
+        return 0.0 if idx == 0 else self.lambdas[idx - 1]
 
 
 def _check_object(spec, what: str, error: type = ValueError) -> None:

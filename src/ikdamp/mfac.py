@@ -157,15 +157,20 @@ def task_error(model: KinematicModel, targets: Sequence, q, y=None) -> np.ndarra
     return model._errors(targets, q, y)
 
 
-def build_psi(jacobians: Sequence[np.ndarray]) -> np.ndarray:
-    """Block-lower-triangular stack: row r holds blocks J_0 .. J_r."""
+def _blocks(jacobians: Sequence[np.ndarray]) -> np.ndarray:
+    """A horizon's Jacobian blocks as one n x m_y x m_u float array: n >= 1 matrices, one shape."""
     blocks = [np.asarray(J, dtype=float) for J in jacobians]
     if not blocks:
         raise ValueError("need at least one Jacobian block")
-    m_y, m_u = blocks[0].shape
-    if any(b.shape != (m_y, m_u) for b in blocks):
+    if blocks[0].ndim != 2 or any(b.shape != blocks[0].shape for b in blocks):
         raise ValueError("all Jacobian blocks must share one shape")
-    n = len(blocks)
+    return np.array(blocks)
+
+
+def build_psi(jacobians: Sequence[np.ndarray]) -> np.ndarray:
+    """Block-lower-triangular stack: row r holds blocks J_0 .. J_r."""
+    blocks = _blocks(jacobians)
+    n, m_y, m_u = blocks.shape
     psi = np.zeros((n * m_y, n * m_u))
     for r in range(n):
         for c in range(r + 1):
@@ -221,15 +226,14 @@ def solve_ik_predictive(
         return lam
 
     for _ in range(config.n_up):
-        resid = task_error(model, targets, q)
-        stacked_err = resid
+        stacked_err = resid = task_error(model, targets, q)
         if not frozen:  # provisional[0] is q, whose error heads resid; each state's Jacobian
             # is taken right after its error, so a chain walks its rows once per state
             errs, jac_blocks = [resid[:m_y]], [jacobian(model, q)]
             for t, p in zip(targets[1:], provisional[1:]):
                 errs.append(task_error(model, [t], p))
                 jac_blocks.append(jacobian(model, p))
-            stacked_err = np.concatenate(errs)
+            stacked_err, blocks = np.concatenate(errs), _blocks(jac_blocks)
         err = math.sqrt(stacked_err.dot(stacked_err))  # the bits of np.linalg.norm
         error_trace.append(err)
         if not err < math.inf or err <= config.delta:  # a NaN fails both comparisons
@@ -241,8 +245,7 @@ def solve_ik_predictive(
         if frozen:
             stack = jacobian(model, q)
         else:
-            stack = build_psi(jac_blocks)
-            sigma = np.linalg.svd(np.array(jac_blocks), compute_uv=False)
+            stack, sigma = build_psi(blocks), np.linalg.svd(blocks, compute_uv=False)
         dQ = mfac_step(stack, resid, damping)
         lambda_trace.append(lam)
         if not frozen:

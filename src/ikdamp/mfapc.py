@@ -25,6 +25,7 @@ from .kinematics import DhChain, KinematicModel, _as_vector, forward, jacobian
 from .mfac import (
     HorizonMode,
     SolverConfig,
+    _blocks,
     build_psi,
     mfac_step,
     solve_ik_predictive,
@@ -45,31 +46,26 @@ class SingularBlockError(ValueError):
         self.index = index
 
 
-def _right_inverse(J: np.ndarray, index: int) -> np.ndarray:
-    """V diag(1/sigma) U^T, which is J^T (J J^T)^-1 for a J of full row rank."""
-    U, s, Vt = np.linalg.svd(J, full_matrices=False)
-    if s.size < J.shape[0] or s[-1] <= 0 or s[0] / s[-1] >= 1e12:
-        raise SingularBlockError(index)
-    return Vt.T @ (U / s).T
-
-
 def psi_right_inverse(jacobians: Sequence[np.ndarray]) -> np.ndarray:
     """Block-bidiagonal right inverse of the stacked Jacobian.
 
-    Diagonal blocks are the per-stage right inverses, first subdiagonal
-    their negatives; the product psi @ result is the identity.
+    Diagonal blocks are the per-stage right inverses V diag(1/sigma) U^T,
+    which is J^T (J J^T)^-1 for a J of full row rank, from one SVD of the
+    block array; first subdiagonal their negatives. The product psi @
+    result is the identity. The first block without full row rank, or
+    with sigma_max / sigma_min >= 1e12, raises SingularBlockError.
     """
-    blocks = [np.asarray(J, dtype=float) for J in jacobians]
-    if not blocks:
-        raise ValueError("need at least one Jacobian block")
-    invs = [_right_inverse(J, i) for i, J in enumerate(blocks)]
-    n = len(blocks)
-    m_y, m_u = blocks[0].shape
+    blocks = _blocks(jacobians)
+    n, m_y, m_u = blocks.shape
+    U, s, Vt = np.linalg.svd(blocks, full_matrices=False)
     out = np.zeros((n * m_u, n * m_y))
     for i in range(n):
-        out[i * m_u:(i + 1) * m_u, i * m_y:(i + 1) * m_y] = invs[i]
+        if s.shape[1] < m_y or s[i, -1] <= 0 or s[i, 0] / s[i, -1] >= 1e12:
+            raise SingularBlockError(i)
+        inv = Vt[i].T @ (U[i] / s[i]).T
+        out[i * m_u:(i + 1) * m_u, i * m_y:(i + 1) * m_y] = inv
         if i > 0:
-            out[i * m_u:(i + 1) * m_u, (i - 1) * m_y:i * m_y] = -invs[i]
+            out[i * m_u:(i + 1) * m_u, (i - 1) * m_y:i * m_y] = -inv
     return out
 
 

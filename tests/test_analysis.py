@@ -353,6 +353,12 @@ class TestMfapcPoleMatrix:
         with pytest.raises(ValueError, match="need at least one Jacobian block"):
             mfapc_pole_matrix([], 0.1)
 
+    @pytest.mark.parametrize("blocks", [[np.eye(3), np.eye(3)[:2]], [np.ones(3)] * 2],
+                             ids=["mismatched-blocks", "vector-blocks"])
+    def test_blocks_of_no_one_shape_rejected(self, blocks):
+        with pytest.raises(ValueError, match="all Jacobian blocks must share one shape"):
+            mfapc_pole_matrix(blocks, 0.1)
+
     def test_moduli_shrink_with_lambda(self, rng):
         blocks = [full_rank(rng)] * 3
         mods = [

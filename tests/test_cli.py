@@ -552,6 +552,21 @@ def test_non_object_section_exits_2(tmp_path, capsys, command, section, value):
     assert f"{section} must be a JSON object, got {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ik", "track"])
+def test_unknown_horizon_mode_exits_2(tmp_path, capsys, command):
+    # a known method, so the mode check is the one that fails
+    cfg = json.loads((CONFIG_DIR / "example1.json").read_text())
+    cfg["solver"] = {"method": "mfapc", "horizon": 5, "mode": "sideways"}
+    if command == "ik":
+        del cfg["trajectory"], cfg["initial_y"]
+        cfg["target"] = [3.0, 1.0, 14.0]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert "unknown horizon mode 'sideways'" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("section, key, value", [(None, "output", 1), (None, "output", ""),
                                                  ("trajectory", "path", 1)])
 def test_path_that_is_no_file_name_exits_2(tmp_path, capsys, section, key, value):

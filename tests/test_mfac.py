@@ -611,7 +611,8 @@ def report_bytes(report):
     (lambda: build_psi([]), "need at least one Jacobian block"),
     (lambda: build_psi([np.eye(3), np.eye(2)]), "all Jacobian blocks must share one shape"),
     (lambda: build_psi([np.eye(3), np.ones((3, 2))]), "all Jacobian blocks must share one shape"),
-], ids=["no-blocks", "square-shapes", "column-count"])
+    (lambda: build_psi([np.ones(3), np.ones(3)]), "all Jacobian blocks must share one shape"),
+], ids=["no-blocks", "square-shapes", "column-count", "vector-blocks"])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError, match=message):
         call()

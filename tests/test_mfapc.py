@@ -126,12 +126,45 @@ class TestPsiRightInverse:
             psi_right_inverse([tall])
         assert err.value.index == 0
 
+    @staticmethod
+    def per_block_oracle(blocks):
+        """The assembly from one SVD per block: V diag(1/sigma) U^T, negated one block down."""
+        n, (m_y, m_u) = len(blocks), blocks[0].shape
+        out = np.zeros((n * m_u, n * m_y))
+        for i, J in enumerate(blocks):
+            U, s, Vt = np.linalg.svd(J, full_matrices=False)
+            inv = Vt.T @ (U / s).T
+            out[i * m_u:(i + 1) * m_u, i * m_y:(i + 1) * m_y] = inv
+            if i > 0:
+                out[i * m_u:(i + 1) * m_u, (i - 1) * m_y:i * m_y] = -inv
+        return out
+
+    def test_matches_per_block_svds_bit_for_bit(self, rng):
+        for _ in range(200):
+            n, m_y, extra = rng.integers(1, 6), rng.integers(1, 5), rng.integers(0, 3)
+            blocks = [rng.standard_normal((m_y, m_y + extra)) for _ in range(n)]
+            assert psi_right_inverse(blocks).tobytes() == self.per_block_oracle(blocks).tobytes()
+
+    def test_one_svd_for_all_blocks(self, rng, monkeypatch):
+        svd, shapes = np.linalg.svd, []
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        psi_right_inverse([rng.standard_normal((2, 3)) for _ in range(4)])
+        assert shapes == [(4, 2, 3)]
+
 
 @pytest.mark.parametrize("call, message", [
     (lambda: psi_right_inverse([]), "need at least one Jacobian block"),
     (lambda: psi_right_inverse([np.eye(2), np.zeros((2, 2))]),
      "rank-deficient Jacobian block at horizon index 1"),
-], ids=["no-blocks", "singular-block"])
+    (lambda: psi_right_inverse([[[1, 2, 3]], [[2]]]), "all Jacobian blocks must share one shape"),
+    (lambda: psi_right_inverse([np.ones(2), np.ones(2)]),
+     "all Jacobian blocks must share one shape"),
+], ids=["no-blocks", "singular-block", "mismatched-blocks", "vector-blocks"])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(ValueError, match=message):
         call()
