@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Per-call times of the solver's layers, in microseconds.
+
+For each layer it prints the minimum over --repeat `timeit` repeats of
+the mean time of one call, each repeat making --number calls:
+
+- the DH walk of the default chain (`DhChain._walk`);
+- `DhChain.jacobian` and a one-target `task_error` at a q whose walk the
+  chain keeps, as in the solve loop;
+- a 3x3 and a 6x6 thin `np.linalg.svd`;
+- `mfac_step` at (3x3, n = 5), (6x6, n = 2) and (6x6, n = 1), on a
+  seeded J and error vector, at lambda = 0.01.
+
+Every input is drawn from one seeded generator, so each run times the
+same calls.
+
+Calls this short are below what one traced benchmark run resolves, so
+the layer figures are taken here. Compare figures only within one
+session: a shared host moves them by tens of percent between sessions.
+Run it from the repository root:
+
+    PYTHONPATH=src python scripts/layer_timings.py [--repeat 7] [--number 2000]
+"""
+from __future__ import annotations
+
+import argparse
+import timeit
+from typing import Callable, List, Optional, Tuple
+
+import numpy as np
+
+from ikdamp.kinematics import default_dh_chain, forward
+from ikdamp.mfac import mfac_step, task_error
+
+LAMBDA = 0.01
+SEED = 0
+
+
+def layers() -> List[Tuple[str, Callable[[], object]]]:
+    """(label, call) for each layer, on inputs drawn from default_rng(SEED)."""
+    rng = np.random.default_rng(SEED)
+    chain = default_dh_chain()
+    q = rng.uniform(-1.0, 1.0, chain.m_u)
+    targets = chain._targets([forward(chain, q + 0.1)])  # a Pose, as the loop passes it
+    chain.jacobian(q)  # keep q's walk, so the two calls below read it
+    calls = [
+        ("DhChain._walk", lambda: chain._walk(q)),
+        ("DhChain.jacobian", lambda: chain.jacobian(q)),
+        ("task_error, one target", lambda: task_error(chain, targets, q)),
+    ]
+    for m in (3, 6):
+        J = rng.standard_normal((m, m))
+        calls.append((f"np.linalg.svd {m}x{m} thin",
+                      lambda J=J: np.linalg.svd(J, full_matrices=False)))
+    for m, n in ((3, 5), (6, 2), (6, 1)):
+        J, e = rng.standard_normal((m, m)), rng.standard_normal(n * m)
+        calls.append((f"mfac_step {m}x{m}, n = {n}", lambda J=J, e=e: mfac_step(J, e, LAMBDA)))
+    return calls
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=7, help="timeit repeats (default 7)")
+    parser.add_argument("--number", type=int, default=2000, help="calls per repeat (default 2000)")
+    args = parser.parse_args(argv)
+    if args.repeat < 1 or args.number < 1:
+        parser.error("--repeat and --number must be at least 1")
+    calls = layers()
+    width = max(len(label) for label, _ in calls)
+    print(f"{'layer':<{width}}  us/call")
+    for label, call in calls:
+        best = min(timeit.Timer(call).repeat(args.repeat, args.number)) / args.number
+        print(f"{label:<{width}}  {best * 1e6:7.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

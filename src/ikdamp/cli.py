@@ -158,6 +158,8 @@ def cmd_ik(args) -> int:
     config = solver_config_from(cfg)
     out = _output_path(args, cfg)
     # the loop converts and checks the target and q0 itself
+    if not (args.target or "target" in cfg):
+        raise ConfigError("ik needs --target or a config 'target'")
     target = _parse_floats(args.target, "--target") if args.target else cfg["target"]
     q0 = _parse_floats(args.q, "--q") if args.q else cfg.get("initial_q", np.zeros(model.m_u))
     # mfac is the n = 1 case: solve_ik is this call with one target
@@ -183,6 +185,8 @@ def cmd_track(args) -> int:
     _check_keys(cfg, _SOLVE_KEYS + ("trajectory", "initial_y"), "track config")
     model = parse_model(cfg.get("model", "three-link"))
     config = solver_config_from(cfg)
+    if "trajectory" not in cfg:
+        raise ConfigError("track config needs a 'trajectory' key")
     traj = parse_trajectory(cfg["trajectory"], model)
     out = _output_path(args, cfg)
     q0 = cfg.get("initial_q", np.zeros(model.m_u))

@@ -18,7 +18,10 @@ it drives: the model turns each sample into its target and measures the
 stacked error (`task_error`), as the law needs only that error and the
 Jacobian. As in `kinematics`, elementwise work on a few scalars (the
 filter factors, the norms) runs on Python floats, which round as numpy's
-ufuncs do, and products stay in numpy, where BLAS and LAPACK fix the bits.
+ufuncs do, and products stay in numpy, where BLAS and LAPACK fix the bits:
+`mfac_step` forms an error vector's products as 2-D `ndarray.dot`, which
+forms the products `@` does at less call overhead, and its last one with
+`@`, which sums a 1 x 1 product from +0.0 where `dot` keeps a -0.0.
 """
 from __future__ import annotations
 
@@ -121,6 +124,10 @@ def mfac_step(J, e, lam: float | Callable[[np.ndarray], float]) -> np.ndarray:
     too small to register also gives, with no null-space motion.
     The step is linear in e, so e may also be an (n * rows(J)) x k block of
     error columns: column c of the result is, bit for bit, the step for column c.
+    A vector e runs as one contiguous n x m_y matrix through 2-D `ndarray.dot`
+    (W^T T^T E U, the in-place filter, then W X), and the last product, by V^T,
+    stays `@`: at 1 x 1, `dot` keeps a -0.0 product that `@`, summing from +0.0,
+    makes +0.0. A column block runs the same chain as one batched `@` stack.
     lam is a number or a function of sigma, the singular values of J in
     descending order from this step's SVD, returning the number; either
     must be finite and non-negative.
@@ -145,8 +152,11 @@ def mfac_step(J, e, lam: float | Callable[[np.ndarray], float]) -> np.ndarray:
     cutoff = _rank_cutoff(root_mu_max * s[0], n * max(m_y, m_u))
     cutoff2 = cutoff * cutoff
     # s / (s^2 + lam), divided by the sqrt(mu_i) that T's left singular vectors carry
-    gain = np.array([[x / (m * (x * x) + lam) if m * (x * x) > cutoff2 else 0.0 for x in s]
-                     for m in mu])
+    gain = np.array([x / (m * (x * x) + lam) if m * (x * x) > cutoff2 else 0.0
+                     for m in mu for x in s]).reshape(n, len(s))
+    if e.ndim == 1:  # one n x m_y error matrix, filtered in gain's own buffer
+        gain *= WtTt.dot(np.ascontiguousarray(e).reshape(n, m_y)).dot(U)
+        return (W.dot(gain) @ Vt).ravel()
     # one n x m_y error matrix per column: a stack of them runs the same matmuls per column
     dQ = W @ (gain * (WtTt @ e.T.reshape(e.shape[1:] + (n, m_y)) @ U)) @ Vt
     return dQ.reshape(e.shape[1:] + (n * m_u,)).T

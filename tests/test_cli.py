@@ -218,6 +218,13 @@ class TestIk:
         assert rc == 2
         assert "mfapcc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [False, True], ids=["no-config", "config"])
+    def test_missing_target_is_named(self, tmp_path, capsys, config):
+        argv = ["ik", "--q", "0.1,0.5,0.2"] + (["--config", str(write_config(tmp_path))]
+                                               if config else ["--model", "three-link"])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: ik needs --target or a config 'target'\n"
+
 
 class TestTrack:
     def test_example1_config(self, tmp_path, capsys):
@@ -370,6 +377,16 @@ class TestTrack:
         config.write_text(json.dumps(cfg))
         assert main(["track", "--config", str(config), "--out", str(tmp_path / "t.csv")]) == 2
         assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("example", ["example1", "example2"])
+    def test_missing_trajectory_is_named(self, tmp_path, capsys, example):
+        cfg = json.loads((CONFIG_DIR / f"{example}.json").read_text())
+        del cfg["trajectory"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        assert main(["track", "--config", str(config), "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == "error: track config needs a 'trajectory' key\n"
         assert not (tmp_path / "t.csv").exists()
 
     def test_unknown_key_in_model_rows_exits_2(self, tmp_path, capsys):

@@ -212,6 +212,43 @@ def test_float_filter_matches_the_numpy_filter(shape, n, columns, zero_columns, 
     assert mfac_step(J, e, lam).tobytes() == mfac_step_numpy(J, e, lam).tobytes()
 
 
+@pytest.mark.parametrize("J, e", [
+    (np.zeros((1, 1)), [-1.0]),
+    (np.zeros((4, 1)), [-1.0, -2.0, 0.5, -0.0]),
+    (np.zeros((4, 1)), [1.0, 2.0, -0.5, 0.0]),
+], ids=["1x1", "4x1-negative", "4x1-positive"])
+def test_zero_products_keep_the_oracles_sign(J, e):
+    # a one-column J at n = 1 filters its one coordinate to a signed zero; a 1 x 1 dot
+    # keeps that sign where matmul, summing from +0.0, gives +0.0
+    assert mfac_step(J, e, 0.0).tobytes() == mfac_step_numpy(J, e, 0.0).tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (3, 6), (6, 3), (6, 6)],
+                         ids=["1x1", "square", "wide", "tall", "six"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_error_column_view_makes_the_oracles_bits(order, shape, n):
+    # a column of a C-ordered block is a strided vector, one of an F-ordered block a contiguous one
+    rng = np.random.default_rng(3001)
+    J = rng.standard_normal(shape)
+    E = np.asarray(rng.standard_normal((n * shape[0], 4)), order=order)
+    for lam in (0.0, 0.01, 1.0):
+        for c in range(E.shape[1]):
+            e = E[:, c]
+            assert mfac_step(J, e, lam).tobytes() == mfac_step_numpy(J, e, lam).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (1, 6), (3, 3)], ids=["1x3", "1x6", "square"])
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_reversed_error_vector_is_its_copy(shape, n):
+    # the step of a vector does not depend on its memory layout, a negative stride included
+    rng = np.random.default_rng(3002)
+    J = rng.standard_normal(shape)
+    for _ in range(20):
+        e = rng.standard_normal(n * shape[0])[::-1]
+        assert mfac_step(J, e, 0.01).tobytes() == mfac_step(J, e.copy(), 0.01).tobytes()
+
+
 def test_all_is_the_api_without_submodules():
     assert len(set(ikdamp.__all__)) == len(ikdamp.__all__) == 45
     for name in ikdamp.__all__:

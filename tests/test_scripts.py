@@ -71,3 +71,14 @@ def test_source_size(capsys):
     for name, (wc_l, *split) in modules.items():
         assert wc_l == sum(split) == (size.DEFAULT_DIR / name).read_text().count("\n")
     assert total == [sum(column) for column in zip(*modules.values())]
+
+
+def test_layer_timings(capsys):
+    timings = load("layer_timings")
+    assert timings.main(["--repeat", "1", "--number", "2"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["layer", "us/call"]
+    labels = [row.rsplit(None, 1)[0] for row in rows]
+    assert labels == [label for label, _ in timings.layers()]
+    assert labels[0] == "DhChain._walk" and labels[-1] == "mfac_step 6x6, n = 1"
+    assert all(float(row.rsplit(None, 1)[1]) > 0 for row in rows)
