@@ -9,7 +9,11 @@ the mean time of one call, each repeat making --number calls:
   chain keeps, as in the solve loop;
 - a 3x3 and a 6x6 thin `np.linalg.svd`;
 - `mfac_step` at (3x3, n = 5), (6x6, n = 2) and (6x6, n = 1), on a
-  seeded J and error vector, at lambda = 0.01.
+  seeded J and error vector, at lambda = 0.01;
+- `cli.parse`: the four calls `ikdamp track` makes to read a config
+  (`load_config`, `parse_model`, `solver_config_from`, `parse_trajectory`,
+  which builds the trajectory's samples), on configs/example1.json and
+  then configs/example2.json.
 
 Every input is drawn from one seeded generator, so each run times the
 same calls.
@@ -25,15 +29,27 @@ from __future__ import annotations
 
 import argparse
 import timeit
+from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from ikdamp import cli
 from ikdamp.kinematics import default_dh_chain, forward
 from ikdamp.mfac import mfac_step, task_error
 
 LAMBDA = 0.01
 SEED = 0
+EXAMPLES = [Path(__file__).resolve().parent.parent / "configs" / f"example{i}.json" for i in (1, 2)]
+
+
+def parse_examples() -> None:
+    """Read both example configs as `ikdamp track` does."""
+    for path in EXAMPLES:
+        cfg = cli.load_config(path)
+        model = cli.parse_model(cfg["model"])
+        cli.solver_config_from(cfg)
+        cli.parse_trajectory(cfg["trajectory"], model)
 
 
 def layers() -> List[Tuple[str, Callable[[], object]]]:
@@ -55,6 +71,7 @@ def layers() -> List[Tuple[str, Callable[[], object]]]:
     for m, n in ((3, 5), (6, 2), (6, 1)):
         J, e = rng.standard_normal((m, m)), rng.standard_normal(n * m)
         calls.append((f"mfac_step {m}x{m}, n = {n}", lambda J=J, e=e: mfac_step(J, e, LAMBDA)))
+    calls.append(("cli.parse, example1 + example2", parse_examples))
     return calls
 
 

@@ -34,18 +34,6 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _number(spec: dict, where: str, key: str, default=None, whole: bool = False):
-    """spec[key] as a float, or an int if whole; default if absent, required if default is None.
-
-    Anything but a JSON number, or a fraction or NaN where whole, exits 2 naming the key.
-    """
-    value = spec[key] if default is None else spec.get(key, default)
-    if not (type(value) is int or type(value) is float and (not whole or value.is_integer())):
-        kind = "a whole number" if whole else "a number"
-        raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}")
-    return int(value) if whole else float(value)
-
-
 def parse_model(spec) -> kinematics.KinematicModel:
     """Builtin name ('three-link', 'default-dh'), DH JSON path, or dict."""
     if isinstance(spec, dict):
@@ -64,29 +52,31 @@ def parse_model(spec) -> kinematics.KinematicModel:
     raise ConfigError(f"unknown model {name!r} (not a builtin, not a file)")
 
 
+# each type's `trajectory` function by name, looked up per call: a wrapper put in its place
+# (benchmark/spans.py traces helix and lspb) is then the one called
+_TRAJECTORY_TYPES = {"helix": "helix", "lspb": "lspb", "csv": "load_csv"}
+
+
 def parse_trajectory(spec, model) -> trajectory.Trajectory:
+    """The `trajectory` function "type" names, called with the other keys. lspb's endpoints are
+    task vectors (start, goal) or joint vectors (start_q, goal_q) that forward maps to them."""
     _check_object(spec, "trajectory", ConfigError)
     kind = spec.get("type")
-    if kind == "helix":
-        _check_keys(spec, ("type", "k_max"), "helix trajectory")
-        return trajectory.helix(_number(spec, "trajectory", "k_max", 800, whole=True))
+    if not isinstance(kind, str) or kind not in _TRAJECTORY_TYPES:
+        raise ConfigError(f"unknown trajectory type {kind!r}")
+    what, skip, ends = f"{kind} trajectory", ("type",), {}
     if kind == "lspb":
-        joint = "start_q" in spec  # joint-space endpoints are converted to task space first
-        ends = ("start_q", "goal_q") if joint else ("start", "goal")
-        _check_keys(spec, ("type", "steps", "blend_fraction") + ends, "lspb trajectory")
-        start, goal = (
-            kinematics.forward(model, spec[k]) if joint
-            else kinematics._as_vector(spec[k], model.m_y, f"trajectory.{k}")
-            for k in ends
-        )
-        return trajectory.lspb(start, goal, _number(spec, "trajectory", "steps", whole=True),
-                               _number(spec, "trajectory", "blend_fraction", 0.2))
-    if kind == "csv":
-        _check_keys(spec, ("type", "path"), "csv trajectory")
-        if not isinstance(spec["path"], str):  # an integer would open a file descriptor
-            raise ConfigError(f"trajectory.path must be a path string, got {spec['path']!r}")
-        return trajectory.load_csv(spec["path"])
-    raise ConfigError(f"unknown trajectory type {kind!r}")
+        joint = "start_q" in spec
+        for end in ("start", "goal"):
+            key = end + "_q" if joint else end
+            if key not in spec:
+                raise ConfigError(f"missing {what} key {key!r}")
+            skip += (key,)
+            v = kinematics._as_vector(spec[key], model.m_u if joint else model.m_y,
+                                      f"trajectory.{key}")
+            ends[end] = kinematics.forward(model, v) if joint else v
+    return _from_config(getattr(trajectory, _TRAJECTORY_TYPES[kind]), spec, what, ConfigError,
+                        skip, ends)
 
 
 def load_config(path) -> dict:
@@ -97,34 +87,28 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def solver_config_from(cfg: dict) -> mfac.SolverConfig:
-    tol = cfg.get("tolerances", {})
-    solver = cfg.get("solver", {})
-    _check_keys(tol, ("delta", "n_up"), "tolerances")
-    _check_keys(solver, ("method", "horizon", "mode"), "solver")
-    method = solver.get("method", "mfac")
+def _solver(method: str = "mfac", horizon: int = 1, mode: str = "frozen") -> tuple:
+    """A config's "solver" object, read by `_from_config`: its horizon and `HorizonMode`."""
     if method not in ("mfac", "mfapc"):
         raise ConfigError(f"unknown solver method {method!r} (mfac or mfapc)")
-    horizon = _number(solver, "solver", "horizon", 1, whole=True)
     if method == "mfac" and horizon != 1:
         raise ConfigError("mfac requires horizon n = 1")
-    return mfac.SolverConfig(
-        delta=_number(tol, "tolerances", "delta", 1e-10),
-        n_up=_number(tol, "tolerances", "n_up", 500, whole=True),
-        schedule=damping.schedule_from_config(cfg.get("schedule", {"type": "constant"})),
-        horizon=horizon,
-        mode=horizon_mode_from(cfg),
-    )
+    try:
+        return horizon, mfapc.HorizonMode(mode)
+    except ValueError as exc:
+        raise ConfigError(f"unknown horizon mode {mode!r}") from exc
+
+
+def solver_config_from(cfg: dict) -> mfac.SolverConfig:
+    """Config "tolerances" are `SolverConfig`'s delta and n_up; "solver", "schedule" the rest."""
+    horizon, mode = _from_config(_solver, cfg.get("solver", {}), "solver", ConfigError)
+    schedule = damping.schedule_from_config(cfg.get("schedule", {"type": "constant"}))
+    return _from_config(mfac.SolverConfig, cfg.get("tolerances", {}), "tolerances", ConfigError,
+                        given=dict(schedule=schedule, horizon=horizon, mode=mode))
 
 
 def horizon_mode_from(cfg: dict) -> mfapc.HorizonMode:
-    solver = cfg.get("solver", {})
-    _check_object(solver, "solver")
-    mode = solver.get("mode", "frozen")
-    try:
-        return mfapc.HorizonMode(mode)
-    except ValueError as exc:
-        raise ConfigError(f"unknown horizon mode {mode!r}") from exc
+    return _from_config(_solver, cfg.get("solver", {}), "solver", ConfigError)[1]
 
 
 def _parse_floats(text: str, name: str) -> np.ndarray:

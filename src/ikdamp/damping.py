@@ -17,7 +17,9 @@ raises. The tests rebuild every such observation through the constructor.
 """
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+import functools
+import inspect
+from dataclasses import dataclass
 from operator import ge
 from typing import Optional, Sequence
 
@@ -254,31 +256,43 @@ def _check_keys(spec: dict, keys: tuple, what: str, error: type = ValueError) ->
         raise error(f"unknown {what} key(s) {unknown}; known: {', '.join(keys)}")
 
 
-# the JSON types of a float and of a bool field, by annotation (a string in every ikdamp module)
-_JSON_TYPES = {"float": (int, float), "bool": (bool,)}
+# per annotation (a string in every ikdamp module): a value's JSON types and what one is called
+_JSON_TYPES = {"float": ((int, float), "a number"), "int": ((int, float), "a whole number"),
+               "bool": ((bool,), "a boolean"), "str": ((str,), "a string"),
+               "dict": ((dict,), "an object")}
+_CASTS = {"float": float, "int": int}
+_signature = functools.lru_cache(maxsize=64)(inspect.signature)  # each callable's, read once
 
 
 def _fits(value, annotation: str) -> bool:
-    """Whether a JSON value has the type a field annotated float, bool or Sequence[...] takes."""
+    """Whether a JSON value is the annotation's (a whole one for int), or a list of them."""
     if annotation.startswith("Sequence["):
         return type(value) is list and all(_fits(v, annotation[9:-1]) for v in value)
-    return type(value) in _JSON_TYPES[annotation]
+    return type(value) in _JSON_TYPES[annotation][0] and (
+        annotation != "int" or type(value) is int or value.is_integer())
 
 
-def _from_config(cls, spec: dict, what: str, error: type = ValueError, skip: tuple = ()):
-    """Build dataclass cls from a config object: its init fields, plus keys in skip, not passed.
+def _from_config(fn, spec: dict, what: str, error: type = ValueError, skip: tuple = (),
+                 given: Optional[dict] = None):
+    """fn called with a config object's keys as its keyword arguments: the one config reader.
 
-    A field with a default may be left out; integers become floats, lists go to cls to check.
-    Any other key, a missing required field or a value of another type raises error, naming it.
+    The keys are fn's parameters less those in given (passed as is), and skip (not passed);
+    one with a default may be left out. A value must fit its parameter's annotation, a number
+    is passed as the float or int it names, and a wrong key or value raises error naming it.
     """
-    params = [f for f in fields(cls) if f.init]
-    _check_keys(spec, tuple(skip) + tuple(f.name for f in params), what, error)
-    for f in params:
-        if f.name not in spec and f.default is MISSING and f.default_factory is MISSING:
-            raise error(f"missing {what} key {f.name!r}")
-        if f.name in spec and not _fits(spec[f.name], f.type):
-            raise error(f"{what} key {f.name!r} must be {f.type}, got {spec[f.name]!r}")
-    return cls(**{k: float(v) if type(v) is int else v for k, v in spec.items() if k not in skip})
+    args = dict(given or {})
+    params = [p for p in _signature(fn).parameters.values() if p.name not in args]
+    _check_keys(spec, skip + tuple(p.name for p in params), what, error)
+    for p in params:
+        if p.name in spec:
+            value, annotation = spec[p.name], p.annotation
+            if not _fits(value, annotation):
+                kind = _JSON_TYPES[annotation][1] if annotation in _JSON_TYPES else annotation
+                raise error(f"{what} key {p.name!r} must be {kind}, got {value!r}")
+            args[p.name] = _CASTS[annotation](value) if annotation in _CASTS else value
+        elif p.default is p.empty:
+            raise error(f"missing {what} key {p.name!r}")
+    return fn(**args)
 
 
 _SCHEDULE_TYPES = dict(constant=Constant, ratio=RatioRule, threshold=ThresholdRule,

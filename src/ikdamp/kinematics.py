@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .damping import _check_keys, _from_config
+from .damping import _from_config
 
 
 class KinematicsError(ValueError):
@@ -368,9 +368,10 @@ class DhChain(KinematicModel):
         return targets + targets[-1:] * (n - 1)
 
     def _errors(self, targets, q, y=None) -> np.ndarray:
-        # y is not read: the pose at q is the last frame of the walk already kept
+        # y is not read: the pose at q is the last frame of the walk already kept. Its rotation
+        # is copied, as `forward_pose` holds it: the bits of R_d R^T may follow R's layout
         T = self._frames(q)[-1]
-        return np.array(_pose_errors(targets, T[:3, 3], T[:3, :3]))
+        return np.array(_pose_errors(targets, T[:3, 3], T[:3, :3].copy()))
 
     def forward_pose(self, q) -> Pose:
         T = self._frames(q)[-1]
@@ -427,19 +428,18 @@ def load_dh_chain(source) -> DhChain:
     """Build a DhChain from a JSON document, path, or parsed dict.
 
     Schema: {"rows": [{"alpha": ..., "a": ..., "d": ..., "theta_offset": ...}, ...]}
-    Angles in radians, lengths in meters; theta_offset defaults to 0. Any other
-    key, a missing row key or a non-number raises a KinematicsError naming it.
+    Angles in radians, lengths in meters; theta_offset defaults to 0. A wrong, missing
+    or mistyped key raises a KinematicsError naming it.
     """
     if isinstance(source, (str, Path)):
         with open(source) as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
-    try:
-        _check_keys(doc, ("rows",), "DH document", KinematicsError)
-        return DhChain([_from_config(DhRow, r, "DH row", KinematicsError) for r in doc["rows"]])
-    except (KeyError, TypeError) as exc:
-        raise KinematicsError(f"malformed DH document: {exc}") from exc
+            source = json.load(fh)
+    return _from_config(_dh_document, source, "DH document", KinematicsError)
+
+
+def _dh_document(rows: Sequence[dict]) -> DhChain:
+    """A DH document, read by `_from_config`: its one key, a list of row objects."""
+    return DhChain([_from_config(DhRow, r, "DH row", KinematicsError) for r in rows])
 
 
 # Documented default 6-DOF elbow manipulator (classic DH, meters/radians).

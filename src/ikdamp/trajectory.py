@@ -1,4 +1,5 @@
-"""Desired-trajectory generators and horizon-window extraction."""
+"""Desired-trajectory generators, whose parameters are a config trajectory's keys, and
+horizon-window extraction."""
 from __future__ import annotations
 
 import csv
@@ -30,7 +31,7 @@ class Trajectory:
         return self.samples[k].copy()
 
 
-def helix(k_max: int) -> Trajectory:
+def helix(k_max: int = 800) -> Trajectory:
     """Helical reference: circle of radius 3 about (4, 0) rising by k/200."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -46,7 +47,7 @@ def helix(k_max: int) -> Trajectory:
     )
 
 
-def lspb(start, goal, total_steps: int, blend_fraction: float = 0.2) -> Trajectory:
+def lspb(start, goal, steps: int, blend_fraction: float = 0.2) -> Trajectory:
     """Linear segment with parabolic blends, per coordinate.
 
     Parabolic acceleration over the first blend_fraction of the samples,
@@ -57,14 +58,14 @@ def lspb(start, goal, total_steps: int, blend_fraction: float = 0.2) -> Trajecto
     goal = np.asarray(goal, dtype=float).ravel()
     if start.shape != goal.shape:
         raise ValueError("start and goal must have the same dimension")
-    if total_steps < 4:
+    if steps < 4:
         raise ValueError("need at least 4 samples")
     if not 0.0 < blend_fraction < 0.5:
         raise ValueError("blend_fraction must lie in (0, 0.5)")
-    if blend_fraction * total_steps < 1:
+    if blend_fraction * steps < 1:
         raise ValueError("blend region must cover at least one sample")
 
-    tau = np.arange(total_steps, dtype=float) / (total_steps - 1)
+    tau = np.arange(steps, dtype=float) / (steps - 1)
     tb = blend_fraction
     v = 1.0 / (1.0 - tb)  # peak velocity for unit displacement
     s = np.empty_like(tau)
@@ -106,7 +107,7 @@ def save_csv(traj: Trajectory, path) -> None:
                    ((k, *row) for k, row in enumerate(traj.samples.tolist(), start=1)))
 
 
-def load_csv(path) -> Trajectory:
+def load_csv(path: str) -> Trajectory:
     """Read the columns `save_csv` writes; the header row is optional.
 
     Every row must have the first row's width and numbers in every column

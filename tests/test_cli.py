@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ikdamp import kinematics, mfac, mfapc
+from ikdamp import kinematics, mfac, mfapc, trajectory
 from ikdamp.analysis import mfac_pole_matrix
 from ikdamp.cli import (
     ConfigError,
@@ -528,7 +529,70 @@ COUNT_KEYS = [
 def test_count_must_be_whole_number(tmp_path, capsys, example, section, key, value):
     # 1.9 is not truncated to 1, and NaN or null is named rather than crashing int()
     assert run_edited(tmp_path, example, lambda cfg: cfg[section].update({key: value})) == 2
-    assert f"{section}.{key} must be a whole number" in capsys.readouterr().err
+    assert f"{section} key {key!r} must be a whole number, got " in capsys.readouterr().err
+
+
+# example2's lspb in joint space, and an lspb between two task vectors of its chain
+JOINT_LSPB = {"type": "lspb", "start_q": [-0.7853981633974483, 0, 0, 0, -1.5707963267948966, 0],
+              "goal_q": [0.7853981633974483, 0, 0, 0, -1.5707963267948966, 0], "steps": 10}
+TASK_LSPB = {"type": "lspb", "start": [0.5, 0.0, 0.5, 0.0, 0.0, 0.0],
+             "goal": [0.4, 0.1, 0.5, 0.0, 0.0, 0.0], "steps": 10}
+
+
+def without(spec: dict, key: str) -> dict:
+    return {k: v for k, v in spec.items() if k != key}
+
+
+@pytest.mark.parametrize("spec, message", [
+    (without(JOINT_LSPB, "steps"), "missing lspb trajectory key 'steps'"),
+    (without(TASK_LSPB, "start"), "missing lspb trajectory key 'start'"),
+    (without(TASK_LSPB, "goal"), "missing lspb trajectory key 'goal'"),
+    (without(JOINT_LSPB, "goal_q"), "missing lspb trajectory key 'goal_q'"),
+    ({"type": "csv"}, "missing csv trajectory key 'path'"),
+    ({**JOINT_LSPB, "start": [0.5] * 6}, "unknown lspb trajectory key(s) ['start']"),
+], ids=["steps", "start", "goal", "goal_q", "path", "start-and-start_q"])
+def test_trajectory_key_is_named(tmp_path, capsys, spec, message):
+    # the missing keys printed only the key, as "error: 'steps'"; the last pins that the
+    # joint endpoints, which go in as start and goal, do not hide a "start" beside them
+    assert run_edited(tmp_path, "example2", lambda cfg: cfg.update(trajectory=spec)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("start", [0.5] * 5, "trajectory.start must have length 6, got (5,)"),
+    ("goal", [0.4, math.nan, 0.5, 0.0, 0.0, 0.0], "trajectory.goal contains non-finite entries"),
+    ("start_q", [0.0] * 7, "trajectory.start_q must have length 6, got (7,)"),
+    ("goal_q", [0.0, 0.0, math.nan, 0.0, 0.0, 0.0],
+     "trajectory.goal_q contains non-finite entries"),
+], ids=["short-start", "nan-goal", "long-start_q", "nan-goal_q"])
+def test_bad_lspb_endpoint_is_named(tmp_path, capsys, key, value, message):
+    spec = {**(JOINT_LSPB if key.endswith("_q") else TASK_LSPB), key: value}
+    assert run_edited(tmp_path, "example2", lambda cfg: cfg.update(trajectory=spec)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_joint_lspb_is_the_lspb_of_its_poses():
+    chain = default_dh_chain()
+    poses = {end: kinematics.forward(chain, JOINT_LSPB[end + "_q"]).tolist()
+             for end in ("start", "goal")}
+    joint = parse_trajectory(JOINT_LSPB, chain)
+    task = parse_trajectory({"type": "lspb", "steps": 10, **poses}, chain)
+    assert joint.samples.tobytes() == task.samples.tobytes()
+
+
+def test_trajectory_function_is_looked_up_when_called(monkeypatch):
+    # a wrapper put in place of `trajectory.helix`, as the benchmark's tracer puts one, is called
+    helix, calls = trajectory.helix, []
+
+    @functools.wraps(helix)
+    def traced(*args, **kwargs):
+        calls.append(kwargs)
+        return helix(*args, **kwargs)
+
+    monkeypatch.setattr(trajectory, "helix", traced)
+    assert len(parse_trajectory({"type": "helix", "k_max": 5.0}, ThreeLink())) == 5
+    assert len(parse_trajectory({"type": "helix"}, ThreeLink())) == 800
+    assert calls == [{"k_max": 5}, {}] and type(calls[0]["k_max"]) is int
 
 
 @pytest.mark.parametrize(
@@ -596,8 +660,9 @@ def test_path_that_is_no_file_name_exits_2(tmp_path, capsys, section, key, value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert main(["track", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert f"{key} must be a" in err and f"path string, got {value!r}" in err
+    kind = f"csv trajectory key {key!r} must be a string" if section else (
+        f"{key} must be a non-empty path string")
+    assert f"{kind}, got {value!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content, message", [

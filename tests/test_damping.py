@@ -17,6 +17,7 @@ from ikdamp.damping import (
     RatioRule,
     ThresholdRule,
     _SCHEDULE_TYPES,
+    _from_config,
     cond,
     schedule_from_config,
 )
@@ -525,6 +526,30 @@ class TestFromConfig:
         rule = schedule_from_config({"type": "threshold", "lambda0": 2, "a1": 1.1, "a2": 1.02,
                                      "t1": 10})
         assert rule.reset_on_cross is False
+
+    def test_a_function_is_read_by_its_signature(self):
+        # annotations are strings, as in every ikdamp module
+        def build(count: "int", scale: "float" = 1.0, name: "str" = "x",
+                  flags: "Sequence[bool]" = (), given=None):
+            return count, scale, name, flags, given
+
+        def read(spec):
+            return _from_config(build, spec, "test", ConfigError, ("type",), {"given": 0})
+
+        assert read({"count": 5.0, "scale": 2}) == (5, 2.0, "x", (), 0)
+        assert [type(v) for v in read({"count": 5.0, "scale": 2})[:2]] == [int, float]
+        assert read({"type": "t", "count": 1, "name": "y", "flags": [True]}) == (
+            1, 1.0, "y", [True], 0)
+        with pytest.raises(ConfigError, match="missing test key 'count'"):
+            read({})
+        with pytest.raises(ConfigError, match=r"unknown test key\(s\) \['given'\]"):
+            read({"count": 1, "given": 1})
+        for key, value, kind in [("count", 1.9, "a whole number"), ("count", math.nan, "a whole"),
+                                 ("count", True, "a whole"), ("count", None, "a whole"),
+                                 ("scale", "2", "a number"), ("name", 1, "a string"),
+                                 ("flags", [1], r"Sequence\[bool\]")]:
+            with pytest.raises(ConfigError, match=f"test key '{key}' must be {kind}"):
+                read({"count": 1, key: value})
 
     @pytest.mark.parametrize(
         "read, key",

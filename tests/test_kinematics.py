@@ -390,8 +390,8 @@ class TestOrientationError:
     (lambda: check_rotation(np.diag([1.0, 1.0, -1.0])), r"determinant is not \+1"),
     (lambda: axis_angle_to_rotation([1.0, 0.0], 0.1), "axis must be a 3-vector"),
     (lambda: DhChain(()), "DH chain needs at least one row"),
-    (lambda: load_dh_chain({}), "malformed DH document: 'rows'"),
-    (lambda: load_dh_chain({"rows": 5}), "malformed DH document: 'int' object is not iterable"),
+    (lambda: load_dh_chain({}), "missing DH document key 'rows'"),
+    (lambda: load_dh_chain({"rows": 5}), r"DH document key 'rows' must be Sequence\[dict\], got 5"),
 ], ids=["rotation-shape", "reflection", "axis-shape", "no-rows", "no-rows-key", "rows-not-a-list"])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(KinematicsError, match=message):
@@ -549,9 +549,11 @@ def angle_axis_numpy(D):
 
 
 def errors_numpy(chain, targets, q):
-    """`DhChain._errors` as one (n, 6) buffer: a subtract into each row, then its angle-axis."""
+    """`DhChain._errors` as one (n, 6) buffer: a subtract into each row, then its angle-axis.
+
+    The rotation is a copy of the walk's block, as `forward_pose` holds it."""
     T = chain._frames(q)[-1]
-    position, rotation = T[:3, 3], T[:3, :3]
+    position, rotation = T[:3, 3], T[:3, :3].copy()
     out = np.empty((len(targets), 6))
     for e, t in zip(out, targets):
         np.subtract(t.position, position, out=e[:3])
@@ -607,6 +609,18 @@ class TestFloatForms:
         expected = errors_numpy(chain, targets, q)
         assert same_bytes(task_error(chain, targets, q), expected)
         assert same_bytes(np.concatenate([pose_error(t, current) for t in targets]), expected)
+
+    def test_errors_read_the_rotation_as_forward_pose_holds_it(self):
+        # R_d R^T of the walk's strided rotation block and of its copy once differed in the
+        # sign of a zero here: entry 4 read -0.0 from the block and +0.0 from the Pose's copy
+        chain = DhChain(((2.0, 0.0, 0.0, 2.2250738585072014e-308),))
+        q = [0.0]
+        current = chain.forward_pose(q)
+        turn = axis_angle_to_rotation([1.0, 0.0, 0.0], 3.141591653589793)
+        target = Pose([0.0, 0.0, 0.0], turn @ current.rotation)
+        expected = pose_error(target, current)
+        assert same_bytes(task_error(chain, [target], q), expected)
+        assert same_bytes(errors_numpy(chain, [target], q), expected)
 
     @pytest.mark.parametrize("D", [
         np.eye(3), -np.eye(3), rot_z(0.0), rot_z(-0.0), rot_z(math.pi), rot_z(-math.pi / 2),

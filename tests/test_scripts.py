@@ -80,5 +80,6 @@ def test_layer_timings(capsys):
     assert header.split() == ["layer", "us/call"]
     labels = [row.rsplit(None, 1)[0] for row in rows]
     assert labels == [label for label, _ in timings.layers()]
-    assert labels[0] == "DhChain._walk" and labels[-1] == "mfac_step 6x6, n = 1"
+    assert labels[0] == "DhChain._walk" and labels[-2] == "mfac_step 6x6, n = 1"
+    assert labels[-1] == "cli.parse, example1 + example2"
     assert all(float(row.rsplit(None, 1)[1]) > 0 for row in rows)

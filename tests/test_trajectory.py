@@ -23,6 +23,9 @@ class TestHelix:
         traj = helix(800)
         assert traj.samples[-1][2] == pytest.approx(9.0)
 
+    def test_default_length_is_the_config_default(self):
+        assert helix().samples.tobytes() == helix(800).samples.tobytes()
+
     def test_circle_constraint(self):
         traj = helix(800)
         r2 = (traj.samples[:, 0] - 4.0) ** 2 + traj.samples[:, 1] ** 2
@@ -66,6 +69,10 @@ class TestLspb:
     def test_monotone_per_coordinate(self):
         traj = lspb([0.0, 1.0], [1.0, 4.0], 80, 0.3)
         assert np.all(np.diff(traj.samples, axis=0) >= -1e-12)
+
+    def test_steps_is_the_config_key(self):
+        traj = lspb([0.0, 1.0], [1.0, 3.0], steps=10, blend_fraction=0.25)
+        assert traj.samples.tobytes() == lspb([0.0, 1.0], [1.0, 3.0], 10, 0.25).samples.tobytes()
 
     def test_blend_fraction_validated(self):
         with pytest.raises(ValueError):
