@@ -10,6 +10,9 @@ the mean time of one call, each repeat making --number calls:
 - a 3x3 and a 6x6 thin `np.linalg.svd`;
 - `mfac_step` at (3x3, n = 5), (6x6, n = 2) and (6x6, n = 1), on a
   seeded J and error vector, at lambda = 0.01;
+- `mfac_pole_matrix`, `mfapc_pole_matrix([J] * 5)` and
+  `simulate_linear_closed_loop` of a 1000-step ramp with n = 5, on one
+  seeded 3x3 J at lambda = 0.01;
 - `cli.parse`: the four calls `ikdamp track` makes to read a config
   (`load_config`, `parse_model`, `solver_config_from`, `parse_trajectory`,
   which builds the trajectory's samples), on configs/example1.json and
@@ -34,7 +37,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ikdamp import cli
+from ikdamp import analysis, cli
 from ikdamp.kinematics import default_dh_chain, forward
 from ikdamp.mfac import mfac_step, task_error
 
@@ -71,6 +74,14 @@ def layers() -> List[Tuple[str, Callable[[], object]]]:
     for m, n in ((3, 5), (6, 2), (6, 1)):
         J, e = rng.standard_normal((m, m)), rng.standard_normal(n * m)
         calls.append((f"mfac_step {m}x{m}, n = {n}", lambda J=J, e=e: mfac_step(J, e, LAMBDA)))
+    J, ramp = rng.standard_normal((3, 3)), analysis.RampReference(rng.uniform(-1.0, 1.0, 3))
+    controller = analysis.MfapcController(5, LAMBDA)
+    calls += [
+        ("mfac_pole_matrix 3x3", lambda: analysis.mfac_pole_matrix(J, LAMBDA)),
+        ("mfapc_pole_matrix 3x3, [J] * 5", lambda: analysis.mfapc_pole_matrix([J] * 5, LAMBDA)),
+        ("simulate_linear_closed_loop 3x3, n = 5",
+         lambda: analysis.simulate_linear_closed_loop(J, controller, ramp, 1000)),
+    ]
     calls.append(("cli.parse, example1 + example2", parse_examples))
     return calls
 

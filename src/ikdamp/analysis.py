@@ -14,7 +14,11 @@ whose every term is dropped, or outside the range of J, has a pole of exactly
 1 and a gain of 0. So one SVD of J gives p and U diag(p) U^T
 (`_frozen_loop`; `ikdamp analyze` reads p off one sigma for its lambda sweep),
 or the simulator's gains; distinct blocks take the dense stack's gain from
-`mfac_step` and its poles from `eigvals`.
+`mfac_step` and its poles from `eigvals`. As in `mfac_step`'s filter, the
+elementwise work on the n min(m_y, m_u) terms runs on Python floats: the
+squares mu_i sigma_j^2, the rank cutoff and the factors lam / (lam + s^2).
+The products stay in numpy: w @ F on the factors F, and (U * p) @ U^T for
+U diag(p) U^T.
 
 What the horizon buys: since sum w_i / mu_i = 1 and sum w_i mu_i = n, each
 n-step pole lies between the one-step poles at lam / n and at lam, so the
@@ -28,10 +32,11 @@ The simulator is a linear recurrence y(k+1) = A y(k) + b(k) with a
 constant A = I - sum_r J K_r. It samples the reference in one call, forms
 every window term b(k) from one matmul and runs the recurrence as doubling
 passes: pass s = 1, 2, 4, ... adds A^s times the partial sum s steps back,
-until s reaches steps or max|A^s| <= eps. What that leaves out is A^s y(k-s),
-at most m_y eps max|y|, and a pole at 1 never ends the scan early. Its sums
-run in another order than a step-by-step loop, so it agrees with one to
-rounding, not bit for bit.
+as the row block times (A^s)^T, which it keeps C-ordered so that the product
+goes to BLAS and squares for the next pass, until s reaches steps or
+max|A^s| <= eps. What that leaves out is A^s y(k-s), at most m_y eps max|y|,
+and a pole at 1 never ends the scan early. Its sums run in another order
+than a step-by-step loop, so it agrees with one to rounding, not bit for bit.
 """
 from __future__ import annotations
 
@@ -55,46 +60,47 @@ class PoleReport:
 
 
 def _pole_report(M: np.ndarray, eig: np.ndarray) -> PoleReport:
-    max_mod = float(np.max(np.abs(eig))) if eig.size else 0.0
+    max_mod = float(np.abs(eig).max())
     return PoleReport(M, eig, max_mod, stable=max_mod < 1.0 - 1e-12)
 
 
 @lru_cache(maxsize=64)
 def _weights(n: int):
-    """(mu, sqrt(max mu), w, w_r) of the n-step law (module docstring), read-only."""
+    """(mu as a tuple of floats, sqrt(max mu), w, w_r) of the n-step law (module docstring);
+    w and w_r are read-only."""
     mu, root_mu_max, W, WtTt = _horizon_spectrum(n)
-    mu = np.array(mu)
-    w, w_r = W[0] * WtTt.sum(axis=1) / mu, W[0][:, None] * WtTt / mu[:, None]
-    for a in (mu, w, w_r):
+    m = np.array(mu)
+    w, w_r = W[0] * WtTt.sum(axis=1) / m, W[0][:, None] * WtTt / m[:, None]
+    for a in (w, w_r):
         a.setflags(write=False)
     return mu, root_mu_max, w, w_r
 
 
 def _terms(sigma: np.ndarray, shape: tuple, n: int, lam: float):
-    """w, w_r, s2 = mu_i sigma_j^2 and s2 > `mfac_step`'s rank cutoff; checks lam."""
+    """lam as a float, w, w_r, the rows s2[i][j] = mu_i sigma_j^2 as floats and the square
+    of `mfac_step`'s rank cutoff, at or below which a term is dropped; checks lam."""
     if not 0 <= lam < np.inf:
         raise ValueError("lam must be finite and non-negative")
     mu, root_mu_max, w, w_r = _weights(n)
-    s2 = mu[:, None] * sigma**2
-    cutoff = _rank_cutoff(root_mu_max * sigma[0], n * max(shape))  # mfac_step's rule
-    return w, w_r, s2, s2 > cutoff * cutoff
+    s = sigma.tolist()
+    cutoff = _rank_cutoff(root_mu_max * s[0], n * max(shape))  # mfac_step's rule
+    return float(lam), w, w_r, [[m * (x * x) for x in s] for m in mu], cutoff * cutoff
 
 
 def _poles(sigma: np.ndarray, shape: tuple, n: int, lam: float) -> np.ndarray:
     """The n-step poles p (module docstring) on a J of this shape whose full SVD gave sigma."""
-    w, _, s2, kept = _terms(sigma, shape, n, lam)
-    p = np.ones(shape[0])
-    # mu ascends, so kept[-1] is False only where every term is dropped: there the weights,
-    # which sum to 1 only to rounding, are not summed, and the pole is 1, as off the range
-    p[: sigma.size] = np.where(
-        kept[-1], w @ np.divide(lam, lam + s2, out=np.ones(s2.shape), where=kept), 1.0)
-    return p
+    lam, w, _, s2, c2 = _terms(sigma, shape, n, lam)
+    p = (w @ np.array([[lam / (lam + x) if x > c2 else 1.0 for x in row] for row in s2])).tolist()
+    # mu ascends, so s2[-1][j] is dropped only where every term is: there the weights, which
+    # sum to 1 only to rounding, are not summed, and the pole is 1, as off the range
+    p = [v if x > c2 else 1.0 for v, x in zip(p, s2[-1])]
+    return np.array(p + [1.0] * (shape[0] - len(p)))
 
 
 def _block_gains(sigma: np.ndarray, shape: tuple, n: int, lam: float) -> np.ndarray:
     """g[r]: J K_r = U diag(g[r]) U^T on the thin U of the SVD giving sigma (module docstring)."""
-    _, w_r, s2, kept = _terms(sigma, shape, n, lam)
-    return w_r.T @ np.divide(s2, lam + s2, out=np.zeros(s2.shape), where=kept)
+    lam, _, w_r, s2, c2 = _terms(sigma, shape, n, lam)
+    return w_r.T @ np.array([[x / (lam + x) if x > c2 else 0.0 for x in row] for row in s2])
 
 
 def _frozen_loop(J, n: int, lam: float) -> PoleReport:
@@ -102,7 +108,7 @@ def _frozen_loop(J, n: int, lam: float) -> PoleReport:
     J = np.asarray(J, dtype=float)
     U, sigma, _ = np.linalg.svd(J)
     p = _poles(sigma, J.shape, n, lam)
-    return _pole_report(U @ np.diag(p) @ U.T, p)
+    return _pole_report((U * p) @ U.T, p)
 
 
 def mfac_pole_matrix(J, lam: float) -> PoleReport:
@@ -196,9 +202,9 @@ def simulate_linear_closed_loop(
     if R.shape != (steps + n, m_y):
         raise ValueError(f"reference protocol: an array of k gives one row per k, got {R.shape}")
     Y = sliding_window_view(R[1:].ravel(), n * m_y)[::m_y] @ JK.reshape(n * m_y, m_y)  # b(k)
-    P, s = np.eye(m_y) - JK.sum(axis=0), 1  # A, then A^s at pass s
+    At, s = (np.eye(m_y) - JK.sum(axis=0)).T.copy(), 1  # A^T, then (A^s)^T at pass s, C-ordered
     # pass s adds A^s Y[k-s] to each Y[k], until Y[k] = y(k+1) or A^s is below rounding
-    while s < steps and np.abs(P).max() > _EPS:
-        Y[s:] += Y[:-s] @ P.T
-        P, s = P @ P, 2 * s
+    while s < steps and np.abs(At).max() > _EPS:
+        Y[s:] += Y[:-s] @ At
+        At, s = At @ At, 2 * s
     return R[: steps + 1] - np.vstack([np.zeros(m_y), Y])

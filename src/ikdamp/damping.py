@@ -257,19 +257,23 @@ def _check_keys(spec: dict, keys: tuple, what: str, error: type = ValueError) ->
 
 
 # per annotation (a string in every ikdamp module): a value's JSON types and what one is called
-_JSON_TYPES = {"float": ((int, float), "a number"), "int": ((int, float), "a whole number"),
+_JSON_TYPES = {"float": ((int, float), "a number in float range"),
+               "int": ((int, float), "a whole number"),
                "bool": ((bool,), "a boolean"), "str": ((str,), "a string"),
                "dict": ((dict,), "an object")}
 _CASTS = {"float": float, "int": int}
+_FLOAT_OVERFLOW = 2**1024 - 2**970  # float() of an int this large or larger raises OverflowError
 _signature = functools.lru_cache(maxsize=64)(inspect.signature)  # each callable's, read once
 
 
 def _fits(value, annotation: str) -> bool:
-    """Whether a JSON value is the annotation's (a whole one for int), or a list of them."""
+    """Whether a JSON value is the annotation's (a whole one for int, an int that a float holds
+    for float), or a list of them."""
     if annotation.startswith("Sequence["):
         return type(value) is list and all(_fits(v, annotation[9:-1]) for v in value)
     return type(value) in _JSON_TYPES[annotation][0] and (
-        annotation != "int" or type(value) is int or value.is_integer())
+        annotation != "int" or type(value) is int or value.is_integer()) and (
+        annotation != "float" or type(value) is float or abs(value) < _FLOAT_OVERFLOW)
 
 
 def _from_config(fn, spec: dict, what: str, error: type = ValueError, skip: tuple = (),

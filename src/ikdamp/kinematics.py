@@ -45,7 +45,7 @@ _CROSS = np.array([1, 2, 0, 1])
 def _as_vector(q, length: int, name: str = "q") -> np.ndarray:
     try:
         q = np.asarray(q, dtype=float).ravel()
-    except (TypeError, ValueError) as exc:  # e.g. a JSON object or string where numbers belong
+    except (TypeError, ValueError, OverflowError) as exc:  # e.g. a JSON object, an int >= 2**1024
         raise KinematicsError(f"{name} must be a vector of numbers: {exc}") from exc
     if q.shape != (length,):
         raise KinematicsError(f"{name} must have length {length}, got {q.shape}")

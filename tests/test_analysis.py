@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ikdamp import analysis, cli
 from ikdamp.analysis import (
@@ -17,7 +18,7 @@ from ikdamp.analysis import (
     simulate_linear_closed_loop,
     static_error_gain,
 )
-from ikdamp.damping import _rank_cutoff, cond
+from ikdamp.damping import _EPS, _rank_cutoff, cond
 from ikdamp.kinematics import ThreeLink, default_dh_chain
 from ikdamp.mfac import _horizon_spectrum, build_psi, mfac_step
 from ikdamp.mfapc import receding_horizon_track
@@ -614,3 +615,137 @@ class TestClosedLoopSimulation:
             simulate_linear_closed_loop(
                 np.eye(2), MfapcController(1, 0.0), ConstantReference(np.ones(2)), 0
             )
+
+
+def _terms_numpy(sigma, shape, n):
+    """w, w_r, s2 = mu_i sigma_j^2 and s2 > the rank cutoff squared, in numpy, as they were."""
+    _, root_mu_max, w, w_r = analysis._weights(n)
+    s2 = np.array(_horizon_spectrum(n)[0])[:, None] * sigma**2
+    cutoff = _rank_cutoff(root_mu_max * sigma[0], n * max(shape))
+    return w, w_r, s2, s2 > cutoff * cutoff
+
+
+def poles_numpy(sigma, shape, n, lam):
+    """`analysis._poles` with its elementwise work in numpy: the float path's oracle."""
+    w, _, s2, kept = _terms_numpy(sigma, shape, n)
+    p = np.ones(shape[0])
+    p[: sigma.size] = np.where(
+        kept[-1], w @ np.divide(lam, lam + s2, out=np.ones(s2.shape), where=kept), 1.0)
+    return p
+
+
+def block_gains_numpy(sigma, shape, n, lam):
+    """`analysis._block_gains` with its elementwise work in numpy."""
+    _, w_r, s2, kept = _terms_numpy(sigma, shape, n)
+    return w_r.T @ np.divide(s2, lam + s2, out=np.zeros(s2.shape), where=kept)
+
+
+def frozen_report_numpy(J, n, lam):
+    """(pole matrix, poles, max modulus, stable) of `_frozen_loop` as it was: U diag(p) U^T."""
+    U, sigma, _ = np.linalg.svd(J)
+    p = poles_numpy(sigma, J.shape, n, lam)
+    max_mod = float(np.max(np.abs(p)))
+    return U @ np.diag(p) @ U.T, p, max_mod, max_mod < 1.0 - 1e-12
+
+
+def simulate_oracle(J, controller, reference, steps):
+    """The simulator as it was: each doubling pass multiplies by the transposed view P.T of
+    A^s, which numpy does not hand to BLAS as it does a C-ordered A^T."""
+    J, n = np.asarray(J, dtype=float), controller.n
+    m_y, (U, sigma, _) = len(J), np.linalg.svd(J, full_matrices=False)
+    JK = (U * block_gains_numpy(sigma, J.shape, n, controller.lam)[:, None]) @ U.T
+    R = np.asarray(reference(np.arange(steps + n)), dtype=float)
+    Y = sliding_window_view(R[1:].ravel(), n * m_y)[::m_y] @ JK.reshape(n * m_y, m_y)
+    P, s = np.eye(m_y) - JK.sum(axis=0), 1
+    while s < steps and np.abs(P).max() > _EPS:
+        Y[s:] += Y[:-s] @ P.T
+        P, s = P @ P, 2 * s
+    return R[: steps + 1] - np.vstack([np.zeros(m_y), Y])
+
+
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 7)),
+    seed=st.integers(0, 2**32 - 1),
+    zero_columns=st.integers(0, 7),
+    scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
+    n=st.integers(1, 5),
+    lam=st.sampled_from([0.0, 1e-300, 1e-3, 10.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_float_pole_path_is_the_numpy_form_bit_for_bit(shape, seed, zero_columns, scale, n, lam):
+    # scale 0 is an all-zero J; zeroed columns give singular values that are exactly 0
+    rng = np.random.default_rng(seed)
+    J = scale * rng.standard_normal(shape)
+    J[:, : min(zero_columns, shape[1])] = 0.0
+    full, thin = np.linalg.svd(J)[1], np.linalg.svd(J, compute_uv=False)
+    assert analysis._poles(full, J.shape, n, lam).tobytes() == poles_numpy(
+        full, J.shape, n, lam).tobytes()
+    assert analysis._block_gains(thin, J.shape, n, lam).tobytes() == block_gains_numpy(
+        thin, J.shape, n, lam).tobytes()
+    M, p, max_mod, stable = frozen_report_numpy(J, n, lam)
+    report = mfapc_pole_matrix([J] * n, lam)
+    assert report.pole_matrix.tobytes() == M.tobytes()
+    assert report.eigenvalues.tobytes() == p.tobytes()
+    assert (report.max_modulus, report.stable) == (max_mod, stable)
+    assert type(report.max_modulus) is float
+
+
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    lam=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+    ramp=st.booleans(),
+    steps=st.integers(1, 300),
+)
+@settings(max_examples=150, deadline=None)
+def test_simulator_matches_its_oracle(shape, seed, n, lam, ramp, steps):
+    # the passes run in BLAS on A^T in place of numpy on P.T: equal to rounding, mostly bit for bit
+    rng = np.random.default_rng(seed)
+    J, r = rng.standard_normal(shape), rng.standard_normal(shape[0])
+    reference = RampReference(r) if ramp else ConstantReference(r)
+    controller = MfapcController(n, lam)
+    e = simulate_linear_closed_loop(J, controller, reference, steps)
+    expected = simulate_oracle(J, controller, reference, steps)
+    np.testing.assert_allclose(e, expected, rtol=0,
+                               atol=1e-12 * max(1.0, np.max(np.abs(expected))))
+
+
+def test_simulator_is_its_oracle_bit_for_bit_on_the_digest_inputs():
+    # scripts/output_digest.py's ramp simulations, with its seed and sizes
+    rng = np.random.default_rng(506)
+    for model in (ThreeLink(), default_dh_chain()):
+        for q in rng.uniform(-math.pi, math.pi, (10, model.m_u)):
+            J = model.jacobian(q)
+            ramp = RampReference(rng.uniform(-1.0, 1.0, model.m_y))
+            for n in (1, 5):
+                for lam in (0.0, 0.01, 0.1, 1.0, 10.0):
+                    controller = MfapcController(n, lam)
+                    assert simulate_linear_closed_loop(J, controller, ramp, 50).tobytes() == (
+                        simulate_oracle(J, controller, ramp, 50).tobytes())
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (1, 4), (6, 2)], ids=["3x3", "1x4", "6x2"])
+@pytest.mark.parametrize("layout", ["F", "strided", "read-only"])
+def test_reference_layout_does_not_move_a_bit(shape, layout):
+    # the simulator reads the reference's rows, not its memory layout
+    rng = np.random.default_rng(2703)
+    J, slope = rng.standard_normal(shape), rng.standard_normal(shape[0])
+    rows = RampReference(slope)(np.arange(305))
+
+    def reference(k):
+        out = rows[: len(k)].copy()
+        if layout == "F":
+            return np.asfortranarray(out)
+        if layout == "strided":
+            wide = np.zeros((len(k), 2 * shape[0]))
+            wide[:, 1::2] = out
+            return wide[:, 1::2]
+        out.setflags(write=False)
+        return out
+
+    controller = MfapcController(5, 0.1)
+    baseline = simulate_linear_closed_loop(
+        J, controller, lambda k: rows[: len(k)].copy(), 300)
+    assert simulate_linear_closed_loop(J, controller, reference, 300).tobytes() == (
+        baseline.tobytes())

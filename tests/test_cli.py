@@ -539,6 +539,25 @@ TASK_LSPB = {"type": "lspb", "start": [0.5, 0.0, 0.5, 0.0, 0.0, 0.0],
              "goal": [0.4, 0.1, 0.5, 0.0, 0.0, 0.0], "steps": 10}
 
 
+@pytest.mark.parametrize("example, section, spec, message", [
+    ("example1", "tolerances", {"delta": 10**400, "n_up": 1},
+     "tolerances key 'delta' must be a number"),
+    ("example1", "schedule",
+     {"type": "threshold", "lambda0": 2, "a1": -10**400, "a2": 1.02, "t1": 10},
+     "threshold schedule key 'a1' must be a number"),
+    ("example1", "schedule",
+     {"type": "lookup", "error_bins": [1], "cond_bins": [10], "table": [[10**400]]},
+     "lookup schedule key 'table' must be Sequence[Sequence[float]]"),
+    ("example2", "trajectory", {**TASK_LSPB, "start": [10**400, 0, 0, 0, 0, 0]},
+     "trajectory.start must be a vector of numbers"),
+    ("example1", "initial_q", [10**400, 0, 0], "q0 must be a vector of numbers"),
+], ids=["delta", "threshold-a1", "lookup-entry", "lspb-start", "initial_q"])
+def test_integer_beyond_float_range_is_named(tmp_path, capsys, example, section, spec, message):
+    # float() of such an int raises OverflowError: the key is named, not a traceback printed
+    assert run_edited(tmp_path, example, lambda cfg: cfg.update({section: spec})) == 2
+    assert message in capsys.readouterr().err
+
+
 def without(spec: dict, key: str) -> dict:
     return {k: v for k, v in spec.items() if k != key}
 

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -547,9 +548,12 @@ class TestFromConfig:
         for key, value, kind in [("count", 1.9, "a whole number"), ("count", math.nan, "a whole"),
                                  ("count", True, "a whole"), ("count", None, "a whole"),
                                  ("scale", "2", "a number"), ("name", 1, "a string"),
-                                 ("flags", [1], r"Sequence\[bool\]")]:
+                                 ("flags", [1], r"Sequence\[bool\]"),
+                                 ("scale", 2**1024 - 2**970, "a number in float range")]:
             with pytest.raises(ConfigError, match=f"test key '{key}' must be {kind}"):
                 read({"count": 1, key: value})
+        # the largest int that float() does not round up to inf is the largest float
+        assert read({"count": 1, "scale": 2**1024 - 2**970 - 1})[1] == sys.float_info.max
 
     @pytest.mark.parametrize(
         "read, key",

@@ -80,6 +80,8 @@ def test_layer_timings(capsys):
     assert header.split() == ["layer", "us/call"]
     labels = [row.rsplit(None, 1)[0] for row in rows]
     assert labels == [label for label, _ in timings.layers()]
-    assert labels[0] == "DhChain._walk" and labels[-2] == "mfac_step 6x6, n = 1"
-    assert labels[-1] == "cli.parse, example1 + example2"
+    assert labels[0] == "DhChain._walk" and labels[-5] == "mfac_step 6x6, n = 1"
+    assert labels[-4:] == ["mfac_pole_matrix 3x3", "mfapc_pole_matrix 3x3, [J] * 5",
+                           "simulate_linear_closed_loop 3x3, n = 5",
+                           "cli.parse, example1 + example2"]
     assert all(float(row.rsplit(None, 1)[1]) > 0 for row in rows)
