@@ -18,7 +18,9 @@ or the simulator's gains; distinct blocks take the dense stack's gain from
 elementwise work on the n min(m_y, m_u) terms runs on Python floats: the
 squares mu_i sigma_j^2, the rank cutoff and the factors lam / (lam + s^2).
 The products stay in numpy: w @ F on the factors F, and (U * p) @ U^T for
-U diag(p) U^T.
+U diag(p) U^T. The inputs follow the step's own rules: a J is checked by
+`mfac._matrix`, a lam by `damping._factor`, and mu and the weights w and
+w_r are read from `mfac._horizon_spectrum`, the table `mfac_step` filters by.
 
 What the horizon buys: since sum w_i / mu_i = 1 and sum w_i mu_i = n, each
 n-step pole lies between the one-step poles at lam / n and at lam, so the
@@ -41,14 +43,13 @@ than a step-by-step loop, so it agrees with one to rounding, not bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .damping import _EPS, _rank_cutoff
-from .mfac import _blocks, _check_count, _horizon_spectrum, build_psi, mfac_step
+from .damping import _EPS, _factor, _rank_cutoff
+from .mfac import _blocks, _check_count, _horizon_spectrum, _matrix, build_psi, mfac_step
 
 
 @dataclass
@@ -64,27 +65,14 @@ def _pole_report(M: np.ndarray, eig: np.ndarray) -> PoleReport:
     return PoleReport(M, eig, max_mod, stable=max_mod < 1.0 - 1e-12)
 
 
-@lru_cache(maxsize=64)
-def _weights(n: int):
-    """(mu as a tuple of floats, sqrt(max mu), w, w_r) of the n-step law (module docstring);
-    w and w_r are read-only."""
-    mu, root_mu_max, W, WtTt = _horizon_spectrum(n)
-    m = np.array(mu)
-    w, w_r = W[0] * WtTt.sum(axis=1) / m, W[0][:, None] * WtTt / m[:, None]
-    for a in (w, w_r):
-        a.setflags(write=False)
-    return mu, root_mu_max, w, w_r
-
-
 def _terms(sigma: np.ndarray, shape: tuple, n: int, lam: float):
     """lam as a float, w, w_r, the rows s2[i][j] = mu_i sigma_j^2 as floats and the square
     of `mfac_step`'s rank cutoff, at or below which a term is dropped; checks lam."""
-    if not 0 <= lam < np.inf:
-        raise ValueError("lam must be finite and non-negative")
-    mu, root_mu_max, w, w_r = _weights(n)
+    lam = _factor(lam)
+    mu, root_mu_max, _, _, w, w_r = _horizon_spectrum(n)
     s = sigma.tolist()
     cutoff = _rank_cutoff(root_mu_max * s[0], n * max(shape))  # mfac_step's rule
-    return float(lam), w, w_r, [[m * (x * x) for x in s] for m in mu], cutoff * cutoff
+    return lam, w, w_r, [[m * (x * x) for x in s] for m in mu], cutoff * cutoff
 
 
 def _poles(sigma: np.ndarray, shape: tuple, n: int, lam: float) -> np.ndarray:
@@ -105,7 +93,7 @@ def _block_gains(sigma: np.ndarray, shape: tuple, n: int, lam: float) -> np.ndar
 
 def _frozen_loop(J, n: int, lam: float) -> PoleReport:
     """U diag(p) U^T with eigenvalues p, the n-step poles on a frozen J (module docstring)."""
-    J = np.asarray(J, dtype=float)
+    J = _matrix(J)
     U, sigma, _ = np.linalg.svd(J)
     p = _poles(sigma, J.shape, n, lam)
     return _pole_report((U * p) @ U.T, p)
@@ -195,7 +183,7 @@ def simulate_linear_closed_loop(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    J, n = np.asarray(J, dtype=float), controller.n
+    J, n = _matrix(J), controller.n
     m_y, (U, sigma, _) = len(J), np.linalg.svd(J, full_matrices=False)
     JK = (U * _block_gains(sigma, J.shape, n, controller.lam)[:, None]) @ U.T  # J K_r, symmetric
     R = np.asarray(reference(np.arange(steps + n)), dtype=float)

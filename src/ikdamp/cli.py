@@ -107,6 +107,7 @@ def solver_config_from(cfg: dict) -> mfac.SolverConfig:
                         given=dict(schedule=schedule, horizon=horizon, mode=mode))
 
 
+# unused; the benchmark patches it until ROADMAP item 1
 def horizon_mode_from(cfg: dict) -> mfapc.HorizonMode:
     return _from_config(_solver, cfg.get("solver", {}), "solver", ConfigError)[1]
 
@@ -210,9 +211,8 @@ def write_track_csv(path, report: mfapc.TrackReport, model) -> None:
 def cmd_analyze(args) -> int:
     model = parse_model(args.model)
     q = _parse_floats(args.q, "--q")
-    lams = _parse_floats(args.lambda_sweep, "--lambda-sweep")
-    if not all(0 <= v < np.inf for v in lams):
-        raise ConfigError("lambda sweep values must be finite and non-negative")
+    lams = [damping._factor(v, "lambda sweep values", ConfigError)
+            for v in _parse_floats(args.lambda_sweep, "--lambda-sweep")]
     J = kinematics.jacobian(model, q)
     m_y = J.shape[0]
     sigmas = np.linalg.svd(J, compute_uv=False)

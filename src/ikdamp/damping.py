@@ -111,10 +111,16 @@ class DampingSchedule:
         raise NotImplementedError
 
 
+def _factor(value, what: str = "lam", error: type = ValueError) -> float:
+    """A damping factor (lam, lambda0, a table entry) as a float; a NaN, comparing False, fails."""
+    if not 0 <= value < np.inf:
+        raise error(f"{what} must be finite and non-negative")
+    return float(value)
+
+
 def _check_rates(lambda0: float, a1: float = 1.0, a2: float = 1.0) -> None:
-    # each check is written so that a NaN, which compares False, fails it
-    if not 0 <= lambda0 < np.inf:
-        raise DampingError("lambda0 must be finite and non-negative")
+    _factor(lambda0, "lambda0", DampingError)
+    # written so that a NaN, which compares False, fails it
     if not (1 <= a1 < np.inf and 1 <= a2 < np.inf):
         raise DampingError("a1 and a2 must be finite and >= 1")
 
@@ -205,10 +211,8 @@ class LookupTable(DampingSchedule):
         shape = (len(self.error_bins), len(self.cond_bins))
         if len(self.table) != shape[0] or any(np.shape(row) != shape[1:] for row in self.table):
             raise DampingError(f"table shape must be (error bins) x (cond bins) = {shape}")
-        table = tuple(tuple(float(v) for v in row) for row in self.table)
-        if not all(0 <= v < np.inf for row in table for v in row):
-            raise DampingError("table entries must be finite and non-negative")
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", tuple(
+            tuple(_factor(v, "table entries", DampingError) for v in row) for row in self.table))
 
     @property
     def lambda0(self) -> float:
@@ -230,11 +234,10 @@ class CondRule(DampingSchedule):
 
     def __post_init__(self):
         object.__setattr__(self, "cond_bins", _ascending(self.cond_bins, "cond_bins"))
-        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
+        object.__setattr__(self, "lambdas", tuple(
+            _factor(v, "lambdas", DampingError) for v in self.lambdas))
         if len(self.lambdas) != len(self.cond_bins):
             raise DampingError("need one lambda per condition threshold")
-        if not all(0 <= v < np.inf for v in self.lambdas):
-            raise DampingError("lambdas must be finite and non-negative")
 
     def next_lambda(self, lam: float, obs: DampingObservation) -> float:
         # number of thresholds <= cond, at most len(cond_bins) == len(lambdas); 0 is below the first
@@ -258,21 +261,23 @@ def _check_keys(spec: dict, keys: tuple, what: str, error: type = ValueError) ->
 
 # per annotation (a string in every ikdamp module): a value's JSON types and what one is called
 _JSON_TYPES = {"float": ((int, float), "a number in float range"),
-               "int": ((int, float), "a whole number"),
+               "int": ((int, float), "a whole number in int64 range"),
                "bool": ((bool,), "a boolean"), "str": ((str,), "a string"),
                "dict": ((dict,), "an object")}
 _CASTS = {"float": float, "int": int}
 _FLOAT_OVERFLOW = 2**1024 - 2**970  # float() of an int this large or larger raises OverflowError
+_INT64 = 2**63  # an int parameter takes what numpy's int64, its sizes and indices, holds
 _signature = functools.lru_cache(maxsize=64)(inspect.signature)  # each callable's, read once
 
 
 def _fits(value, annotation: str) -> bool:
-    """Whether a JSON value is the annotation's (a whole one for int, an int that a float holds
-    for float), or a list of them."""
+    """Whether a JSON value is the annotation's (a whole one that an int64 holds for int, an int
+    that a float holds for float), or a list of them."""
     if annotation.startswith("Sequence["):
         return type(value) is list and all(_fits(v, annotation[9:-1]) for v in value)
     return type(value) in _JSON_TYPES[annotation][0] and (
-        annotation != "int" or type(value) is int or value.is_integer()) and (
+        annotation != "int" or (type(value) is int or value.is_integer())
+        and -_INT64 <= value < _INT64) and (
         annotation != "float" or type(value) is float or abs(value) < _FLOAT_OVERFLOW)
 
 

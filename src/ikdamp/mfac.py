@@ -22,6 +22,9 @@ ufuncs do, and products stay in numpy, where BLAS and LAPACK fix the bits:
 `mfac_step` forms an error vector's products as 2-D `ndarray.dot`, which
 forms the products `@` does at less call overhead, and its last one with
 `@`, which sums a 1 x 1 product from +0.0 where `dot` keeps a -0.0.
+Each input of the law has one rule, shared by the step, the loop, `analysis`
+and the CLI: `_matrix` checks a Jacobian, `damping._factor` a damping factor,
+and `_horizon_spectrum` is the one cached table of a horizon's constants.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .damping import DampingObservation, DampingSchedule, Constant, _rank_cutoff
+from .damping import DampingObservation, DampingSchedule, Constant, _factor, _rank_cutoff
 from .damping import cond  # noqa: F401  unused; the benchmark patches it until ROADMAP item 1
 from .kinematics import KinematicModel, _as_vector, jacobian
 
@@ -101,14 +104,23 @@ class SolveReport:
 
 @lru_cache(maxsize=64)
 def _horizon_spectrum(n: int):
-    """(mu as a tuple of floats, sqrt(max mu), W, W^T T^T) for T = tril(ones(n, n)),
-    T^T T = W diag(mu) W^T."""
+    """(mu as a tuple of floats, sqrt(max mu), W, W^T T^T, and `analysis`' pole weights w, w_r)
+    for T = tril(ones(n, n)), T^T T = W diag(mu) W^T; the arrays are read-only."""
     T = np.tril(np.ones((n, n)))
     mu, W = np.linalg.eigh(T.T @ T)
     WtTt = W.T @ T.T
-    for a in (W, WtTt):
+    w, w_r = W[0] * WtTt.sum(axis=1) / mu, W[0][:, None] * WtTt / mu[:, None]
+    for a in (W, WtTt, w, w_r):
         a.setflags(write=False)
-    return tuple(mu.tolist()), float(np.sqrt(mu[-1])), W, WtTt
+    return tuple(mu.tolist()), float(np.sqrt(mu[-1])), W, WtTt, w, w_r
+
+
+def _matrix(J) -> np.ndarray:
+    """J as a float64 matrix with rows and columns: the one check of a Jacobian."""
+    J = np.asarray(J, dtype=float)
+    if J.ndim != 2 or 0 in J.shape:
+        raise ValueError(f"J must be a matrix with rows and columns, got shape {J.shape}")
+    return J
 
 
 def mfac_step(J, e, lam: float | Callable[[np.ndarray], float]) -> np.ndarray:
@@ -132,21 +144,16 @@ def mfac_step(J, e, lam: float | Callable[[np.ndarray], float]) -> np.ndarray:
     descending order from this step's SVD, returning the number; either
     must be finite and non-negative.
     """
-    J = np.asarray(J, dtype=float)
+    J = _matrix(J)
     e = np.asarray(e, dtype=float)
-    if J.ndim != 2 or 0 in J.shape:
-        raise ValueError(f"J must be a matrix with rows and columns, got shape {J.shape}")
     m_y, m_u = J.shape
     n, rest = divmod(e.shape[0] if e.ndim in (1, 2) else 0, m_y)
     if n < 1 or rest:
         raise ValueError("e must be a vector or column block with a multiple of rows(J) rows")
     U, sigma, Vt = np.linalg.svd(J, full_matrices=False)
-    if callable(lam):
-        lam = lam(sigma)
-    if not 0 <= lam < np.inf:
-        raise ValueError("lam must be finite and non-negative")
-    lam = float(lam)  # a float32 lam would otherwise round the float sums below to float32
-    mu, root_mu_max, W, WtTt = _horizon_spectrum(n)
+    # as a float: a float32 lam would otherwise round the float sums below to float32
+    lam = _factor(lam(sigma) if callable(lam) else lam)
+    mu, root_mu_max, W, WtTt, _, _ = _horizon_spectrum(n)
     s = sigma.tolist()
     # squares as products, correctly rounded: libm pow, which ** calls, may miss by an ulp
     cutoff = _rank_cutoff(root_mu_max * s[0], n * max(m_y, m_u))
@@ -174,6 +181,7 @@ def _blocks(jacobians: Sequence[np.ndarray]) -> np.ndarray:
         raise ValueError("need at least one Jacobian block")
     if blocks[0].ndim != 2 or any(b.shape != blocks[0].shape for b in blocks):
         raise ValueError("all Jacobian blocks must share one shape")
+    _matrix(blocks[0])
     return np.array(blocks)
 
 
@@ -218,8 +226,7 @@ def solve_ik_predictive(
     q = _as_vector(q0, m_u, "q0").copy()
     schedule = config.schedule
     lam = schedule.lambda0 if lam is None else lam
-    if not 0 <= lam < math.inf:  # a NaN fails it too
-        raise ValueError("lam must be finite and non-negative")
+    _factor(lam)  # checked before the first iterate, which may record it unused
     frozen = config.mode is HorizonMode.FROZEN
 
     provisional = [q] * n

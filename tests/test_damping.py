@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import dataclasses
+import io
 import math
 import sys
 
@@ -23,7 +25,13 @@ from ikdamp.damping import (
     schedule_from_config,
 )
 from conftest import angles, dh_rows
-from ikdamp.cli import ConfigError, parse_model
+from ikdamp.analysis import (
+    ConstantReference,
+    MfapcController,
+    mfac_pole_matrix,
+    simulate_linear_closed_loop,
+)
+from ikdamp.cli import ConfigError, main, parse_model
 from ikdamp.kinematics import DhChain, KinematicsError, Pose, ThreeLink, load_dh_chain
 from ikdamp.mfac import SolverConfig, mfac_step, solve_ik_predictive
 from ikdamp.mfapc import receding_horizon_track
@@ -289,11 +297,52 @@ class TestCondRule:
 @pytest.mark.parametrize("call, message", [
     (lambda: CondRule([10.0, 100.0], [0.5]), "need one lambda per condition threshold"),
     (lambda: CondRule([10.0], [0.5, 2.0]), "need one lambda per condition threshold"),
-    (lambda: CondRule([10.0], [-0.5]), "lambdas must be finite and non-negative"),
-], ids=["fewer-lambdas", "more-lambdas", "negative-lambda"])
+], ids=["fewer-lambdas", "more-lambdas"])
 def test_input_checks_name_the_fault(call, message):
     with pytest.raises(DampingError, match=message):
         call()
+
+
+def _analyze(lam):
+    """`ikdamp analyze` with lam in its sweep: it exits 2, and what it prints is raised here."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["analyze", "--model", "three-link", "--q", "0.3,0.7,-0.5",
+                     "--lambda-sweep", f"0.1,{lam}"]) == 2
+    raise ConfigError(err.getvalue())
+
+
+def _solve_at_goal(lam):
+    # at a goal already met the first iterate records lam unused, so it is checked first
+    q0 = [0.2, 0.6, -0.4]
+    solve_ik_predictive(ThreeLink(), [ThreeLink().forward(q0)], q0, SolverConfig(), lam=lam)
+
+
+# each site of `damping._factor`: how it is reached, the name it gives the value, its error
+FACTOR_SITES = {
+    "mfac_step": (lambda v: mfac_step(np.eye(2), np.ones(2), v), "lam", ValueError),
+    "mfac_step-callable": (lambda v: mfac_step(np.eye(2), np.ones(2), lambda s: v), "lam",
+                           ValueError),
+    "solve_ik_predictive": (_solve_at_goal, "lam", ValueError),
+    "mfac_pole_matrix": (lambda v: mfac_pole_matrix(np.eye(2), v), "lam", ValueError),
+    "simulate": (lambda v: simulate_linear_closed_loop(
+        np.eye(2), MfapcController(2, v), ConstantReference(np.ones(2)), 5), "lam", ValueError),
+    "lambda0": (Constant, "lambda0", DampingError),
+    "lookup-table": (lambda v: LookupTable([1.0], [10.0], [[v]]), "table entries",
+                     DampingError),
+    "cond-lambdas": (lambda v: CondRule([10.0], [v]), "lambdas", DampingError),
+    "cli-analyze": (_analyze, "lambda sweep values", ConfigError),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+@pytest.mark.parametrize("site", list(FACTOR_SITES))
+def test_damping_factor_rule_at_every_site(site, value):
+    # one rule, `damping._factor`: each site names its value and keeps its own error type
+    call, what, error = FACTOR_SITES[site]
+    with pytest.raises(ValueError, match=f"{what} must be finite and non-negative") as exc:
+        call(value)
+    assert type(exc.value) is error
 
 
 class TestProperties:
