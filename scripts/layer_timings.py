@@ -10,8 +10,8 @@ the mean time of one call, each repeat making --number calls:
 - a 3x3 and a 6x6 thin `np.linalg.svd`;
 - `mfac_step` at (3x3, n = 5), (6x6, n = 2) and (6x6, n = 1), on a
   seeded J and error vector, at lambda = 0.01;
-- `mfac_pole_matrix`, `mfapc_pole_matrix([J] * 5)` and
-  `simulate_linear_closed_loop` of a 1000-step ramp with n = 5, on one
+- `mfac_pole_matrix`, `static_error_gain`, `mfapc_pole_matrix([J] * 5)`
+  and `simulate_linear_closed_loop` of a 1000-step ramp with n = 5, on one
   seeded 3x3 J at lambda = 0.01;
 - `cli.parse`: the four calls `ikdamp track` makes to read a config
   (`load_config`, `parse_model`, `solver_config_from`, `parse_trajectory`,
@@ -78,6 +78,7 @@ def layers() -> List[Tuple[str, Callable[[], object]]]:
     controller = analysis.MfapcController(5, LAMBDA)
     calls += [
         ("mfac_pole_matrix 3x3", lambda: analysis.mfac_pole_matrix(J, LAMBDA)),
+        ("static_error_gain 3x3", lambda: analysis.static_error_gain(J, LAMBDA)),
         ("mfapc_pole_matrix 3x3, [J] * 5", lambda: analysis.mfapc_pole_matrix([J] * 5, LAMBDA)),
         ("simulate_linear_closed_loop 3x3, n = 5",
          lambda: analysis.simulate_linear_closed_loop(J, controller, ramp, 1000)),

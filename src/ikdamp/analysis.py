@@ -31,14 +31,22 @@ the accuracy comes from a second linearisation per sample, not from the
 look-ahead (README, "What the horizon buys", gives the commands).
 
 The simulator is a linear recurrence y(k+1) = A y(k) + b(k) with a
-constant A = I - sum_r J K_r. It samples the reference in one call, forms
-every window term b(k) from one matmul and runs the recurrence as doubling
-passes: pass s = 1, 2, 4, ... adds A^s times the partial sum s steps back,
-as the row block times (A^s)^T, which it keeps C-ordered so that the product
-goes to BLAS and squares for the next pass, until s reaches steps or
-max|A^s| <= eps. What that leaves out is A^s y(k-s), at most m_y eps max|y|,
-and a pole at 1 never ends the scan early. Its sums run in another order
-than a step-by-step loop, so it agrees with one to rounding, not bit for bit.
+constant A = I - sum_r J K_r. It samples the reference in one call, made a
+C-ordered float array, and forms every window term b(k) from one matmul:
+the windows, rows r(k+1) .. r(k+n) laid end to end, are one strided view
+on that array's buffer, and the product is written in place into rows 1..
+of the output, whose row 0 is y(0) = 0. The view has the shape and strides
+of numpy's sliding_window_view(R[1:].ravel(), n m_y)[::m_y] without its
+Python-level cost, so the matmul sees the same operand and every output
+bit is the same. The recurrence runs in place as doubling passes: pass
+s = 1, 2, 4, ... adds A^s times the partial sum s steps back, as the row
+block times (A^s)^T, which it keeps C-ordered so that the product goes to
+BLAS and squares for the next pass, until s reaches steps or
+max|A^s| <= eps; the outputs are then subtracted from the reference rows
+in the same array. What the scan leaves out is A^s y(k-s), at most
+m_y eps max|y|, and a pole at 1 never ends the scan early. Its sums run in
+another order than a step-by-step loop, so it agrees with one to rounding,
+not bit for bit.
 """
 from __future__ import annotations
 
@@ -46,7 +54,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .damping import _EPS, _factor, _rank_cutoff
 from .mfac import _blocks, _check_count, _horizon_spectrum, _matrix, build_psi, mfac_step
@@ -61,7 +68,7 @@ class PoleReport:
 
 
 def _pole_report(M: np.ndarray, eig: np.ndarray) -> PoleReport:
-    max_mod = float(np.abs(eig).max())
+    max_mod = float(np.maximum.reduce(np.abs(eig), axis=None))
     return PoleReport(M, eig, max_mod, stable=max_mod < 1.0 - 1e-12)
 
 
@@ -91,12 +98,12 @@ def _block_gains(sigma: np.ndarray, shape: tuple, n: int, lam: float) -> np.ndar
     return w_r.T @ np.array([[x / (lam + x) if x > c2 else 0.0 for x in row] for row in s2])
 
 
-def _frozen_loop(J, n: int, lam: float) -> PoleReport:
-    """U diag(p) U^T with eigenvalues p, the n-step poles on a frozen J (module docstring)."""
+def _frozen_loop(J, n: int, lam: float) -> tuple:
+    """U diag(p) U^T and p, the n-step poles on a frozen J (module docstring)."""
     J = _matrix(J)
     U, sigma, _ = np.linalg.svd(J)
     p = _poles(sigma, J.shape, n, lam)
-    return _pole_report((U * p) @ U.T, p)
+    return (U * p) @ U.T, p
 
 
 def mfac_pole_matrix(J, lam: float) -> PoleReport:
@@ -105,7 +112,7 @@ def mfac_pole_matrix(J, lam: float) -> PoleReport:
     Uncontrollable directions, singular values at or below `mfac_step`'s rank
     cutoff and the complement of the range of a tall J contribute a pole at 1.
     """
-    return _frozen_loop(J, 1, lam)
+    return _pole_report(*_frozen_loop(J, 1, lam))
 
 
 def static_error_gain(J, lam: float) -> np.ndarray:
@@ -116,7 +123,7 @@ def static_error_gain(J, lam: float) -> np.ndarray:
     Jacobian this is also the one-step closed-loop matrix:
     e(k+1) = G e(k) for a constant reference.
     """
-    return _frozen_loop(J, 1, lam).pole_matrix
+    return _frozen_loop(J, 1, lam)[0]
 
 
 def mfapc_pole_matrix(jacobians: Sequence[np.ndarray], lam: float) -> PoleReport:
@@ -133,7 +140,7 @@ def mfapc_pole_matrix(jacobians: Sequence[np.ndarray], lam: float) -> PoleReport
     blocks = _blocks(jacobians[:1] if same else jacobians)
     J0, n, (_, m_y, m_u) = blocks[0], len(jacobians), blocks.shape
     if same or (blocks == J0).all():
-        return _frozen_loop(J0, n, lam)
+        return _pole_report(*_frozen_loop(J0, n, lam))
     K = mfac_step(build_psi(blocks), np.eye(n * m_y), lam)[:m_u]  # the first-increment gain
     M = np.eye(m_y) - J0 @ K.reshape(m_u, n, m_y).sum(axis=1)
     return _pole_report(M, np.linalg.eigvals(M))
@@ -186,13 +193,17 @@ def simulate_linear_closed_loop(
     J, n = _matrix(J), controller.n
     m_y, (U, sigma, _) = len(J), np.linalg.svd(J, full_matrices=False)
     JK = (U * _block_gains(sigma, J.shape, n, controller.lam)[:, None]) @ U.T  # J K_r, symmetric
-    R = np.asarray(reference(np.arange(steps + n)), dtype=float)
+    R = np.ascontiguousarray(reference(np.arange(steps + n)), dtype=float)
     if R.shape != (steps + n, m_y):
         raise ValueError(f"reference protocol: an array of k gives one row per k, got {R.shape}")
-    Y = sliding_window_view(R[1:].ravel(), n * m_y)[::m_y] @ JK.reshape(n * m_y, m_y)  # b(k)
+    # window k is the rows r(k+1) .. r(k+n) of R, laid end to end: one strided view on its buffer
+    row = m_y * R.itemsize
+    windows = np.ndarray((steps, n * m_y), float, R, row, (row, R.itemsize))
+    E = np.zeros((steps + 1, m_y))  # row 0 is y(0) = 0; rows 1.. become y(1) .. y(steps)
+    Y = np.matmul(windows, JK.reshape(n * m_y, m_y), out=E[1:])  # b(k)
     At, s = (np.eye(m_y) - JK.sum(axis=0)).T.copy(), 1  # A^T, then (A^s)^T at pass s, C-ordered
     # pass s adds A^s Y[k-s] to each Y[k], until Y[k] = y(k+1) or A^s is below rounding
-    while s < steps and np.abs(At).max() > _EPS:
+    while s < steps and np.maximum.reduce(np.abs(At), axis=None) > _EPS:
         Y[s:] += Y[:-s] @ At
         At, s = At @ At, 2 * s
-    return R[: steps + 1] - np.vstack([np.zeros(m_y), Y])
+    return np.subtract(R[: steps + 1], E, out=E)

@@ -112,10 +112,17 @@ class DampingSchedule:
 
 
 def _factor(value, what: str = "lam", error: type = ValueError) -> float:
-    """A damping factor (lam, lambda0, a table entry) as a float; a NaN, comparing False, fails."""
-    if not 0 <= value < np.inf:
-        raise error(f"{what} must be finite and non-negative")
-    return float(value)
+    """A damping factor (lam, lambda0, a table entry) as a float; a NaN, comparing False, fails,
+    and so does a number beyond float range, which may compare below inf: float() of an int
+    overflows, and of a Decimal gives inf."""
+    if 0 <= value < np.inf:
+        try:
+            lam = float(value)
+        except OverflowError:
+            lam = np.inf
+        if lam < np.inf:
+            return lam
+    raise error(f"{what} must be finite and non-negative")
 
 
 def _check_rates(lambda0: float, a1: float = 1.0, a2: float = 1.0) -> None:

@@ -113,6 +113,30 @@ class TestStaticErrorGain:
         assert np.all(vals >= -1e-12)
         assert np.all(vals < 1.0)
 
+    @given(
+        shape=st.sampled_from([(3, 3), (6, 2), (2, 6), (1, 4), (5, 1)]),
+        seed=st.integers(0, 2**32 - 1),
+        zero_column=st.booleans(),
+        lam=st.sampled_from([0.0, 1e-300, 1e-3, 10.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_is_the_pole_matrix_bit_for_bit(self, shape, seed, zero_column, lam):
+        # square, tall and wide J, each also with a column of zeros
+        J = np.random.default_rng(seed).standard_normal(shape)
+        if zero_column:
+            J[:, 0] = 0.0
+        assert static_error_gain(J, lam).tobytes() == (
+            mfac_pole_matrix(J, lam).pole_matrix.tobytes())
+
+    @pytest.mark.parametrize("J, error, message", [
+        (np.zeros((0, 3)), ValueError, "J must be a matrix with rows and columns"),
+        (np.array([[np.nan, 1.0], [0.0, 1.0]]), np.linalg.LinAlgError, "SVD did not converge"),
+    ], ids=["empty", "nan"])
+    def test_jacobian_checked_as_by_the_pole_matrix(self, J, error, message):
+        for call in (static_error_gain, mfac_pole_matrix):
+            with pytest.raises(error, match=message):
+                call(J, 0.1)
+
 
 def assert_one_block_law(J, lam):
     """The one-step poles and the n = 1 predictive poles, sorted by modulus, agree to 1e-12."""
@@ -260,7 +284,7 @@ class TestHorizonClosedForm:
     def test_poles_lie_between_the_one_step_poles(self, n, log_ratio, log_lam):
         lam = 10.0 ** log_lam
         s2 = 10.0 ** log_ratio * lam  # sigma^2 / lam from 1e-8 to 1e8
-        p_n = analysis._frozen_loop(np.array([[math.sqrt(s2)]]), n, lam).eigenvalues[0]
+        p_n = analysis._frozen_loop(np.array([[math.sqrt(s2)]]), n, lam)[1][0]
         sigma2 = math.sqrt(s2) ** 2
 
         def one_step(x):
@@ -719,12 +743,17 @@ def test_simulator_is_its_oracle_bit_for_bit_on_the_digest_inputs():
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (1, 4), (6, 2)], ids=["3x3", "1x4", "6x2"])
-@pytest.mark.parametrize("layout", ["F", "strided", "read-only"])
+@pytest.mark.parametrize("layout", ["F", "strided", "read-only", "int"])
 def test_reference_layout_does_not_move_a_bit(shape, layout):
-    # the simulator reads the reference's rows, not its memory layout
+    # the simulator's windows are a view on the buffer of the reference's rows, so a layout,
+    # dtype or size that it failed to make a C-ordered float array would move bits; the runs
+    # are 300 steps at n = 5 and the shortest ones, steps 1 and 2 at n = 1 .. 5
     rng = np.random.default_rng(2703)
     J, slope = rng.standard_normal(shape), rng.standard_normal(shape[0])
     rows = RampReference(slope)(np.arange(305))
+    if layout == "int":
+        # whole numbers, which an int64 copy holds exactly; + 0.0 makes r(0) = -0.0 a 0.0, as int
+        rows = np.rint(100 * rows) + 0.0
 
     def reference(k):
         out = rows[: len(k)].copy()
@@ -734,11 +763,14 @@ def test_reference_layout_does_not_move_a_bit(shape, layout):
             wide = np.zeros((len(k), 2 * shape[0]))
             wide[:, 1::2] = out
             return wide[:, 1::2]
+        if layout == "int":
+            return out.astype(np.int64)
         out.setflags(write=False)
         return out
 
-    controller = MfapcController(5, 0.1)
-    baseline = simulate_linear_closed_loop(
-        J, controller, lambda k: rows[: len(k)].copy(), 300)
-    assert simulate_linear_closed_loop(J, controller, reference, 300).tobytes() == (
-        baseline.tobytes())
+    for steps, n in [(300, 5)] + [(steps, n) for steps in (1, 2) for n in range(1, 6)]:
+        controller = MfapcController(n, 0.1)
+        baseline = simulate_linear_closed_loop(
+            J, controller, lambda k: rows[: len(k)].copy(), steps)
+        assert simulate_linear_closed_loop(J, controller, reference, steps).tobytes() == (
+            baseline.tobytes()), (steps, n)

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import math
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -326,7 +327,7 @@ FACTOR_SITES = {
     "solve_ik_predictive": (_solve_at_goal, "lam", ValueError),
     "mfac_pole_matrix": (lambda v: mfac_pole_matrix(np.eye(2), v), "lam", ValueError),
     "simulate": (lambda v: simulate_linear_closed_loop(
-        np.eye(2), MfapcController(2, v), ConstantReference(np.ones(2)), 5), "lam", ValueError),
+        np.eye(2), MfapcController(5, v), ConstantReference(np.ones(2)), 5), "lam", ValueError),
     "lambda0": (Constant, "lambda0", DampingError),
     "lookup-table": (lambda v: LookupTable([1.0], [10.0], [[v]]), "table entries",
                      DampingError),
@@ -335,10 +336,12 @@ FACTOR_SITES = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf, 10**400, Decimal("1e400")],
+                         ids=["nan", "negative", "inf", "int-beyond-float", "decimal-beyond-float"])
 @pytest.mark.parametrize("site", list(FACTOR_SITES))
 def test_damping_factor_rule_at_every_site(site, value):
-    # one rule, `damping._factor`: each site names its value and keeps its own error type
+    # one rule, `damping._factor`: each site names its value and keeps its own error type; a
+    # number beyond float range compares below inf, and float() overflows or gives inf on it
     call, what, error = FACTOR_SITES[site]
     with pytest.raises(ValueError, match=f"{what} must be finite and non-negative") as exc:
         call(value)
